@@ -17,7 +17,11 @@ Every backend answers the same three questions about one
 * **what would it cost right now?** — :meth:`RestructureBackend.estimate`
   returns a :class:`CostEstimate` splitting contention-free service time
   from the expected queueing behind the backend's *current* occupancy
-  (the live signal the planner keys on);
+  (the live signal the planner keys on). The DRX and CPU backends build
+  it from an :class:`UnloadedCost` (:meth:`DRXBackend.unloaded`,
+  :meth:`CPUBackend.unloaded`) that depends on the leg alone, plus a
+  queue term over the live depth (``queue_s``), so a caller that prices
+  the same leg repeatedly can keep the first half;
 * **run it** — :meth:`RestructureBackend.execute` delegates to the
   owning :class:`~repro.core.system.DMXSystem`'s motion helpers so
   span/phase accounting stays identical to the non-planned paths.
@@ -44,8 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BACKEND_DRX", "BACKEND_CPU", "BACKEND_DSA", "BACKEND_XDMA",
-    "BACKEND_KINDS", "LegSpec", "CostEstimate", "RestructureBackend",
-    "DRXBackend", "CPUBackend",
+    "BACKEND_KINDS", "LegSpec", "CostEstimate", "UnloadedCost",
+    "RestructureBackend", "DRXBackend", "CPUBackend",
 ]
 
 BACKEND_DRX = "drx"
@@ -101,6 +105,19 @@ class CostEstimate:
     @property
     def total_s(self) -> float:
         return self.service_s + self.queue_s
+
+
+@dataclass(frozen=True)
+class UnloadedCost:
+    """The contention-free half of a :class:`CostEstimate` (seconds).
+
+    ``per_job_s`` is the time one queued job holds the backend: the
+    factor the live queue term multiplies the current depth by.
+    """
+
+    service_s: float
+    energy_j: float
+    per_job_s: float
 
 
 class RestructureBackend(abc.ABC):
@@ -159,7 +176,8 @@ class DRXBackend(RestructureBackend):
         server = leg.drx._server
         return server.queue_length + server.in_use
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
+    def unloaded(self, leg: LegSpec) -> UnloadedCost:
+        """``leg``'s price on an idle unit: a function of the leg alone."""
         s = self.system
         n = leg.count
         timing = leg.drx.timing
@@ -183,11 +201,23 @@ class DRXBackend(RestructureBackend):
                 leg.src, leg.staging, n * leg.stage.input_bytes
             ) + chain_extra
             service = in_est + restructure + notify + out_est
+        return UnloadedCost(
+            service_s=service,
+            energy_j=restructure * leg.drx.config.power_w,
+            per_job_s=timing.time_for_profile(leg.fused),
+        )
+
+    def queue_s(self, depth: int, per_job_s: float) -> float:
+        """Expected wait behind ``depth`` jobs on the home unit."""
+        return depth * per_job_s * self.queue_weight
+
+    def estimate(self, leg: LegSpec) -> CostEstimate:
+        base = self.unloaded(leg)
         depth = self.queue_depth(leg)
-        queue = depth * timing.time_for_profile(leg.fused) * self.queue_weight
-        energy = restructure * leg.drx.config.power_w
         return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
+            service_s=base.service_s,
+            queue_s=self.queue_s(depth, base.per_job_s),
+            depth=depth, energy_j=base.energy_j,
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
@@ -219,7 +249,8 @@ class CPUBackend(RestructureBackend):
     def queue_depth(self, leg: LegSpec) -> int:
         return self.system.cpu.cores.queue_length
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
+    def unloaded(self, leg: LegSpec) -> UnloadedCost:
+        """``leg``'s price on idle cores: a function of the leg alone."""
         s = self.system
         cpu = s.cpu
         n = leg.count
@@ -234,14 +265,25 @@ class CPUBackend(RestructureBackend):
         out_est = s.transfer_estimate(
             "root", leg.dst, n * leg.stage.output_bytes
         )
-        service = in_est + n * per_job + out_est
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cpu.spec.cores * per_job * self.queue_weight
+        return UnloadedCost(
+            service_s=in_est + n * per_job + out_est,
+            energy_j=n * per_job * threads * 10.5,  # cpu_core_active_w
+            per_job_s=per_job,
         )
-        energy = n * per_job * threads * 10.5  # cpu_core_active_w
+
+    def queue_s(self, depth: int, per_job_s: float) -> float:
+        """Expected wait behind ``depth`` jobs spread over the cores."""
+        return (
+            depth / self.system.cpu.spec.cores * per_job_s * self.queue_weight
+        )
+
+    def estimate(self, leg: LegSpec) -> CostEstimate:
+        base = self.unloaded(leg)
+        depth = self.queue_depth(leg)
         return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
+            service_s=base.service_s,
+            queue_s=self.queue_s(depth, base.per_job_s),
+            depth=depth, energy_j=base.energy_j,
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:

@@ -58,7 +58,8 @@ class ControllerConfig:
     ``drive_tiers`` / ``drive_placement`` flags and a non-zero
     ``standby_cards`` pool for the capacity autoscaler. ``drive_tiers``
     requires the frontend's brownout ladder (the controller picks the
-    tier; the ladder's machinery applies it); ``standby_cards`` requires
+    tier; the ladder's machinery applies it) and a mode with DRX units
+    to price (not ALL_CPU or MULTI_AXL); ``standby_cards`` requires
     the fronted system's resilience control plane (commission /
     decommission ride the breaker revive / mark-dead machinery).
     """
@@ -141,6 +142,12 @@ class ClosedLoopController:
             raise ValueError(
                 "drive_tiers requires the brownout ladder "
                 "(FrontendConfig.brownout)"
+            )
+        mode = frontend.system.config.mode
+        if config.drive_tiers and not mode.uses_drx:
+            raise ValueError(
+                f"drive_tiers prices DRX legs; mode {mode.value!r} has no "
+                "DRX (set drive_tiers=False)"
             )
         self.frontend = frontend
         self.system = frontend.system
@@ -312,6 +319,7 @@ class ClosedLoopController:
 
     def _drive_weights(self, now: float) -> None:
         cfg = self.config
+        standalone = bool(self.system.standalone_cards())
         for spec in self.frontend.tenants:
             name = spec.name
             tail = self.tenant_tail(name)
@@ -324,7 +332,7 @@ class ClosedLoopController:
             pressure = min(2.0, max(0.5, pressure))
             health = self._card_health(
                 self.system.card_of_app(self.frontend._app_index[name])
-                if self.system.standalone_cards()
+                if standalone
                 else name
             )
             raw = self._base_weight[name] * pressure * health

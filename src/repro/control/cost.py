@@ -12,18 +12,21 @@ covers the current SLO overshoot.
 All prices come from the same :class:`~repro.backends.base.CostEstimate`
 machinery the per-leg planner ranks on: the DRX/CPU backends are priced
 on a representative leg per application chain (the chain's first motion
-stage, staged on the app's *current* card — live queue depths and the
-live placement both feed the bid). Estimates are pure functions of DES
-state: pricing a tier advances no clock and draws no randomness, so two
-equal-seed runs bid — and therefore step — identically.
+stage, staged where the placement mode *currently* homes it — live
+queue depths and the live placement both feed the bid). A leg's
+contention-free half depends only on the chain and its home DRX, so it
+is priced once per ``(app, home DRX)`` pair and kept; each bid reads
+only the live DRX and CPU queue depths. Estimates are pure functions of
+DES state: pricing a tier advances no clock and draws no randomness, so
+two equal-seed runs bid — and therefore step — identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..backends.base import CPUBackend, DRXBackend, LegSpec
+from ..backends.base import CPUBackend, DRXBackend, LegSpec, UnloadedCost
 from ..core.chain import MotionStage
 from ..core.system import SCRATCHPAD_FUSION
 from ..resilience.brownout import BrownoutTier
@@ -49,18 +52,15 @@ class TierBid:
         )
 
 
-def _representative_leg(system: "DMXSystem", app_index: int) -> LegSpec:
-    """The chain's first motion stage, bound to its *current* card."""
-    from dataclasses import replace
-
+def _first_motion(system: "DMXSystem", app_index: int):
+    """``(stage, src, dst, fused profile)`` of the chain's first motion
+    stage: the part of its representative leg no placement changes."""
     chain = system.chains[app_index]
     for stage_index, stage in enumerate(chain.stages):
         if not isinstance(stage, MotionStage):
             continue
         src = system._accel_names[(app_index, stage_index - 1)]
         dst = system._accel_names[(app_index, stage_index + 1)]
-        drx_name = system.card_of_app(app_index)
-        drx = system.drx_devices[drx_name]
         if SCRATCHPAD_FUSION:
             fused = replace(
                 stage.profile,
@@ -69,21 +69,24 @@ def _representative_leg(system: "DMXSystem", app_index: int) -> LegSpec:
             )
         else:
             fused = stage.profile
-        return LegSpec(
-            mode=system.config.mode, src=src, dst=dst, staging=drx_name,
-            stage=stage, fused=fused, threads=stage.cpu_threads, drx=drx,
-        )
+        return stage, src, dst, fused
     raise ValueError(f"chain {chain.name!r} has no motion stage to price")
+
+
+#: A representative leg with its DRX and CPU contention-free prices.
+_PricedLeg = Tuple[LegSpec, UnloadedCost, UnloadedCost]
 
 
 class TierCostModel:
     """Price the brownout tiers on live backend estimates.
 
     ``shed_fraction`` (the load share belonging to sheddable tenants)
-    and the per-chain queue estimates are re-read at every evaluation,
-    so bids track the run: a migration that drains a hot card's queue
+    and the per-chain queue depths are re-read at every evaluation, so
+    bids track the run: a migration that drains a hot card's queue
     immediately lowers FORCE_CPU's relief (there is less queueing left
-    to dodge), and the model de-escalates on the next update.
+    to dodge), and the model de-escalates on the next update. A
+    migration or scale event only changes which ``(app, home DRX)``
+    entry of the contention-free cache a bid reads.
     """
 
     def __init__(
@@ -113,23 +116,52 @@ class TierCostModel:
             self._cpu = planner.backends["cpu"]
         else:
             self._cpu = CPUBackend(system)
+        self._motion = [
+            _first_motion(system, app_index)
+            for app_index in range(len(system.chains))
+        ]
+        self._priced: Dict[Tuple[int, str], _PricedLeg] = {}
+
+    def _priced_leg(self, app_index: int) -> _PricedLeg:
+        """The chain's representative leg, staged where the mode homes
+        it right now, with its contention-free prices."""
+        system = self.system
+        mode = system.config.mode
+        stage, src, dst, fused = self._motion[app_index]
+        drx, staging = system._drx_placement(mode, src, app_index)
+        key = (app_index, drx.name)
+        entry = self._priced.get(key)
+        if entry is None:
+            leg = LegSpec(
+                mode=mode, src=src, dst=dst, staging=staging, stage=stage,
+                fused=fused, threads=stage.cpu_threads, drx=drx,
+            )
+            entry = self._priced[key] = (
+                leg, self._drx.unloaded(leg), self._cpu.unloaded(leg),
+            )
+        return entry
 
     def bids(self, slo_s: float, shed_fraction: float) -> List[TierBid]:
         """Current bids for every actionable tier, in tier order."""
-        legs = [
-            _representative_leg(self.system, app_index)
-            for app_index in range(len(self.system.chains))
-        ]
-        n = len(legs)
-        drx_ests = [self._drx.estimate(leg) for leg in legs]
-        cpu_ests = [self._cpu.estimate(leg) for leg in legs]
-        queue_s = sum(e.queue_s for e in drx_ests) / n
-        drx_service = sum(e.service_s for e in drx_ests) / n
-        cpu_total = sum(e.total_s for e in cpu_ests) / n
+        drx_b, cpu_b = self._drx, self._cpu
+        priced = [self._priced_leg(a) for a in range(len(self._motion))]
+        n = len(priced)
+        # sum() rather than a running +=: from Python 3.12 sum() adds
+        # floats with compensation, and bids must match estimate() sums.
+        queue_s = sum(
+            drx_b.queue_s(drx_b.queue_depth(leg), drx.per_job_s)
+            for leg, drx, _ in priced
+        ) / n
+        drx_service = sum(drx.service_s for _, drx, _ in priced) / n
+        cpu_total = sum(
+            cpu.service_s
+            + cpu_b.queue_s(cpu_b.queue_depth(leg), cpu.per_job_s)
+            for leg, _, cpu in priced
+        ) / n
         energy_delta = max(
             0.0,
-            sum(e.energy_j for e in cpu_ests) / n
-            - sum(e.energy_j for e in drx_ests) / n,
+            sum(cpu.energy_j for _, _, cpu in priced) / n
+            - sum(drx.energy_j for _, drx, _ in priced) / n,
         )
         bids = [
             # Shedding removes the sheddable tenants' share of the

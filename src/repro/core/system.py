@@ -402,6 +402,8 @@ class DMXSystem:
         self._accel_names: Dict[tuple, str] = {}  # (app_idx, stage_idx) -> name
         self._switch_of: Dict[str, str] = {}
         self._standalone_drx_of: Dict[int, str] = {}
+        #: upstream_crossings memo: (app index, card) -> crossings.
+        self._crossings: Dict[tuple, int] = {}
         self._build_topology()
         # The per-leg backend planner (lazy import: repro.backends pulls
         # repro.core back in for chain/placement types).
@@ -849,8 +851,18 @@ class DMXSystem:
         endpoint on a different switch than the card costs one crossing
         each way. This is the placement optimizer's objective: staged on
         its home-switch card an app crosses zero upstream links, staged
-        remotely every leg round-trips the root complex.
+        remotely every leg round-trips the root complex. The chains and
+        the tree are fixed once built, so each pair is counted once.
         """
+        key = (app_index, card)
+        crossings = self._crossings.get(key)
+        if crossings is None:
+            crossings = self._crossings[key] = self._count_crossings(
+                app_index, card
+            )
+        return crossings
+
+    def _count_crossings(self, app_index: int, card: str) -> int:
         card_switch = self._switch_of[card]
         crossings = 0
         for stage_index, stage in enumerate(self.chains[app_index].stages):

@@ -29,6 +29,9 @@ __all__ = ["Node", "Fabric", "SWITCH_PORT_LATENCY_S"]
 # Port-to-port latency tax through a PCIe switch (Sec. VII-B cites 110 ns).
 SWITCH_PORT_LATENCY_S = 110e-9
 
+#: ``(links crossed, switch hops)`` between two fabric nodes.
+Route = Tuple[Tuple[PCIeLink, ...], int]
+
 
 @dataclass
 class Node:
@@ -83,6 +86,9 @@ class Fabric:
         self.root = Node("root", "root")
         self.nodes: Dict[str, Node] = {"root": self.root}
         self.links: List[PCIeLink] = []
+        # Memoized routes per (src, dst): the tree only changes while it
+        # is being built, and every construction method clears the memo.
+        self._routes: Dict[Tuple[str, str], Route] = {}
         # Optional fault hook: when set (a repro.faults.FaultInjector),
         # every transfer consults the "fabric" site before acquiring links.
         self.injector = None
@@ -99,6 +105,7 @@ class Fabric:
         parent.children.append(node)
         self.nodes[name] = node
         self.links.append(link)
+        self._routes.clear()
         return node
 
     def add_switch(self, name: str, parent: Optional[Node] = None) -> Node:
@@ -139,7 +146,7 @@ class Fabric:
                     uplink=host_node.uplink)
         host_node.parent.children.append(node)
         self.nodes[name] = node
-        self.add_mux_pair(name, host, mux_config)
+        self.add_mux_pair(name, host, mux_config)  # clears the route memo
         return node
 
     def add_mux_pair(
@@ -158,6 +165,7 @@ class Fabric:
         node_a.mux_peers[b] = link
         node_b.mux_peers[a] = link
         self.links.append(link)
+        self._routes.clear()
         return link
 
     def endpoints(self) -> List[Node]:
@@ -165,17 +173,24 @@ class Fabric:
 
     # -- routing -------------------------------------------------------------
 
-    def path(self, src: str, dst: str) -> Tuple[List[PCIeLink], int]:
+    def path(self, src: str, dst: str) -> Route:
         """Links crossed and switches traversed from ``src`` to ``dst``.
 
-        Returns ``(links, switch_hops)``. Uses the private mux link when one
-        exists between the pair.
+        Returns ``(links, switch_hops)`` with ``links`` a tuple, memoized
+        per pair. Uses the private mux link when one exists between the
+        pair.
         """
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self._walk(src, dst)
+        return route
+
+    def _walk(self, src: str, dst: str) -> Route:
         if src == dst:
-            return [], 0
+            return (), 0
         a, b = self.nodes[src], self.nodes[dst]
         if b.name in a.mux_peers:
-            return [a.mux_peers[b.name]], 0
+            return (a.mux_peers[b.name],), 0
 
         # Unique tree path: climb both to the lowest common ancestor.
         a_chain = [a] + a.ancestors()
@@ -203,7 +218,7 @@ class Fabric:
         if lca.kind == "switch":
             switch_hops += 1
         links.extend(reversed(down))
-        return links, switch_hops
+        return tuple(links), switch_hops
 
     def _cut_through_duration(self, links, switch_hops: int, nbytes: int) -> float:
         """PCIe transfers are cut-through: TLPs stream across every link on

@@ -276,6 +276,34 @@ def test_drive_tiers_requires_the_brownout_ladder():
     )
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_drive_tiers_prices_every_drx_mode_and_rejects_the_rest(mode):
+    # The tier model stages its representative leg where the mode's own
+    # placement puts it; modes with no DRX have no tier to price.
+    chains = build_benchmark_chains("sound-detection", 2)
+    system = DMXSystem(chains, SystemConfig(mode=mode))
+    tenants = [
+        TenantSpec(name=c.name, arrivals=PoissonArrivals(400.0), n_requests=12)
+        for c in chains
+    ]
+    config = FrontendConfig(
+        slo_s=SLO, brownout=BrownoutConfig(), controller=ControllerConfig()
+    )
+    if not mode.uses_drx:
+        with pytest.raises(ValueError, match=mode.value):
+            ServingFrontend(system, tenants, config, seed=1)
+        return
+    frontend = ServingFrontend(system, tenants, config, seed=1)
+    model = frontend._controller._tier_model
+    priced = model.bids(SLO, shed_fraction=0.5)
+    assert [b.tier for b in priced] == [
+        BrownoutTier.SHED_LOW, BrownoutTier.COALESCE, BrownoutTier.FORCE_CPU,
+    ]
+    result = frontend.run()
+    assert result.arrived == 24
+    assert result.completed + result.shed == 24
+
+
 def test_standby_pool_requires_the_control_plane_and_spare_cards():
     chains = build_benchmark_chains("sound-detection", 4)
     config = FrontendConfig(

@@ -50,7 +50,46 @@ def test_endpoint_to_root_path():
 def test_path_to_self_is_empty():
     sim = Simulator()
     fabric = build_two_switch_fabric(sim)
-    assert fabric.path("a0", "a0") == ([], 0)
+    assert fabric.path("a0", "a0") == ((), 0)
+
+
+def test_memoized_route_follows_every_construction_change():
+    sim = Simulator()
+    fabric = build_two_switch_fabric(sim)
+    assert fabric.path("a0", "b0")[1] == 2
+    # A new endpoint: the route to it exists from the next query on.
+    fabric.add_endpoint("b1", fabric.nodes["sw1"])
+    links, _ = fabric.path("a0", "b1")
+    assert [l.name for l in links] == ["a0.up", "sw0.up", "sw1.up", "b1.up"]
+    # A mux pair replaces the memoized tree route between its ends.
+    assert fabric.path("a0", "a1")[1] == 1
+    fabric.add_mux_pair("a0", "a1")
+    assert [l.name for l in fabric.path("a0", "a1")[0]] == ["a0<->a1.mux"]
+    # An inline device fronting b0 shares b0's uplink and muxes to it.
+    assert [l.name for l in fabric.path("b0", "a0")[0]] == [
+        "b0.up", "sw1.up", "sw0.up", "a0.up",
+    ]
+    fabric.add_inline("b0.drx", "b0")
+    assert [l.name for l in fabric.path("b0", "b0.drx")[0]] == [
+        "b0.drx<->b0.mux"
+    ]
+    assert [l.name for l in fabric.path("b0.drx", "a0")[0]] == [
+        "b0.up", "sw1.up", "sw0.up", "a0.up",
+    ]
+
+
+def test_memoized_route_is_immutable():
+    sim = Simulator()
+    fabric = build_two_switch_fabric(sim)
+    links, hops = fabric.path("a0", "b0")
+    assert isinstance(links, tuple)
+    with pytest.raises(AttributeError):
+        links.append(fabric.links[0])
+    # Repeated queries hand back the one memoized route, unchanged.
+    assert fabric.path("a0", "b0") is fabric.path("a0", "b0")
+    assert [l.name for l in fabric.path("a0", "b0")[0]] == [
+        "a0.up", "sw0.up", "sw1.up", "b0.up",
+    ]
 
 
 def test_duplicate_node_name_rejected():
