@@ -73,6 +73,21 @@ def test_mark_abandoned_closes_and_flags_subtree():
     assert all(s.abandoned for s in tracker.spans)
 
 
+def test_late_end_of_an_abandoned_span_is_a_no_op():
+    """A drained leg's child unwinds after the rescue path abandoned its
+    subtree: its own end must leave the span exactly as abandoned."""
+    sim, tracker = make_tracker()
+    attempt = tracker.begin("attempt", "attempt")
+    child = tracker.begin("dma", "dma", parent=attempt)
+    sim.run(until=1.0)
+    tracker.mark_abandoned(attempt)
+    sim.run(until=2.0)
+    assert tracker.end(child, error="Interrupt") is child
+    assert child.end == 1.0
+    assert child.attrs == {"abandoned": True}
+    assert len(tracker.spans) == 2
+
+
 def test_finalize_truncates_stragglers():
     sim, tracker = make_tracker()
     tracker.begin("open", "stage")
