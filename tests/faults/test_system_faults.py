@@ -168,3 +168,28 @@ def test_recovery_summary_shape():
     assert summary["fallbacks"] == result.fallback_count()
     # No control plane armed: nothing can be proactively rerouted.
     assert summary["rerouted"] == result.rerouted_count() == 0
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_record_retries_count_each_physical_retry_once(count):
+    """A batch's shared legs retry on the lead member only, so summed
+    record retries equal the run's ``retries`` counters at any size."""
+    plan = FaultPlan(
+        seed=3, dma=FaultPolicy(fail_p=0.4), notify=FaultPolicy(fail_p=0.3),
+    )
+    system = build(Mode.STANDALONE, n_apps=1, faults=plan)
+    records = []
+
+    def client():
+        for _ in range(5):
+            records.extend((yield from system.submit_batch(0, count)))
+
+    system.sim.spawn(client())
+    system.sim.run()
+    counted = sum(
+        c.value for c in system.telemetry.metrics.counters()
+        if c.name == "retries"
+    )
+    assert len(records) == 5 * count
+    assert counted > 0
+    assert sum(r.retries for r in records) == counted
