@@ -221,17 +221,10 @@ class DRXBackend(RestructureBackend):
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        s = self.system
-        if leg.count == 1:
-            yield from s._drx_motion(
-                leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
-                leg.fused, phases, state, ctx,
-            )
-        else:
-            yield from s._batched_drx_motion(
-                leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
-                leg.fused, leg.count, phases, state, ctx,
-            )
+        return self.system._drx_motion(
+            leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
+            leg.fused, leg.count, phases, state, ctx,
+        )
 
 
 class CPUBackend(RestructureBackend):
@@ -287,13 +280,7 @@ class CPUBackend(RestructureBackend):
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        s = self.system
-        if leg.count == 1:
-            yield from s._multi_axl_motion(
-                leg.src, leg.dst, leg.stage, leg.threads, phases, state, ctx
-            )
-        else:
-            yield from s._batched_multi_axl_motion(
-                leg.src, leg.dst, leg.stage, leg.threads, leg.count, phases,
-                state, ctx,
-            )
+        return self.system._multi_axl_motion(
+            leg.src, leg.dst, leg.stage, leg.threads, leg.count, phases,
+            state, ctx,
+        )

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..profiles import WorkProfile
 from ..sim import Server, Simulator
+from ..telemetry.spans import batch_attrs
 from .base import BACKEND_DSA, CostEstimate, LegSpec, RestructureBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,7 +126,7 @@ class DSADevice:
         span = (
             ctx.begin(
                 self.name, "dsa", actor=self.name, service_s=duration,
-                **({"batch": count} if count > 1 else {}),
+                **batch_attrs(count),
             )
             if ctx is not None
             else None
@@ -203,24 +204,20 @@ class DSABackend(RestructureBackend):
 
         s = self.system
         n = leg.count
-        batch_attrs = {"batch": n} if n > 1 else {}
         span, cctx = s._phase_span(
-            ctx, "movement-in", _sys.PHASE_MOVEMENT, **batch_attrs
+            ctx, "movement-in", _sys.PHASE_MOVEMENT, count=n
         )
-        in_transfer = (
-            s._staged_transfer(
-                leg.src, "root", leg.stage.input_bytes, state, cctx
-            )
-            if n == 1
-            else s._batched_staged_transfer(
-                leg.src, "root", [leg.stage.input_bytes] * n, state, cctx
-            )
+        yield from s._timed(
+            phases, _sys.PHASE_MOVEMENT,
+            s._leg_transfer(
+                leg.src, "root", leg.stage.input_bytes, n, state, cctx
+            ),
+            span=span,
         )
-        yield from s._timed(phases, _sys.PHASE_MOVEMENT, in_transfer, span=span)
         # ENQCMD portal submission from the issuing core.
         span, _ = s._phase_span(
             ctx, "dsa-submit", _sys.PHASE_CONTROL, actor=self.device.name,
-            **batch_attrs,
+            count=n,
         )
         yield from s._timed(
             phases, _sys.PHASE_CONTROL,
@@ -228,7 +225,7 @@ class DSABackend(RestructureBackend):
         )
         span, cctx = s._phase_span(
             ctx, "restructure", _sys.PHASE_RESTRUCTURE,
-            actor=self.device.name, **batch_attrs,
+            actor=self.device.name, count=n,
         )
         yield from s._timed(
             phases, _sys.PHASE_RESTRUCTURE,
@@ -237,24 +234,19 @@ class DSABackend(RestructureBackend):
         # Completion-record polling on-core — the no-interrupt path.
         span, _ = s._phase_span(
             ctx, "dsa-poll", _sys.PHASE_CONTROL, actor=self.device.name,
-            **batch_attrs,
+            count=n,
         )
         yield from s._timed(
             phases, _sys.PHASE_CONTROL,
             self._host_work(self.config.poll_time(n)), span=span,
         )
         span, cctx = s._phase_span(
-            ctx, "movement-out", _sys.PHASE_MOVEMENT, **batch_attrs
-        )
-        out_transfer = (
-            s._staged_transfer(
-                "root", leg.dst, leg.stage.output_bytes, state, cctx
-            )
-            if n == 1
-            else s._batched_staged_transfer(
-                "root", leg.dst, [leg.stage.output_bytes] * n, state, cctx
-            )
+            ctx, "movement-out", _sys.PHASE_MOVEMENT, count=n
         )
         yield from s._timed(
-            phases, _sys.PHASE_MOVEMENT, out_transfer, span=span
+            phases, _sys.PHASE_MOVEMENT,
+            s._leg_transfer(
+                "root", leg.dst, leg.stage.output_bytes, n, state, cctx
+            ),
+            span=span,
         )

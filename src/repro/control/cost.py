@@ -23,12 +23,11 @@ two equal-seed runs bid — and therefore step — identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..backends.base import CPUBackend, DRXBackend, LegSpec, UnloadedCost
 from ..core.chain import MotionStage
-from ..core.system import SCRATCHPAD_FUSION
 from ..resilience.brownout import BrownoutTier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,15 +60,7 @@ def _first_motion(system: "DMXSystem", app_index: int):
             continue
         src = system._accel_names[(app_index, stage_index - 1)]
         dst = system._accel_names[(app_index, stage_index + 1)]
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
-        return stage, src, dst, fused
+        return stage, src, dst, system._fused(stage)
     raise ValueError(f"chain {chain.name!r} has no motion stage to price")
 
 

@@ -16,7 +16,7 @@ measured cycle-level latencies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from ..cpu import HostCPU
@@ -40,6 +40,7 @@ from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, Trace, \
     WaitTimeout
 from ..sim.tracing import FaultRecord
 from ..telemetry import ActiveSpan, SpanContext, Telemetry
+from ..telemetry.spans import batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
 
@@ -539,9 +540,12 @@ class DMXSystem:
 
     def _phase_span(
         self, ctx: SpanContext, name: str, phase: str, actor: str = "",
-        **attrs: object,
+        count: int = 1, **attrs: object,
     ):
-        """Open a phase span under ``ctx``; returns (span, child ctx)."""
+        """Open a phase span under ``ctx``; returns (span, child ctx). A
+        phase shared by ``count`` coalesced members carries ``batch``."""
+        if count != 1:
+            attrs["batch"] = count
         span = ctx.begin(name, phase, actor=actor, phase=phase, **attrs)
         return span, ctx.child(span)
 
@@ -701,20 +705,34 @@ class DMXSystem:
             raise RescueAbandoned(target, burned)
         return burned
 
-    def _staged_transfer(
+    def _leg_transfer(
         self,
         src: str,
         dst: str,
         nbytes: int,
-        state: Optional[_RequestState] = None,
-        ctx: Optional[SpanContext] = None,
+        count: int,
+        state: Optional[_RequestState],
+        ctx: Optional[SpanContext],
     ) -> Generator:
-        """A DMA that stages through host memory (src or dst is 'root')."""
-        yield from self.dma.transfer(
+        """One DMA moving ``count`` member payloads of ``nbytes`` each as
+        one chained submission. When an endpoint is host memory ('root')
+        the payload also pays a DRAM staging pass over the total — the
+        cost :meth:`transfer_estimate` prices."""
+        nbytes *= count
+        dma = self.dma.transfer(
             src, dst, nbytes,
             on_retry=self._retry_cb(state, "dma", f"{src}->{dst}"),
-            ctx=ctx,
+            ctx=ctx, descriptors=count,
         )
+        if src != "root" and dst != "root":
+            return dma
+        return self._host_staged(dma, nbytes, ctx)
+
+    def _host_staged(
+        self, dma: Generator, nbytes: int, ctx: Optional[SpanContext]
+    ) -> Generator:
+        """``dma``, then its ``nbytes`` DRAM staging pass in host memory."""
+        yield from dma
         span = (
             ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
             if ctx is not None
@@ -742,11 +760,14 @@ class DMXSystem:
         self,
         drx: DRXDevice,
         fused,
+        count: int,
         state: Optional[_RequestState],
         ctx: Optional[SpanContext] = None,
     ) -> Generator:
-        """One DRX job, guarded at the "drx" injection site when faulted."""
-        op = drx.restructure(fused, ctx=ctx)
+        """One DRX job for ``count`` member payloads (one amortized
+        program load), guarded at the "drx" injection site when
+        faulted."""
+        op = drx.restructure(fused, ctx=ctx, count=count)
         if self.injector is None:
             return op
         return self.injector.guard(
@@ -754,12 +775,21 @@ class DMXSystem:
             request_id=state.request_id if state is not None else -1,
         )
 
+    def _cpu_restructure(
+        self, profile, threads: int, count: int
+    ) -> Generator:
+        """Back-to-back host restructuring of each member payload (the
+        CPU has no program-load overhead to amortize)."""
+        for _ in range(count):
+            yield from self.cpu.restructure(profile, threads=threads)
+
     def _multi_axl_motion(
         self,
         src: str,
         dst: str,
         stage: MotionStage,
         threads: int,
+        count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         ctx: SpanContext,
@@ -767,26 +797,32 @@ class DMXSystem:
         """Restructure on the host CPU, staging through host memory —
         the Multi-Axl baseline path, doubling as the degraded path for
         requests whose DRX budget ran out."""
-        span, cctx = self._phase_span(ctx, "movement-in", PHASE_MOVEMENT)
+        span, cctx = self._phase_span(
+            ctx, "movement-in", PHASE_MOVEMENT, count=count
+        )
         yield from self._timed(
             phases, PHASE_MOVEMENT,
-            self._staged_transfer(src, "root", stage.input_bytes, state, cctx),
+            self._leg_transfer(
+                src, "root", stage.input_bytes, count, state, cctx
+            ),
             span=span,
         )
         span, _ = self._phase_span(
             ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            threads=threads,
+            threads=threads, count=count,
         )
         yield from self._timed(
             phases, PHASE_RESTRUCTURE,
-            self.cpu.restructure(stage.profile, threads=threads),
+            self._cpu_restructure(stage.profile, threads, count),
             span=span,
         )
-        span, cctx = self._phase_span(ctx, "movement-out", PHASE_MOVEMENT)
+        span, cctx = self._phase_span(
+            ctx, "movement-out", PHASE_MOVEMENT, count=count
+        )
         yield from self._timed(
             phases, PHASE_MOVEMENT,
-            self._staged_transfer(
-                "root", dst, stage.output_bytes, state, cctx
+            self._leg_transfer(
+                "root", dst, stage.output_bytes, count, state, cctx
             ),
             span=span,
         )
@@ -977,6 +1013,45 @@ class DMXSystem:
             self.control.note_reroute(drx.name, "cpu", rid)
         return None
 
+    def _overlapped(
+        self,
+        phases: PhaseAccumulator,
+        pspan: ActiveSpan,
+        move_op: Generator,
+        work_op: Generator,
+    ) -> Generator:
+        """Run a leg's data movement and its restructuring side by side
+        (line-rate processing, no store-and-forward) and book the joint
+        interval to the restructuring phase, closing the phase span
+        ``pspan``. The switch-integrated DRX and the XDMA backend share
+        this leg shape."""
+        if self._faults is not None:
+            # Shield the children: an injected fault must surface here
+            # (for fallback), not trip the engine's strict mode.
+            move_op, work_op = shielded(move_op), shielded(work_op)
+        procs = (self.sim.spawn(move_op), self.sim.spawn(work_op))
+        start = self.sim.now
+        try:
+            yield AllOf(self.sim, procs)
+        except BaseException:
+            self.telemetry.end(pspan, abandoned=True)
+            if self.domains is not None:
+                # A drained leg must not leave orphan children holding
+                # the dead domain's device slot past the crash instant:
+                # cancel them too (their ``finally`` blocks release what
+                # they hold).
+                for proc in procs:
+                    if proc.is_alive:
+                        proc.interrupt("leg cancelled")
+            raise
+        phases.add(PHASE_RESTRUCTURE, self.sim.now - start)
+        self.telemetry.end(pspan)
+        if self._faults is not None:
+            for proc in procs:
+                ok, value = proc.value
+                if not ok:
+                    raise value
+
     def _drx_motion(
         self,
         mode: Mode,
@@ -986,12 +1061,14 @@ class DMXSystem:
         drx: DRXDevice,
         stage: MotionStage,
         fused,
+        count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         ctx: SpanContext,
     ) -> Generator:
         """The DRX leg of one motion stage: ingest, restructure, notify,
-        deliver. Under a :class:`FaultPlan` this runs as a child process
+        deliver — each one chained submission for all ``count`` member
+        payloads. Under a :class:`FaultPlan` this runs as a child process
         racing the DRX deadline budget."""
         if mode == Mode.PCIE_INTEGRATED:
             # Switch-integrated DRX processes data *as it streams through
@@ -999,119 +1076,89 @@ class DMXSystem:
             # the inbound transfer and the restructuring overlap.
             pspan, pctx = self._phase_span(
                 ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                overlapped=True,
+                overlapped=True, count=count,
             )
-            ingest_op = self.telemetry.wrap(
-                self.fabric.transfer(src, staging, stage.input_bytes),
-                "ingest", "ingest", actor=staging, parent=pspan,
-                request_id=ctx.request_id, bytes=stage.input_bytes,
+            nbytes = count * stage.input_bytes
+            yield from self._overlapped(
+                phases, pspan,
+                self.telemetry.wrap(
+                    self.fabric.transfer(src, staging, nbytes),
+                    "ingest", "ingest", actor=staging, parent=pspan,
+                    request_id=ctx.request_id, bytes=nbytes,
+                ),
+                self._drx_restructure(drx, fused, count, state, ctx=pctx),
             )
-            work_op = self._drx_restructure(drx, fused, state, ctx=pctx)
-            if self._faults is not None:
-                # Shield the children: an injected fault must surface
-                # here (for fallback), not trip the engine's strict mode.
-                ingest_op, work_op = shielded(ingest_op), shielded(work_op)
-            ingest = self.sim.spawn(ingest_op)
-            work = self.sim.spawn(work_op)
-            start = self.sim.now
-            try:
-                yield AllOf(self.sim, [ingest, work])
-            except BaseException:
-                self.telemetry.end(pspan, abandoned=True)
-                if self.domains is not None:
-                    # A drained leg must not leave orphan children
-                    # holding the dead switch's DRX queue slot past the
-                    # decommission instant: cancel them too (their
-                    # ``finally`` blocks release what they hold).
-                    for proc in (ingest, work):
-                        if proc.is_alive:
-                            proc.interrupt("leg cancelled")
-                raise
-            phases.add(PHASE_RESTRUCTURE, self.sim.now - start)
-            self.telemetry.end(pspan)
-            if self._faults is not None:
-                for proc in (ingest, work):
-                    ok, value = proc.value
-                    if not ok:
-                        raise value
         else:
-            span, cctx = self._phase_span(ctx, "movement-in", PHASE_MOVEMENT)
-            in_transfer = (
-                self._staged_transfer(
-                    src, staging, stage.input_bytes, state, cctx
-                )
-                if staging == "root"
-                else self.dma.transfer(
-                    src, staging, stage.input_bytes,
-                    on_retry=self._retry_cb(state, "dma", f"{src}->{staging}"),
-                    ctx=cctx,
-                )
+            span, cctx = self._phase_span(
+                ctx, "movement-in", PHASE_MOVEMENT, count=count
             )
             yield from self._timed(
-                phases, PHASE_MOVEMENT, in_transfer, span=span
+                phases, PHASE_MOVEMENT,
+                self._leg_transfer(
+                    src, staging, stage.input_bytes, count, state, cctx
+                ),
+                span=span,
             )
             span, cctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name
+                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
+                count=count,
             )
             yield from self._timed(
                 phases, PHASE_RESTRUCTURE,
-                self._drx_restructure(drx, fused, state, ctx=cctx),
+                self._drx_restructure(drx, fused, count, state, cctx),
                 span=span,
             )
         # Restructure-completion notification + P2P DMA to the consumer
-        # (Fig. 10 steps 8-9).
-        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL)
+        # (Fig. 10 steps 8-9). A batch raises ONE interrupt; the driver
+        # reaps the remaining member completions inside that ISR.
+        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL, count=count)
         yield from self._timed(
             phases, PHASE_CONTROL,
             self.notifier.notify(
                 drx.name,
                 on_retry=self._retry_cb(state, "notify", drx.name),
-                ctx=cctx,
+                ctx=cctx, count=count,
             ),
             span=span,
         )
-        span, cctx = self._phase_span(ctx, "movement-out", PHASE_MOVEMENT)
-        out_transfer = (
-            self._staged_transfer(
-                staging, dst, stage.output_bytes, state, cctx
-            )
-            if staging == "root"
-            else self.dma.transfer(
-                staging, dst, stage.output_bytes,
-                on_retry=self._retry_cb(state, "dma", f"{staging}->{dst}"),
-                ctx=cctx,
-            )
+        span, cctx = self._phase_span(
+            ctx, "movement-out", PHASE_MOVEMENT, count=count
         )
-        yield from self._timed(phases, PHASE_MOVEMENT, out_transfer, span=span)
+        yield from self._timed(
+            phases, PHASE_MOVEMENT,
+            self._leg_transfer(
+                staging, dst, stage.output_bytes, count, state, cctx
+            ),
+            span=span,
+        )
 
     def _motion(
         self,
         app_index: int,
         kernel_index: int,
         stage: MotionStage,
+        count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState] = None,
-        rctx: Optional[SpanContext] = None,
+        state: Optional[_RequestState],
+        rctx: SpanContext,
         force_cpu: bool = False,
     ) -> Generator:
         """The data-motion step between kernel ``kernel_index`` and the
-        next one, under the configured placement."""
+        next one, under the configured placement, for ``count`` member
+        payloads moving as one coalesced leg."""
         mode = self.config.mode
         src = self.accel_name(app_index, kernel_index)
         dst = self.accel_name(app_index, kernel_index + 1)
         threads = stage.cpu_threads
-        if rctx is None:
-            rctx = self.telemetry.context(
-                request_id=state.request_id if state is not None else -1
-            )
         mspan = rctx.begin(
-            f"motion{kernel_index}", "stage", src=src, dst=dst
+            f"motion{kernel_index}", "stage", src=src, dst=dst,
+            **batch_attrs(count),
         )
         sctx = rctx.child(mspan)
         try:
             yield from self._motion_body(
-                mode, app_index, src, dst, stage, threads, phases, state,
-                sctx, mspan, force_cpu,
+                mode, app_index, src, dst, stage, threads, count, phases,
+                state, sctx, mspan, force_cpu,
             )
         except BaseException:
             self.telemetry.end(mspan, abandoned=True)
@@ -1126,6 +1173,7 @@ class DMXSystem:
         dst: str,
         stage: MotionStage,
         threads: int,
+        count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         sctx: SpanContext,
@@ -1136,34 +1184,40 @@ class DMXSystem:
             # Data already lives in host memory; only the computation.
             span, _ = self._phase_span(
                 sctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-                threads=threads,
+                threads=threads, count=count,
             )
             yield from self._timed(
                 phases, PHASE_RESTRUCTURE,
-                self.cpu.restructure(stage.profile, threads=threads),
+                self._cpu_restructure(stage.profile, threads, count),
                 span=span,
             )
             return
 
         # Kernel-completion notification + DMA setup (control plane).
-        span, cctx = self._phase_span(sctx, "control", PHASE_CONTROL)
+        # ONE notification covers a whole batch: its kernels were
+        # submitted as one chain, so the device raises one interrupt with
+        # ``count`` completion records behind it.
+        span, cctx = self._phase_span(
+            sctx, "control", PHASE_CONTROL, count=count
+        )
         yield from self._timed(
             phases, PHASE_CONTROL,
             self.notifier.notify(
-                src, on_retry=self._retry_cb(state, "notify", src), ctx=cctx
+                src, on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
+                count=count,
             ),
             span=span,
         )
 
         if mode == Mode.MULTI_AXL:
             yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
+                src, dst, stage, threads, count, phases, state, sctx
             )
             return
 
         if self.planner is not None:
             yield from self._planned_motion(
-                mode, app_index, src, dst, stage, threads, 1, phases,
+                mode, app_index, src, dst, stage, threads, count, phases,
                 state, sctx, mspan, force_cpu,
             )
             return
@@ -1182,91 +1236,116 @@ class DMXSystem:
                 # open too. The stage restructures on the host
                 # immediately — no DRX deadline budget is burned.
                 yield from self._multi_axl_motion(
-                    src, dst, stage, threads, phases, state, sctx
+                    src, dst, stage, threads, count, phases, state, sctx
                 )
                 return
             drx, staging, probe = routed
 
-        # On DRX, the restructuring-op chain is fused through the on-chip
-        # scratchpads (the compiler keeps intermediates on chip), so DRAM
-        # traffic is just the stage's real input and output — unlike the
-        # CPU, whose cache hierarchy materializes every intermediate.
+        fused = self._fused(stage)
+        yield from self._guarded_leg(
+            lambda acc, ctx: self._drx_motion(
+                mode, src, dst, staging, drx, stage, fused, count, acc,
+                state, ctx,
+            ),
+            lambda: self._multi_axl_motion(
+                src, dst, stage, threads, count, phases, state, sctx
+            ),
+            drx.name, "drx", probe, count, phases, state, sctx,
+        )
+
+    def _fused(self, stage: MotionStage):
+        """The profile an accelerator executes for ``stage``.
+
+        On DRX, the restructuring-op chain is fused through the on-chip
+        scratchpads (the compiler keeps intermediates on chip), so DRAM
+        traffic is just the stage's real input and output — unlike the
+        CPU, whose cache hierarchy materializes every intermediate.
+        """
         if SCRATCHPAD_FUSION:
-            fused = replace(
+            return replace(
                 stage.profile,
                 bytes_in=stage.input_bytes,
                 bytes_out=stage.output_bytes,
             )
-        else:  # fusion ablation: every intermediate round-trips DRAM
-            fused = stage.profile
+        return stage.profile  # fusion ablation: intermediates hit DRAM
 
+    def _guarded_leg(
+        self,
+        run: Callable[[PhaseAccumulator, SpanContext], Generator],
+        fallback: Callable[[], Generator],
+        target: str,
+        site: str,
+        probe: bool,
+        count: int,
+        phases: PhaseAccumulator,
+        state: Optional[_RequestState],
+        sctx: SpanContext,
+    ) -> Generator:
+        """Run one accelerator leg, ``run(phases, ctx)``, on ``target``
+        under the recovery plane; returns ``"done"``, ``"fell_back"`` or
+        ``"rescued"``.
+
+        Fault-free, crash-free runs execute the leg directly. Otherwise
+        it runs under the request's deadline budget (one per member) and,
+        when ``target``'s failure domain has a crash scheduled, races the
+        crash broadcast too. Past the deadline, or on any recoverable
+        failure, the leg falls back to ``fallback()`` (host restructuring
+        via host memory); a crashed domain's leg is drained and rescued
+        by ``fallback()`` exactly once, carrying the burned latency. A
+        batch degrades as a unit — no member is lost. An empty
+        ``target`` is an ungated backend: no breaker, no crash watch.
+        """
         crash_ev = (
-            self.domains.watch(drx.name) if self.domains is not None else None
+            self.domains.watch(target)
+            if self.domains is not None and target
+            else None
         )
         if self._faults is None and crash_ev is None:
             leg_start = self.sim.now
-            yield from self._drx_motion(
-                mode, src, dst, staging, drx, stage, fused, phases, state,
-                sctx,
-            )
-            if self.control is not None:
+            yield from run(phases, sctx)
+            if self.control is not None and target:
                 self.control.record(
-                    drx.name, True, self.sim.now - leg_start, probe=probe
+                    target, True, self.sim.now - leg_start, probe=probe
                 )
-            return
+            return "done"
 
-        # Graceful degradation: the DRX leg runs under the request's
-        # deadline budget (and, when the unit's failure domain has a
-        # crash scheduled, races its crash broadcast too); past the
-        # deadline the stage falls back to CPU restructuring via host
-        # memory, and a crashed domain's leg is drained and rescued.
         local = PhaseAccumulator(ALL_PHASES)
         span_start = self.sim.now
         deadline_s = (
-            self._faults.drx_deadline_s if self._faults is not None else None
+            self._faults.drx_deadline_s * count
+            if self._faults is not None
+            else None
         )
         attempt = sctx.begin(
-            "drx-attempt", "attempt",
-            deadline_s=deadline_s,
+            f"{site}-attempt", "attempt", deadline_s=deadline_s,
+            **batch_attrs(count),
             **({"breaker_probe": True} if probe else {}),
         )
-        actx = sctx.child(attempt)
+        rid = state.request_id if state is not None else -1
         try:
             yield from self._leg_race(
-                self._drx_motion(
-                    mode, src, dst, staging, drx, stage, fused, local, state,
-                    actx,
-                ),
-                deadline_s, crash_ev, drx.name,
-                what=f"drx:{drx.name}",
+                run(local, sctx.child(attempt)), deadline_s, crash_ev,
+                target, what=f"{site}:{target}",
             )
         except DomainCrashed as exc:
-            # The domain died under (or before) this leg: drain it and
-            # rescue the request exactly once on the CPU path, carrying
-            # the already-burned latency.
             burned = self._rescue_accounting(
-                exc, drx.name, span_start, attempt, sctx, state, phases,
-                probe, 1,
+                exc, target, span_start, attempt, sctx, state, phases,
+                probe, count,
             )
-            yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
-            )
+            yield from fallback()
             if state is not None:
                 state.rescued = True
-            self.domains.on_rescue(
-                drx.name, state.request_id if state is not None else -1,
-                burned, 1,
-            )
+            self.domains.on_rescue(target, rid, burned, count)
+            return "rescued"
         except _RECOVERABLE as exc:
-            if self.control is not None:
+            if self.control is not None and target:
                 self.control.record(
-                    drx.name, False, self.sim.now - span_start, probe=probe
+                    target, False, self.sim.now - span_start, probe=probe
                 )
             if state is not None:
                 state.fell_back = True
             self._note(
-                "fallback", drx.name, site="drx",
-                request_id=state.request_id if state is not None else -1,
+                "fallback", target or site, site=site, request_id=rid,
                 detail=type(exc).__name__,
             )
             # The whole attempt subtree is dead time: abandon it (phase
@@ -1278,22 +1357,21 @@ class DMXSystem:
             phases.add(PHASE_RECOVERY, self.sim.now - span_start)
             self.telemetry.add(
                 "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=drx.name, parent=sctx.parent_id,
-                request_id=sctx.request_id, phase=PHASE_RECOVERY,
-                cause=type(exc).__name__,
+                end=self.sim.now, actor=target or site,
+                parent=sctx.parent_id, request_id=sctx.request_id,
+                phase=PHASE_RECOVERY, cause=type(exc).__name__,
             )
-            yield from self._multi_axl_motion(
-                src, dst, stage, threads, phases, state, sctx
+            yield from fallback()
+            return "fell_back"
+        if self.control is not None and target:
+            self.control.record(
+                target, True, self.sim.now - span_start, probe=probe
             )
-        else:
-            if self.control is not None:
-                self.control.record(
-                    drx.name, True, self.sim.now - span_start, probe=probe
-                )
-            self.telemetry.end(attempt)
-            for phase, duration in local.totals.items():
-                if duration:
-                    phases.add(phase, duration)
+        self.telemetry.end(attempt)
+        for phase, duration in local.totals.items():
+            if duration:
+                phases.add(phase, duration)
+        return "done"
 
     def _recovering_kernel(
         self, device, state: _RequestState
@@ -1313,421 +1391,6 @@ class DMXSystem:
             on_attempt_failed=self._retry_cb(state, "kernel", device.name),
             what=f"kernel:{device.name}",
         )
-
-    # -- coalesced (batched) execution -----------------------------------------
-    #
-    # A batch is N same-chain requests executed as ONE submission per
-    # stage: kernels still run per member (the accelerator does real work
-    # for each payload), but every motion leg pays a single control path —
-    # one chained descriptor-ring submission + doorbell on the DMA, one
-    # amortized program load on the DRX, one coalesced completion ISR —
-    # for all N member transfers. This is the serve layer's
-    # :class:`~repro.serve.batching.BatchFormer` execution target and the
-    # ROADMAP "batching / coalescing of restructuring ops" item.
-
-    def _batched_staged_transfer(
-        self,
-        src: str,
-        dst: str,
-        sizes: List[int],
-        state: Optional[_RequestState] = None,
-        ctx: Optional[SpanContext] = None,
-    ) -> Generator:
-        """A chained DMA staging through host memory: one submission for
-        every member payload, one DRAM staging pass over the total."""
-        yield from self.dma.transfer_chained(
-            src, dst, sizes,
-            on_retry=self._retry_cb(state, "dma", f"{src}->{dst}"),
-            ctx=ctx,
-        )
-        nbytes = sum(sizes)
-        span = (
-            ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
-            if ctx is not None
-            else None
-        )
-        try:
-            yield self.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
-        except BaseException:
-            if span is not None:
-                ctx.end(span, abandoned=True)
-            raise
-        if span is not None:
-            ctx.end(span)
-
-    def _cpu_restructure_batch(
-        self, profile, threads: int, count: int
-    ) -> Generator:
-        """Back-to-back host restructuring of each member payload (the
-        CPU has no program-load overhead to amortize)."""
-        for _ in range(count):
-            yield from self.cpu.restructure(profile, threads=threads)
-
-    def _drx_restructure_batch(
-        self,
-        drx: DRXDevice,
-        fused,
-        count: int,
-        state: Optional[_RequestState],
-        ctx: Optional[SpanContext] = None,
-    ) -> Generator:
-        """One coalesced DRX job for ``count`` member payloads, guarded
-        at the "drx" injection site when faulted."""
-        op = drx.restructure_batch([fused] * count, ctx=ctx)
-        if self.injector is None:
-            return op
-        return self.injector.guard(
-            "drx", op, actor=drx.name,
-            request_id=state.request_id if state is not None else -1,
-        )
-
-    def _batched_multi_axl_motion(
-        self,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        ctx: SpanContext,
-    ) -> Generator:
-        """Batched fallback/baseline path: chained staged DMAs through
-        host memory around per-member CPU restructuring."""
-        span, cctx = self._phase_span(
-            ctx, "movement-in", PHASE_MOVEMENT, batch=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._batched_staged_transfer(
-                src, "root", [stage.input_bytes] * count, state, cctx
-            ),
-            span=span,
-        )
-        span, _ = self._phase_span(
-            ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            threads=threads, batch=count,
-        )
-        yield from self._timed(
-            phases, PHASE_RESTRUCTURE,
-            self._cpu_restructure_batch(stage.profile, threads, count),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, batch=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._batched_staged_transfer(
-                "root", dst, [stage.output_bytes] * count, state, cctx
-            ),
-            span=span,
-        )
-
-    def _batched_drx_motion(
-        self,
-        mode: Mode,
-        src: str,
-        dst: str,
-        staging: str,
-        drx: DRXDevice,
-        stage: MotionStage,
-        fused,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        ctx: SpanContext,
-    ) -> Generator:
-        """The coalesced DRX leg: chained ingest, one batch restructuring
-        job, ONE completion notification, chained delivery."""
-        if mode == Mode.PCIE_INTEGRATED:
-            # Line-rate processing still overlaps the (now batched)
-            # inbound stream with the (now coalesced) restructuring job.
-            pspan, pctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                overlapped=True, batch=count,
-            )
-            ingest_op = self.telemetry.wrap(
-                self.fabric.transfer(src, staging, count * stage.input_bytes),
-                "ingest", "ingest", actor=staging, parent=pspan,
-                request_id=ctx.request_id, bytes=count * stage.input_bytes,
-            )
-            work_op = self._drx_restructure_batch(
-                drx, fused, count, state, ctx=pctx
-            )
-            if self._faults is not None:
-                ingest_op, work_op = shielded(ingest_op), shielded(work_op)
-            ingest = self.sim.spawn(ingest_op)
-            work = self.sim.spawn(work_op)
-            start = self.sim.now
-            try:
-                yield AllOf(self.sim, [ingest, work])
-            except BaseException:
-                self.telemetry.end(pspan, abandoned=True)
-                if self.domains is not None:
-                    for proc in (ingest, work):
-                        if proc.is_alive:
-                            proc.interrupt("leg cancelled")
-                raise
-            phases.add(PHASE_RESTRUCTURE, self.sim.now - start)
-            self.telemetry.end(pspan)
-            if self._faults is not None:
-                for proc in (ingest, work):
-                    ok, value = proc.value
-                    if not ok:
-                        raise value
-        else:
-            span, cctx = self._phase_span(
-                ctx, "movement-in", PHASE_MOVEMENT, batch=count
-            )
-            in_transfer = (
-                self._batched_staged_transfer(
-                    src, staging, [stage.input_bytes] * count, state, cctx
-                )
-                if staging == "root"
-                else self.dma.transfer_chained(
-                    src, staging, [stage.input_bytes] * count,
-                    on_retry=self._retry_cb(state, "dma", f"{src}->{staging}"),
-                    ctx=cctx,
-                )
-            )
-            yield from self._timed(
-                phases, PHASE_MOVEMENT, in_transfer, span=span
-            )
-            span, cctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                batch=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._drx_restructure_batch(drx, fused, count, state, cctx),
-                span=span,
-            )
-        # ONE restructure-completion notification for all members: the
-        # chained submission raises a single interrupt; the driver reaps
-        # the remaining completions inside that ISR.
-        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL, batch=count)
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify_batch(
-                drx.name, count,
-                on_retry=self._retry_cb(state, "notify", drx.name),
-                ctx=cctx,
-            ),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, batch=count
-        )
-        out_transfer = (
-            self._batched_staged_transfer(
-                staging, dst, [stage.output_bytes] * count, state, cctx
-            )
-            if staging == "root"
-            else self.dma.transfer_chained(
-                staging, dst, [stage.output_bytes] * count,
-                on_retry=self._retry_cb(state, "dma", f"{staging}->{dst}"),
-                ctx=cctx,
-            )
-        )
-        yield from self._timed(phases, PHASE_MOVEMENT, out_transfer, span=span)
-
-    def _batched_motion(
-        self,
-        app_index: int,
-        kernel_index: int,
-        stage: MotionStage,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        rctx: SpanContext,
-        force_cpu: bool = False,
-    ) -> Generator:
-        mode = self.config.mode
-        src = self.accel_name(app_index, kernel_index)
-        dst = self.accel_name(app_index, kernel_index + 1)
-        threads = stage.cpu_threads
-        mspan = rctx.begin(
-            f"motion{kernel_index}", "stage", src=src, dst=dst, batch=count
-        )
-        sctx = rctx.child(mspan)
-        try:
-            yield from self._batched_motion_body(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
-            )
-        except BaseException:
-            self.telemetry.end(mspan, abandoned=True)
-            raise
-        self.telemetry.end(mspan)
-
-    def _batched_motion_body(
-        self,
-        mode: Mode,
-        app_index: int,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
-    ) -> Generator:
-        """Mirror of :meth:`_motion_body` for a coalesced batch — same
-        routing, brownout, and deadline-fallback structure, batched
-        control paths. The DRX deadline budget scales with batch size
-        (each member still brings its own budget to the pool)."""
-        if mode == Mode.ALL_CPU:
-            span, _ = self._phase_span(
-                sctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-                threads=threads, batch=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._cpu_restructure_batch(stage.profile, threads, count),
-                span=span,
-            )
-            return
-
-        # ONE kernel-completion notification covers every member: the
-        # batch's kernels were submitted as one chain, so the device
-        # raises one interrupt with N completion records behind it.
-        span, cctx = self._phase_span(sctx, "control", PHASE_CONTROL, batch=count)
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify_batch(
-                src, count,
-                on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
-            ),
-            span=span,
-        )
-
-        if mode == Mode.MULTI_AXL:
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-            return
-
-        if self.planner is not None:
-            yield from self._planned_motion(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
-            )
-            return
-
-        drx, staging = self._drx_placement(mode, src, app_index)
-
-        probe = False
-        if force_cpu or self.control is not None or self.domains is not None:
-            routed = self._route_drx(
-                mode, drx, staging, state, mspan, force_cpu
-            )
-            if routed is None:
-                yield from self._batched_multi_axl_motion(
-                    src, dst, stage, threads, count, phases, state, sctx
-                )
-                return
-            drx, staging, probe = routed
-
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
-
-        crash_ev = (
-            self.domains.watch(drx.name) if self.domains is not None else None
-        )
-        if self._faults is None and crash_ev is None:
-            leg_start = self.sim.now
-            yield from self._batched_drx_motion(
-                mode, src, dst, staging, drx, stage, fused, count, phases,
-                state, sctx,
-            )
-            if self.control is not None:
-                self.control.record(
-                    drx.name, True, self.sim.now - leg_start, probe=probe
-                )
-            return
-
-        # A failed batch falls back *as a unit*: no member is lost — all
-        # of them retry on the CPU path via host memory. Likewise a
-        # crashed domain drains the batch as a unit and every member is
-        # rescued together, exactly once.
-        local = PhaseAccumulator(ALL_PHASES)
-        span_start = self.sim.now
-        deadline = (
-            self._faults.drx_deadline_s * count
-            if self._faults is not None
-            else None
-        )
-        attempt = sctx.begin(
-            "drx-attempt", "attempt", deadline_s=deadline, batch=count,
-            **({"breaker_probe": True} if probe else {}),
-        )
-        actx = sctx.child(attempt)
-        try:
-            yield from self._leg_race(
-                self._batched_drx_motion(
-                    mode, src, dst, staging, drx, stage, fused, count, local,
-                    state, actx,
-                ),
-                deadline, crash_ev, drx.name,
-                what=f"drx:{drx.name}",
-            )
-        except DomainCrashed as exc:
-            burned = self._rescue_accounting(
-                exc, drx.name, span_start, attempt, sctx, state, phases,
-                probe, count,
-            )
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-            if state is not None:
-                state.rescued = True
-            self.domains.on_rescue(
-                drx.name, state.request_id if state is not None else -1,
-                burned, count,
-            )
-        except _RECOVERABLE as exc:
-            if self.control is not None:
-                self.control.record(
-                    drx.name, False, self.sim.now - span_start, probe=probe
-                )
-            if state is not None:
-                state.fell_back = True
-            self._note(
-                "fallback", drx.name, site="drx",
-                request_id=state.request_id if state is not None else -1,
-                detail=type(exc).__name__,
-            )
-            self.telemetry.end(attempt, error=type(exc).__name__)
-            self.telemetry.mark_abandoned(attempt)
-            phases.add(PHASE_RECOVERY, self.sim.now - span_start)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=drx.name, parent=sctx.parent_id,
-                request_id=sctx.request_id, phase=PHASE_RECOVERY,
-                cause=type(exc).__name__,
-            )
-            yield from self._batched_multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            )
-        else:
-            if self.control is not None:
-                self.control.record(
-                    drx.name, True, self.sim.now - span_start, probe=probe
-                )
-            self.telemetry.end(attempt)
-            for phase, duration in local.totals.items():
-                if duration:
-                    phases.add(phase, duration)
 
     # -- cost-based per-leg backend planning ------------------------------------
     #
@@ -1791,8 +1454,8 @@ class DMXSystem:
     ) -> Generator:
         """One motion leg (single or coalesced batch) under the planner.
 
-        Mirrors the deadline-fallback structure of :meth:`_motion_body`:
-        fault-free runs execute the chosen backend directly; faulted
+        The chosen backend runs under :meth:`_guarded_leg`, as the
+        static DRX leg does: fault-free runs execute it directly; faulted
         runs race it against the per-request deadline budget and degrade
         to the CPU backend on a recoverable failure.
         """
@@ -1800,17 +1463,9 @@ class DMXSystem:
 
         planner = self.planner
         drx, staging = self._drx_placement(mode, src, app_index)
-        if SCRATCHPAD_FUSION:
-            fused = replace(
-                stage.profile,
-                bytes_in=stage.input_bytes,
-                bytes_out=stage.output_bytes,
-            )
-        else:
-            fused = stage.profile
         leg = LegSpec(
             mode=mode, src=src, dst=dst, staging=staging, stage=stage,
-            fused=fused, threads=threads, count=count, drx=drx,
+            fused=self._fused(stage), threads=threads, count=count, drx=drx,
         )
         if force_cpu:
             # The planner-aware brownout FORCE_CPU tier: instead of
@@ -1842,151 +1497,100 @@ class DMXSystem:
             self.backend_stats[kind]["executed"] += 1
             return
 
-        crash_ev = (
-            self.domains.watch(target)
-            if self.domains is not None and target
-            else None
+        # A drained or fallen-back leg finishes on the CPU backend (the
+        # planner's unconditional survivor).
+        cpu = planner.backend(BACKEND_CPU)
+        outcome = yield from self._guarded_leg(
+            lambda acc, ctx: backend.execute(leg, acc, state, ctx),
+            lambda: cpu.execute(leg, phases, state, sctx),
+            target, kind, decision.probe, count, phases, state, sctx,
         )
-        if self._faults is None and crash_ev is None:
-            leg_start = self.sim.now
-            yield from backend.execute(leg, phases, state, sctx)
-            self.backend_stats[kind]["executed"] += 1
-            if self.control is not None and target:
-                self.control.record(
-                    target, True, self.sim.now - leg_start,
-                    probe=decision.probe,
-                )
-            return
-
-        local = PhaseAccumulator(ALL_PHASES)
-        span_start = self.sim.now
-        deadline = (
-            self._faults.drx_deadline_s * count
-            if self._faults is not None
-            else None
-        )
-        attempt = sctx.begin(
-            f"{kind}-attempt", "attempt", deadline_s=deadline,
-            **({"batch": count} if count > 1 else {}),
-            **({"breaker_probe": True} if decision.probe else {}),
-        )
-        actx = sctx.child(attempt)
-        try:
-            yield from self._leg_race(
-                backend.execute(leg, local, state, actx),
-                deadline, crash_ev, target,
-                what=f"{kind}:{target}",
-            )
-        except DomainCrashed as exc:
-            # The chosen backend's failure domain died under the leg:
-            # drain, then rescue exactly once on the CPU backend (the
-            # planner's unconditional survivor).
-            burned = self._rescue_accounting(
-                exc, target, span_start, attempt, sctx, state, phases,
-                decision.probe, count,
-            )
-            cpu = planner.backend(BACKEND_CPU)
-            yield from cpu.execute(leg, phases, state, sctx)
-            self.backend_stats[BACKEND_CPU]["executed"] += 1
-            if state is not None:
-                state.rescued = True
-            self.domains.on_rescue(
-                target, state.request_id if state is not None else -1,
-                burned, count,
-            )
-        except _RECOVERABLE as exc:
-            if self.control is not None and target:
-                self.control.record(
-                    target, False, self.sim.now - span_start,
-                    probe=decision.probe,
-                )
-            if state is not None:
-                state.fell_back = True
-            self._note(
-                "fallback", target or kind, site=kind,
-                request_id=state.request_id if state is not None else -1,
-                detail=type(exc).__name__,
-            )
-            self.telemetry.end(attempt, error=type(exc).__name__)
-            self.telemetry.mark_abandoned(attempt)
-            phases.add(PHASE_RECOVERY, self.sim.now - span_start)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=target or kind,
-                parent=sctx.parent_id, request_id=sctx.request_id,
-                phase=PHASE_RECOVERY, cause=type(exc).__name__,
-            )
+        if outcome == "fell_back":
             self.backend_stats[kind]["fallen_back"] += 1
-            cpu = planner.backend(BACKEND_CPU)
-            yield from cpu.execute(leg, phases, state, sctx)
-            self.backend_stats[BACKEND_CPU]["executed"] += 1
-        else:
-            if self.control is not None and target:
-                self.control.record(
-                    target, True, self.sim.now - span_start,
-                    probe=decision.probe,
-                )
-            self.telemetry.end(attempt)
-            for phase, duration in local.totals.items():
-                if duration:
-                    phases.add(phase, duration)
-            self.backend_stats[kind]["executed"] += 1
+        self.backend_stats[
+            kind if outcome == "done" else BACKEND_CPU
+        ]["executed"] += 1
 
-    def _batched_request(
+    def _request(
         self,
         app_index: int,
         chain: AppChain,
-        count: int,
+        records: Optional[List[RequestRecord]] = None,
         parent_span: Optional[int] = None,
         force_cpu: bool = False,
+        count: int = 1,
     ) -> Generator:
-        """Run ``count`` same-chain requests as one coalesced batch.
+        """Run ``count`` same-chain requests as one submission per stage;
+        returns their :class:`RequestRecord` list (and extends
+        ``records`` with it when a sink is given).
 
-        Returns one :class:`RequestRecord` per member. All members share
-        the batch's wall-clock interval; phase time is split evenly
-        across members so per-member records still sum to the batch's
-        booked phase totals (and thus reconcile with span-derived
-        totals). Retries/fallback/reroute bookkeeping is tracked on the
-        lead member and propagated to all — a batch degrades or fails as
-        a unit, never losing individual members.
+        A single request is a batch of one. Kernels run per member (the
+        accelerator computes every payload), but each motion leg pays a
+        single control path for all members — one chained descriptor
+        submission + doorbell on the DMA, one amortized DRX program load,
+        one coalesced completion ISR. This is the serve layer's
+        :class:`~repro.serve.batching.BatchFormer` execution target.
+
+        A batch's root is a ``batch-exec`` span with one addressable
+        ``request`` span per member under it; a single request's root is
+        its own ``request`` span. Members share the wall-clock interval,
+        and phase time is split evenly across them, so per-member records
+        still sum to the booked phase totals (and reconcile with
+        span-derived totals). Shared-leg retries (DMA, notification) are
+        booked on the lead member only, so summing ``retries`` over the
+        records counts each physical retry once; a kernel retry stays on
+        its own member. Fallback, reroute, failure and rescue outcomes
+        are mirrored onto every member — a batch degrades or fails as a
+        unit, never losing individual members.
         """
         phases = PhaseAccumulator(ALL_PHASES)
         states = [_RequestState(next(self._request_ids)) for _ in range(count)]
         lead = states[0]
         start = self.sim.now
         kernel_index = 0
-        root = self.telemetry.begin(
-            f"{chain.name}#b{lead.request_id}x{count}", "batch-exec",
-            actor=chain.name, parent=parent_span,
-            request_id=lead.request_id, mode=self.config.mode.name,
-            app=chain.name, batch=count,
-        )
-        # Every member keeps an addressable request span in the trace,
-        # parented under the batch-exec span (phase spans hang off the
-        # shared batch context — the work is genuinely shared).
-        member_spans = [
-            self.telemetry.begin(
-                f"{chain.name}#r{st.request_id}", "request",
-                actor=chain.name, parent=root, request_id=st.request_id,
-                mode=self.config.mode.name, app=chain.name, batched=True,
+        mode = self.config.mode.name
+        if count == 1:
+            root = self.telemetry.begin(
+                f"{chain.name}#r{lead.request_id}", "request",
+                actor=chain.name, parent=parent_span,
+                request_id=lead.request_id, mode=mode, app=chain.name,
             )
-            for st in states
-        ]
-        member_ctxs = [
-            self.telemetry.context(span, st.request_id)
-            for span, st in zip(member_spans, states)
-        ]
-        rctx = self.telemetry.context(root, lead.request_id)
+            rctx = self.telemetry.context(root, lead.request_id)
+            members = [(lead, root, rctx)]
+        else:
+            root = self.telemetry.begin(
+                f"{chain.name}#b{lead.request_id}x{count}", "batch-exec",
+                actor=chain.name, parent=parent_span,
+                request_id=lead.request_id, mode=mode, app=chain.name,
+                batch=count,
+            )
+            rctx = self.telemetry.context(root, lead.request_id)
+            # Phase spans hang off the shared batch context (the work is
+            # genuinely shared); member kernels hang off each member.
+            members = []
+            for st in states:
+                span = self.telemetry.begin(
+                    f"{chain.name}#r{st.request_id}", "request",
+                    actor=chain.name, parent=root, request_id=st.request_id,
+                    mode=mode, app=chain.name, batched=True,
+                )
+                members.append(
+                    (st, span, self.telemetry.context(span, st.request_id))
+                )
         try:
             for stage in chain.stages:
                 if isinstance(stage, KernelStage):
                     if self.config.mode == Mode.ALL_CPU:
+                        # Work-conserving scheduling: the MKL-style runtime
+                        # shrinks per-job fan-out as concurrent applications
+                        # saturate the socket, so core-seconds per job fall
+                        # back toward the serial cost under load.
                         threads = max(
                             1,
                             min(stage.cpu_threads,
                                 self.cpu.spec.cores // len(self.chains)),
                         )
-                        for st, mctx in zip(states, member_ctxs):
+                        for _, _, mctx in members:
                             span, _ = self._phase_span(
                                 mctx, f"kernel{kernel_index}", PHASE_KERNEL,
                                 actor="cpu", threads=threads,
@@ -2003,9 +1607,7 @@ class DMXSystem:
                         device = self.accel_devices[
                             self.accel_name(app_index, kernel_index)
                         ]
-                        # Kernels execute per member — the accelerator
-                        # computes every payload; only control coalesces.
-                        for st, mctx in zip(states, member_ctxs):
+                        for st, _, mctx in members:
                             span, _ = self._phase_span(
                                 mctx, f"kernel{kernel_index}", PHASE_KERNEL,
                                 actor=device.name,
@@ -2023,43 +1625,47 @@ class DMXSystem:
                                 )
                     kernel_index += 1
                 else:
-                    yield from self._batched_motion(
+                    yield from self._motion(
                         app_index, kernel_index - 1, stage, count, phases,
                         lead, rctx, force_cpu=force_cpu,
                     )
         except _REQUEST_FATAL as exc:
+            # Recovery exhausted (or a drained leg abandoned past its
+            # rescue deadline): answer the request with an error instead
+            # of wedging the chain (or the whole simulation).
             for st in states:
                 st.failed = True
             self._note(
                 "giveup", chain.name, site="request",
                 request_id=lead.request_id, detail=type(exc).__name__,
             )
-        # Batch-level outcomes live on the lead state; mirror them onto
-        # every member so no record under-reports its degradation.
+        # Leg outcomes land on the lead state; mirror them onto every
+        # member so no record under-reports its degradation.
         for st in states[1:]:
             st.fell_back = st.fell_back or lead.fell_back
             st.rerouted = st.rerouted or lead.rerouted
             st.failed = st.failed or lead.failed
             st.rescued = st.rescued or lead.rescued
         end = self.sim.now
-        share = {
+        share = phases.totals if count == 1 else {
             phase: duration / count for phase, duration in phases.totals.items()
         }
-        records = []
-        for st, span in zip(states, member_spans):
-            self.telemetry.end(
-                span, retries=st.retries, fell_back=st.fell_back,
-                rerouted=st.rerouted, failed=st.failed,
-                **({"rescued": True} if st.rescued else {}),
-            )
-            records.append(RequestRecord(
+        out = []
+        for st, span, _ in members:
+            if span is not root:
+                self.telemetry.end(
+                    span, retries=st.retries, fell_back=st.fell_back,
+                    rerouted=st.rerouted, failed=st.failed,
+                    **({"rescued": True} if st.rescued else {}),
+                )
+            out.append(RequestRecord(
                 app=chain.name, start=start, end=end,
                 phases=dict(share),
                 retries=st.retries, fell_back=st.fell_back,
                 rerouted=st.rerouted, failed=st.failed,
                 rescued=st.rescued,
                 request_id=st.request_id,
-                # The batch plans once; every member shares the decision.
+                # A batch plans once; every member shares the decision.
                 backend=(
                     list(lead.leg_backends)
                     if self.planner is not None else None
@@ -2074,108 +1680,9 @@ class DMXSystem:
             rerouted=lead.rerouted, failed=lead.failed,
             **({"rescued": True} if lead.rescued else {}),
         )
-        return records
-
-    def _request(
-        self,
-        app_index: int,
-        chain: AppChain,
-        records: Optional[List[RequestRecord]] = None,
-        parent_span: Optional[int] = None,
-        force_cpu: bool = False,
-    ) -> Generator:
-        """One end-to-end request; returns its :class:`RequestRecord`
-        (and appends it to ``records`` when a sink is given)."""
-        phases = PhaseAccumulator(ALL_PHASES)
-        state = _RequestState(next(self._request_ids))
-        start = self.sim.now
-        kernel_index = 0
-        root = self.telemetry.begin(
-            f"{chain.name}#r{state.request_id}", "request", actor=chain.name,
-            parent=parent_span, request_id=state.request_id,
-            mode=self.config.mode.name, app=chain.name,
-        )
-        rctx = self.telemetry.context(root, state.request_id)
-        try:
-            for stage in chain.stages:
-                if isinstance(stage, KernelStage):
-                    if self.config.mode == Mode.ALL_CPU:
-                        # Work-conserving scheduling: the MKL-style runtime
-                        # shrinks per-job fan-out as concurrent applications
-                        # saturate the socket, so core-seconds per job fall
-                        # back toward the serial cost under load.
-                        threads = max(
-                            1,
-                            min(stage.cpu_threads,
-                                self.cpu.spec.cores // len(self.chains)),
-                        )
-                        span, _ = self._phase_span(
-                            rctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                            actor="cpu", threads=threads,
-                        )
-                        yield from self._timed(
-                            phases, PHASE_KERNEL,
-                            self.cpu.run_kernel(
-                                stage.cpu_latency(threads), threads=threads
-                            ),
-                            span=span,
-                        )
-                    else:
-                        device = self.accel_devices[
-                            self.accel_name(app_index, kernel_index)
-                        ]
-                        span, _ = self._phase_span(
-                            rctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                            actor=device.name,
-                        )
-                        if self._faults is None:
-                            yield from self._timed(
-                                phases, PHASE_KERNEL, device.execute(),
-                                span=span,
-                            )
-                        else:
-                            yield from self._timed(
-                                phases, PHASE_KERNEL,
-                                self._recovering_kernel(device, state),
-                                span=span,
-                            )
-                    kernel_index += 1
-                else:
-                    yield from self._motion(
-                        app_index, kernel_index - 1, stage, phases, state,
-                        rctx, force_cpu=force_cpu,
-                    )
-        except _REQUEST_FATAL as exc:
-            # Recovery exhausted (or a drained leg abandoned past its
-            # rescue deadline): answer the request with an error instead
-            # of wedging the chain (or the whole simulation).
-            state.failed = True
-            self._note(
-                "giveup", chain.name, site="request",
-                request_id=state.request_id, detail=type(exc).__name__,
-            )
-        record = RequestRecord(
-            app=chain.name, start=start, end=self.sim.now,
-            phases=dict(phases.totals),
-            retries=state.retries, fell_back=state.fell_back,
-            rerouted=state.rerouted, failed=state.failed,
-            rescued=state.rescued,
-            request_id=state.request_id,
-            backend=(
-                list(state.leg_backends) if self.planner is not None else None
-            ),
-            planner_reason=(
-                list(state.leg_reasons) if self.planner is not None else None
-            ),
-        )
-        self.telemetry.end(
-            root, retries=state.retries, fell_back=state.fell_back,
-            rerouted=state.rerouted, failed=state.failed,
-            **({"rescued": True} if state.rescued else {}),
-        )
         if records is not None:
-            records.append(record)
-        return record
+            records.extend(out)
+        return out
 
     # -- external entry points -------------------------------------------------
 
@@ -2205,16 +1712,11 @@ class DMXSystem:
         ``parent_span`` hangs the request's span tree under a caller
         span (the serving frontend's client span). ``force_cpu=True``
         restructures every motion stage on the host CPU regardless of
-        placement — the brownout ladder's last tier.
+        placement — the brownout ladder's last tier. It is the count-1
+        :meth:`submit_batch`.
         """
-        if not 0 <= app_index < len(self.chains):
-            raise IndexError(
-                f"app_index {app_index} out of range "
-                f"(0..{len(self.chains) - 1})"
-            )
-        record = yield from self._request(
-            app_index, self.chains[app_index], parent_span=parent_span,
-            force_cpu=force_cpu,
+        (record,) = yield from self.submit_batch(
+            app_index, 1, parent_span=parent_span, force_cpu=force_cpu
         )
         return record
 
@@ -2232,9 +1734,9 @@ class DMXSystem:
         Each motion leg pays a single control path for all members (one
         chained descriptor submission + doorbell, one amortized DRX
         program load, one coalesced completion ISR), while kernels and
-        payload restructuring still execute per member. A batch of one
-        takes the exact single-request code path, so
-        ``submit_batch(i, 1)`` is bit-identical to ``submit(i)``.
+        payload restructuring still execute per member. A single request
+        is a batch of one on the same path, so ``submit_batch(i, 1)`` is
+        bit-identical to ``submit(i)``.
         """
         if not 0 <= app_index < len(self.chains):
             raise IndexError(
@@ -2243,15 +1745,9 @@ class DMXSystem:
             )
         if count < 1:
             raise ValueError(f"batch needs count >= 1: {count}")
-        if count == 1:
-            record = yield from self._request(
-                app_index, self.chains[app_index], parent_span=parent_span,
-                force_cpu=force_cpu,
-            )
-            return [record]
-        records = yield from self._batched_request(
-            app_index, self.chains[app_index], count,
-            parent_span=parent_span, force_cpu=force_cpu,
+        records = yield from self._request(
+            app_index, self.chains[app_index], parent_span=parent_span,
+            force_cpu=force_cpu, count=count,
         )
         return records
 

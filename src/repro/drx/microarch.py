@@ -184,64 +184,48 @@ class DRXDevice:
         self,
         profile: WorkProfile,
         ctx: Optional["SpanContext"] = None,
+        count: int = 1,
     ) -> Generator:
         """Process: run one restructuring job on this DRX unit.
+
+        ``count > 1`` runs a coalesced batch of ``count`` jobs on
+        ``profile`` as ONE occupancy of the unit, held for
+        :meth:`DRXTimingModel.time_for_profile_batch` — one program load
+        + SYNC pair amortized over all members — and counts every member
+        in ``jobs_completed``. A single job is priced by
+        :meth:`DRXTimingModel.time_for_profile` itself.
 
         ``ctx`` attaches a "drx" span; its ``queued_s`` attribute is the
         time the job waited behind other jobs on this unit (the shared-DRX
         contention signal).
         """
-        duration = self.timing.time_for_profile(profile)
-        start = self.sim.now
-        span = (
-            ctx.begin(self.name, "drx", actor=self.name, service_s=duration)
-            if ctx is not None
-            else None
-        )
-        try:
-            yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += 1
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
-        return elapsed
-
-    def restructure_batch(
-        self,
-        profiles: "list[WorkProfile]",
-        ctx: Optional["SpanContext"] = None,
-    ) -> Generator:
-        """Process: run a coalesced batch of restructuring jobs as ONE
-        occupancy of this DRX unit.
-
-        The batch holds the unit for
-        :meth:`DRXTimingModel.time_for_profile_batch` — one program load +
-        SYNC pair amortized over all members — and counts every member in
-        ``jobs_completed``. A single-member batch is identical to
-        :meth:`restructure`.
-        """
-        duration = self.timing.time_for_profile_batch(profiles)
-        start = self.sim.now
-        span = (
-            ctx.begin(
-                self.name, "drx", actor=self.name, service_s=duration,
-                batch=len(profiles),
+        if count == 1:
+            duration = self.timing.time_for_profile(profile)
+            span = (
+                ctx.begin(
+                    self.name, "drx", actor=self.name, service_s=duration
+                )
+                if ctx is not None
+                else None
             )
-            if ctx is not None
-            else None
-        )
+        else:
+            duration = self.timing.time_for_profile_batch([profile] * count)
+            span = (
+                ctx.begin(
+                    self.name, "drx", actor=self.name, service_s=duration,
+                    batch=count,
+                )
+                if ctx is not None
+                else None
+            )
+        start = self.sim.now
         try:
             yield from self._server.transfer(duration)
         except BaseException as exc:
             if span is not None:
                 ctx.end(span, abandoned=True, error=type(exc).__name__)
             raise
-        self.jobs_completed += len(profiles)
+        self.jobs_completed += count
         self.busy_seconds += duration
         elapsed = self.sim.now - start
         if span is not None:

@@ -149,13 +149,20 @@ class DMAEngine:
         charge_completion: bool = True,
         on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
         ctx: Optional["SpanContext"] = None,
+        descriptors: int = 1,
     ) -> Generator:
         """Process: one DMA from ``src`` to ``dst``.
 
         ``charge_setup`` / ``charge_completion`` let callers batch multiple
         back-to-back DMAs under a single driver invocation (used by the
         one-to-many collectives, where descriptors are chained).
-        ``on_retry`` (recovery mode only) observes each failed attempt.
+        ``descriptors > 1`` is one descriptor-ring submission moving that
+        many member payloads (``nbytes`` in total): one driver invocation
+        (ioctl + doorbell, in ``setup_s``) plus ``chained_descriptor_s``
+        per extra descriptor, one fabric crossing, one completion
+        interrupt. A single transfer is the one-descriptor chain.
+        ``on_retry`` (recovery mode only) observes each failed attempt;
+        the chain retries *as a unit*, so no member payload is lost.
         ``ctx`` attaches a "dma" telemetry span (covering every retry of
         this transfer) under the caller's span tree.
         Returns the elapsed time; raises
@@ -163,58 +170,23 @@ class DMAEngine:
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
-        span = (
-            ctx.begin(f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes)
-            if ctx is not None
-            else None
-        )
-        try:
-            elapsed = yield from self._transfer(
-                src, dst, nbytes, charge_setup, charge_completion, on_retry
+        if descriptors < 1:
+            raise ValueError(f"DMA needs descriptors >= 1: {descriptors}")
+        if ctx is None:
+            span = None
+        elif descriptors == 1:
+            span = ctx.begin(
+                f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes
             )
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        if span is not None:
-            ctx.end(span)
-        return elapsed
-
-    def transfer_chained(
-        self,
-        src: str,
-        dst: str,
-        sizes: "list[int]",
-        on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
-        ctx: Optional["SpanContext"] = None,
-    ) -> Generator:
-        """Process: one descriptor-ring submission moving ``len(sizes)``
-        member payloads from ``src`` to ``dst``.
-
-        The whole chain pays one driver invocation (ioctl + doorbell, in
-        ``setup_s``) plus ``chained_descriptor_s`` per extra descriptor,
-        one fabric crossing of the summed bytes, and one completion
-        interrupt — the coalesced-job cost model. Under the recovery
-        plane the chain retries *as a unit*: a failed batch DMA re-issues
-        every member descriptor, so no member payload is lost.
-        """
-        if not sizes:
-            raise ValueError("chained transfer needs at least one segment")
-        if any(size < 0 for size in sizes):
-            raise ValueError(f"negative DMA segment in {sizes}")
-        nbytes = sum(sizes)
-        span = (
-            ctx.begin(
+        else:
+            span = ctx.begin(
                 f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes,
-                descriptors=len(sizes),
+                descriptors=descriptors,
             )
-            if ctx is not None
-            else None
-        )
         try:
             elapsed = yield from self._transfer(
-                src, dst, nbytes, True, True, on_retry,
-                descriptors=len(sizes),
+                src, dst, nbytes, charge_setup, charge_completion, on_retry,
+                descriptors,
             )
         except BaseException as exc:
             if span is not None:
@@ -232,7 +204,7 @@ class DMAEngine:
         charge_setup: bool,
         charge_completion: bool,
         on_retry: Optional[Callable[[int, BaseException, bool], None]],
-        descriptors: int = 1,
+        descriptors: int,
     ) -> Generator:
         start = self.sim.now
         if not self._recovering:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, Optional
 
 from ..cpu import HostCPU
@@ -141,82 +142,36 @@ class NotificationModel:
         device: str,
         on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
         ctx: Optional["SpanContext"] = None,
+        count: int = 1,
     ) -> Generator:
         """Process: deliver one completion notification to the host.
 
-        Returns the CPU cost charged per delivery. With a recovery
-        configuration, a lost or hung delivery is retried under the
-        watchdog (``on_retry`` observes each failed attempt); exhaustion
-        raises :class:`~repro.faults.RetryExhausted`. ``ctx`` attaches a
-        "notify" span recording the delivery mode and billed cost.
-        """
-        now = self.sim.now
-        history = self._arrivals.setdefault(
-            device, deque(maxlen=self._RATE_WINDOW)
-        )
-        history.append(now)
-        self._update_mode(device)
-
-        if self._polling.get(device, False):
-            cost = self.costs.poll_s
-            mode = "poll"
-            self.stats.polled += 1
-        else:
-            last = self._last_isr.get(device)
-            if last is not None and now - last < self.costs.coalesce_window_s:
-                cost = self.costs.coalesced_s
-                mode = "coalesced"
-                self.stats.coalesced += 1
-            else:
-                cost = self.costs.interrupt_s
-                mode = "interrupt"
-                self.stats.interrupts += 1
-            self._last_isr[device] = now
-        span = (
-            ctx.begin("notify", "notify", actor=device, mode=mode, cost_s=cost)
-            if ctx is not None
-            else None
-        )
-        try:
-            yield from self._notify_timed(device, cost, on_retry)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        if span is not None:
-            ctx.end(span)
-        return cost
-
-    def notify_batch(
-        self,
-        device: str,
-        count: int,
-        on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
-        ctx: Optional["SpanContext"] = None,
-    ) -> Generator:
-        """Process: deliver ONE coalesced completion for ``count`` members.
-
-        A batched submission raises a single interrupt when the whole
-        descriptor chain completes; the remaining ``count - 1`` member
+        ``count > 1`` is ONE coalesced completion for a batched
+        submission: a single interrupt fires when the whole descriptor
+        chain completes, and the remaining ``count - 1`` member
         completions are reaped inside that same ISR at the (much cheaper)
         coalesced rate — the driver walks the completion ring once. In
         polling mode every member still pays the amortized poll cost.
-        The delivery (and any watchdog retry of it) happens as a unit:
-        a lost batch notification is re-delivered whole.
+
+        Returns the CPU cost charged per delivery. With a recovery
+        configuration, a lost or hung delivery is retried (whole) under
+        the watchdog (``on_retry`` observes each failed attempt);
+        exhaustion raises :class:`~repro.faults.RetryExhausted`. ``ctx``
+        attaches a "notify" span recording the delivery mode and billed
+        cost.
         """
         if count < 1:
-            raise ValueError(f"batch notification needs count >= 1: {count}")
-        if count == 1:
-            cost = yield from self.notify(device, on_retry=on_retry, ctx=ctx)
-            return cost
+            raise ValueError(f"notification needs count >= 1: {count}")
         now = self.sim.now
         history = self._arrivals.setdefault(
             device, deque(maxlen=self._RATE_WINDOW)
         )
-        # The rate estimator sees every member completion land at once —
-        # exactly what the completion ring records.
-        for _ in range(min(count, self._RATE_WINDOW)):
+        if count == 1:
             history.append(now)
+        else:
+            # The rate estimator sees every member completion land at
+            # once — exactly what the completion ring records.
+            history.extend(repeat(now, min(count, self._RATE_WINDOW)))
         self._update_mode(device)
 
         if self._polling.get(device, False):
@@ -236,14 +191,17 @@ class NotificationModel:
                 self.stats.coalesced += count - 1
             cost = base + (count - 1) * self.costs.coalesced_s
             self._last_isr[device] = now
-        span = (
-            ctx.begin(
+        if ctx is None:
+            span = None
+        elif count == 1:
+            span = ctx.begin(
+                "notify", "notify", actor=device, mode=mode, cost_s=cost
+            )
+        else:
+            span = ctx.begin(
                 "notify", "notify", actor=device, mode=mode, cost_s=cost,
                 batch=count,
             )
-            if ctx is not None
-            else None
-        )
         try:
             yield from self._notify_timed(device, cost, on_retry)
         except BaseException as exc:

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Generator, List, Optional, \
     Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..telemetry import ActiveSpan
     from ..telemetry.alerts import ObservationConfig
 
 from ..control import ClosedLoopController, ControllerConfig
@@ -603,7 +604,6 @@ class ServingFrontend:
             yield self._park()
 
     def _serve_one(self, item: _Admitted) -> Generator:
-        stats = self._stats[item.spec.name]
         dispatched = self.sim.now
         telemetry = self.telemetry
         # The client span covers arrival→completion (what the SLO sees);
@@ -621,6 +621,21 @@ class ServingFrontend:
             self._app_index[item.spec.name], parent_span=client.span_id,
             force_cpu=force_cpu,
         )
+        self._complete(item, client, record, dispatched)
+        self._release(item.spec.name)
+
+    def _complete(
+        self,
+        item: _Admitted,
+        client: ActiveSpan,
+        record: RequestRecord,
+        dispatched: float,
+    ) -> None:
+        """Book one answered request (alone or as a batch member): its
+        queue-wait span, latency and SLO accounting, the brownout and
+        controller feedback, the record, and the closing client span."""
+        stats = self._stats[item.spec.name]
+        telemetry = self.telemetry
         client.request_id = record.request_id
         telemetry.add(
             "admission", "queue", start=item.arrival, end=dispatched,
@@ -644,10 +659,13 @@ class ServingFrontend:
         telemetry.end(client, failed=record.failed)
         if self._client_latency is not None:
             self._client_latency[item.spec.name].observe(latency)
+
+    def _release(self, tenant: str) -> None:
+        """Free the dispatch slot a request or batch held."""
         self._inflight -= 1
-        self._tenant_inflight[item.spec.name] -= 1
+        self._tenant_inflight[tenant] -= 1
         if self._controller is not None:
-            self._controller.on_request_boundary(item.spec.name)
+            self._controller.on_request_boundary(tenant)
         self._kick()
 
     # -- batched dispatch ----------------------------------------------------
@@ -774,37 +792,9 @@ class ServingFrontend:
                 self.sim.now, dispatched - batch.created
             )
         for item, client, record in zip(items, clients, records):
-            client.request_id = record.request_id
-            telemetry.add(
-                "admission", "queue", start=item.arrival, end=dispatched,
-                actor=item.spec.name, parent=client,
-                request_id=record.request_id, phase="queue",
-            )
-            latency = self.sim.now - item.arrival
-            stats.completed += 1
-            if record.failed:
-                stats.failed += 1
-            elif (
-                self.config.slo_s is not None and latency > self.config.slo_s
-            ):
-                stats.violations += 1
-            stats.latency.add(latency)
-            stats.queue_wait.add(dispatched - item.arrival)
-            self._latency.add(latency)
-            if self._brownout is not None:
-                self._brownout.observe(latency)
-            if self._controller is not None:
-                self._controller.observe(item.spec.name, latency)
-            self._records.append(record)
-            telemetry.end(client, failed=record.failed)
-            if self._client_latency is not None:
-                self._client_latency[item.spec.name].observe(latency)
+            self._complete(item, client, record, dispatched)
         telemetry.end(bspan)
-        self._inflight -= 1
-        self._tenant_inflight[spec.name] -= 1
-        if self._controller is not None:
-            self._controller.on_request_boundary(spec.name)
-        self._kick()
+        self._release(spec.name)
 
     # -- brownout control loop -----------------------------------------------
 
