@@ -17,11 +17,12 @@ Every backend answers the same three questions about one
 * **what would it cost right now?** — :meth:`RestructureBackend.estimate`
   returns a :class:`CostEstimate` splitting contention-free service time
   from the expected queueing behind the backend's *current* occupancy
-  (the live signal the planner keys on). The DRX and CPU backends build
-  it from an :class:`UnloadedCost` (:meth:`DRXBackend.unloaded`,
-  :meth:`CPUBackend.unloaded`) that depends on the leg alone, plus a
-  queue term over the live depth (``queue_s``), so a caller that prices
-  the same leg repeatedly can keep the first half;
+  (the live signal the planner keys on). Every backend builds it from
+  an :class:`UnloadedCost` (:meth:`RestructureBackend.unloaded`) that
+  depends on the leg alone, plus a queue term over the live depth
+  (:meth:`RestructureBackend.queue_s`), so a caller that prices the
+  same leg repeatedly keeps the first half — :class:`PriceMemo` is that
+  memo, shared by the planner and the controller's tier cost model;
 * **run it** — :meth:`RestructureBackend.execute` delegates to the
   owning :class:`~repro.core.system.DMXSystem`'s motion helpers so
   span/phase accounting stays identical to the non-planned paths.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
 
 from ..core.chain import MotionStage
 from ..core.placement import Mode
@@ -49,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BACKEND_DRX", "BACKEND_CPU", "BACKEND_DSA", "BACKEND_XDMA",
     "BACKEND_KINDS", "LegSpec", "CostEstimate", "UnloadedCost",
-    "RestructureBackend", "DRXBackend", "CPUBackend",
+    "RestructureBackend", "DRXBackend", "CPUBackend", "PricedLeg",
+    "PriceMemo",
 ]
 
 BACKEND_DRX = "drx"
@@ -142,8 +144,27 @@ class RestructureBackend(abc.ABC):
         """Jobs currently occupying + waiting on the backend's resource."""
 
     @abc.abstractmethod
+    def unloaded(self, leg: LegSpec) -> UnloadedCost:
+        """``leg``'s price on an idle backend: a function of the leg
+        alone (and of configuration fixed at construction)."""
+
+    @abc.abstractmethod
+    def queue_s(self, depth: int, per_job_s: float) -> float:
+        """Expected wait behind ``depth`` queued jobs of ``per_job_s``."""
+
     def estimate(self, leg: LegSpec) -> CostEstimate:
         """Price ``leg`` under current contention (pure, zero sim time)."""
+        return self.bid(leg, self.unloaded(leg))
+
+    def bid(self, leg: LegSpec, base: UnloadedCost) -> CostEstimate:
+        """:meth:`estimate` given ``leg``'s contention-free price
+        ``base``: reads only the live queue depth."""
+        depth = self.queue_depth(leg)
+        return CostEstimate(
+            service_s=base.service_s,
+            queue_s=self.queue_s(depth, base.per_job_s),
+            depth=depth, energy_j=base.energy_j,
+        )
 
     @abc.abstractmethod
     def execute(
@@ -211,15 +232,6 @@ class DRXBackend(RestructureBackend):
         """Expected wait behind ``depth`` jobs on the home unit."""
         return depth * per_job_s * self.queue_weight
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
-        base = self.unloaded(leg)
-        depth = self.queue_depth(leg)
-        return CostEstimate(
-            service_s=base.service_s,
-            queue_s=self.queue_s(depth, base.per_job_s),
-            depth=depth, energy_j=base.energy_j,
-        )
-
     def execute(self, leg, phases, state, ctx) -> Generator:
         return self.system._drx_motion(
             leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
@@ -270,17 +282,77 @@ class CPUBackend(RestructureBackend):
             depth / self.system.cpu.spec.cores * per_job_s * self.queue_weight
         )
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
-        base = self.unloaded(leg)
-        depth = self.queue_depth(leg)
-        return CostEstimate(
-            service_s=base.service_s,
-            queue_s=self.queue_s(depth, base.per_job_s),
-            depth=depth, energy_j=base.energy_j,
-        )
-
     def execute(self, leg, phases, state, ctx) -> Generator:
         return self.system._multi_axl_motion(
             leg.src, leg.dst, leg.stage, leg.threads, leg.count, phases,
             state, ctx,
         )
+
+
+class PricedLeg:
+    """One leg kept for reuse, with each backend's contention-free price
+    of it computed on first ask and kept.
+
+    The leg is immutable and the price is a function of the leg and the
+    backend's construction-time configuration, so one entry per backend
+    never goes stale; :meth:`estimate` then reads only the live depth.
+    """
+
+    __slots__ = ("leg", "_unloaded")
+
+    def __init__(self, leg: LegSpec):
+        self.leg = leg
+        self._unloaded: Dict[RestructureBackend, UnloadedCost] = {}
+
+    def unloaded(self, backend: RestructureBackend) -> UnloadedCost:
+        """``backend.unloaded(self.leg)``, computed once."""
+        cost = self._unloaded.get(backend)
+        if cost is None:
+            cost = self._unloaded[backend] = backend.unloaded(self.leg)
+        return cost
+
+    def estimate(self, backend: RestructureBackend) -> CostEstimate:
+        """Equal to ``backend.estimate(self.leg)``."""
+        return backend.bid(self.leg, self.unloaded(backend))
+
+
+class PriceMemo:
+    """The legs a system prices, one :class:`PricedLeg` each.
+
+    A leg is kept per ``(source accelerator, count, home DRX)``. With
+    the placement mode fixed at construction those determine every
+    :class:`LegSpec` field: the source names the app and the motion
+    stage after it (hence the destination, profile, fused profile and
+    CPU threads), and the home DRX names the staging point. The fabric,
+    DMA, notifier, CPU and backend configurations that
+    :meth:`RestructureBackend.unloaded` also reads are fixed at
+    construction too (the scratchpad-fusion ablation switch is only
+    flipped between systems). So a lookup hashes a short tuple rather
+    than building or hashing a whole :class:`LegSpec`, and a
+    ``migrate_app`` that re-homes the app reads — and prices — a
+    different entry. Entries are never evicted: there are at most
+    (motion stages x batch sizes x DRX units) of them.
+    """
+
+    def __init__(self, system: "DMXSystem"):
+        self.system = system
+        self._legs: Dict[Tuple[str, int, str], PricedLeg] = {}
+
+    def leg(
+        self, app_index: int, src: str, dst: str, stage: MotionStage,
+        count: int = 1,
+    ) -> PricedLeg:
+        """The motion ``stage`` from ``src`` to ``dst`` of chain
+        ``app_index``, for ``count`` members, at its current home DRX."""
+        system = self.system
+        mode = system.config.mode
+        drx, staging = system._drx_placement(mode, src, app_index)
+        key = (src, count, drx.name)
+        priced = self._legs.get(key)
+        if priced is None:
+            priced = self._legs[key] = PricedLeg(LegSpec(
+                mode=mode, src=src, dst=dst, staging=staging, stage=stage,
+                fused=system._fused(stage), threads=stage.cpu_threads,
+                count=count, drx=drx,
+            ))
+        return priced

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..profiles import WorkProfile
 from ..sim import Server, Simulator
 from ..telemetry.spans import batch_attrs
-from .base import BACKEND_DSA, CostEstimate, LegSpec, RestructureBackend
+from .base import BACKEND_DSA, LegSpec, RestructureBackend, UnloadedCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -161,11 +161,13 @@ class DSABackend(RestructureBackend):
     def queue_depth(self, leg: LegSpec) -> int:
         return self.device.queue_depth
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
+    def unloaded(self, leg: LegSpec) -> UnloadedCost:
+        """``leg``'s price on idle engines: a function of the leg alone."""
         s = self.system
         cfg = self.config
         n = leg.count
-        work = n * cfg.job_time(leg.fused)
+        per_job = cfg.job_time(leg.fused)
+        work = n * per_job
         host = cfg.submit_time(n) + cfg.poll_time(n)
         in_est = s.transfer_estimate(
             leg.src, "root", n * leg.stage.input_bytes
@@ -173,15 +175,15 @@ class DSABackend(RestructureBackend):
         out_est = s.transfer_estimate(
             "root", leg.dst, n * leg.stage.output_bytes
         )
-        service = in_est + host + work + out_est
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cfg.engines * cfg.job_time(leg.fused) * self.queue_weight
+        return UnloadedCost(
+            service_s=in_est + host + work + out_est,
+            energy_j=work * cfg.power_w + host * _CPU_CORE_ACTIVE_W,
+            per_job_s=per_job,
         )
-        energy = work * cfg.power_w + host * _CPU_CORE_ACTIVE_W
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
+
+    def queue_s(self, depth: int, per_job_s: float) -> float:
+        """Expected wait behind ``depth`` jobs on the shared work queue."""
+        return depth / self.config.engines * per_job_s * self.queue_weight
 
     def _host_work(self, cost: float) -> Generator:
         """Submission/poll core time: wall time + host CPU energy, no

@@ -10,6 +10,11 @@ from the candidate set **before** any deadline is burned — the planner
 consults :meth:`ControlPlane.admit` on the ranked order, so a tripped
 DRX card costs one dictionary lookup, not a 100 ms timeout.
 
+Cost: each candidate's contention-free price of a leg is computed once
+per distinct leg and kept in the planner's :class:`PriceMemo`; a
+:meth:`LegPlanner.plan` call reads only live state — queue depths,
+decommissioned domains and breaker admission.
+
 Determinism: estimates are pure functions of the leg and current DES
 state, candidates are evaluated in the fixed :data:`BACKEND_KINDS`
 order, and ties break on declaration order — two equal-seed runs make
@@ -30,7 +35,8 @@ from .base import (
     CostEstimate,
     CPUBackend,
     DRXBackend,
-    LegSpec,
+    PricedLeg,
+    PriceMemo,
     RestructureBackend,
 )
 from .dsa import DSABackend, DSAConfig
@@ -110,6 +116,9 @@ class LegPlanner:
             self.backends[BACKEND_CPU] = CPUBackend(
                 system, config.queue_weight
             )
+        #: The legs this system plans, each with its per-backend
+        #: contention-free price (also read by the tier cost model).
+        self.prices = PriceMemo(system)
 
     def _build(self, kind: str) -> RestructureBackend:
         w = self.config.queue_weight
@@ -138,11 +147,16 @@ class LegPlanner:
             reason=f"forced-cpu({reason})",
         )
 
-    def plan(self, leg: LegSpec, cpu_ceiling: bool = False) -> PlanDecision:
-        """Price ``leg`` on every candidate; return the cheapest admitted.
+    def plan(
+        self, priced: PricedLeg, cpu_ceiling: bool = False
+    ) -> PlanDecision:
+        """Price ``priced.leg`` on every candidate; return the cheapest
+        admitted.
 
         Pure with respect to simulated time: estimates read live queue
-        depths but never advance the clock or touch RNG state.
+        depths but never advance the clock or touch RNG state. Each bid
+        equals ``backend.estimate(priced.leg)``; the contention-free half
+        comes from ``priced``'s memo.
 
         A backend whose dispatch target sits on a *decommissioned*
         failure domain (crashed and detected, breaker DEAD) is removed
@@ -155,9 +169,10 @@ class LegPlanner:
         instead of blindly pessimizing legs whose accelerator path is
         cheaper than host restructuring.
         """
+        leg = priced.leg
         domains = getattr(self.system, "domains", None)
         ceiling = (
-            self.backends[BACKEND_CPU].estimate(leg).total_s
+            priced.estimate(self.backends[BACKEND_CPU]).total_s
             if cpu_ceiling
             else None
         )
@@ -176,7 +191,7 @@ class LegPlanner:
                 if target and domains.is_down(target):
                     notes.append(f"{kind}:decommissioned")
                     continue
-            est = backend.estimate(leg)
+            est = priced.estimate(backend)
             if ceiling is not None and est.total_s > ceiling:
                 notes.append(f"{kind}:over-cpu-ceiling")
                 continue

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from ..core.chain import MotionStage
 from ..sim import Server, Simulator
 from ..telemetry.spans import batch_attrs
-from .base import BACKEND_XDMA, CostEstimate, LegSpec, RestructureBackend
+from .base import BACKEND_XDMA, LegSpec, RestructureBackend, UnloadedCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -160,7 +160,8 @@ class XDMABackend(RestructureBackend):
         # One crossing carries the stream; the fatter side bounds it.
         return leg.count * max(leg.stage.input_bytes, leg.stage.output_bytes)
 
-    def estimate(self, leg: LegSpec) -> CostEstimate:
+    def unloaded(self, leg: LegSpec) -> UnloadedCost:
+        """``leg``'s price on idle channels: a function of the leg alone."""
         s = self.system
         cfg = self.config
         n = leg.count
@@ -168,17 +169,15 @@ class XDMABackend(RestructureBackend):
         wire = s.dma.unloaded_latency(leg.src, leg.dst, self._wire_bytes(leg))
         wire += (n - 1) * s.dma.costs.chained_descriptor_s
         transform = cfg.transform_time(n * leg.stage.input_bytes)
-        service = program + max(wire, transform)
-        depth = self.queue_depth(leg)
-        queue = (
-            depth / cfg.channels
-            * cfg.transform_time(leg.stage.input_bytes)
-            * self.queue_weight
+        return UnloadedCost(
+            service_s=program + max(wire, transform),
+            energy_j=transform * cfg.power_w + program * _CPU_CORE_ACTIVE_W,
+            per_job_s=cfg.transform_time(leg.stage.input_bytes),
         )
-        energy = transform * cfg.power_w + program * _CPU_CORE_ACTIVE_W
-        return CostEstimate(
-            service_s=service, queue_s=queue, depth=depth, energy_j=energy
-        )
+
+    def queue_s(self, depth: int, per_job_s: float) -> float:
+        """Expected wait behind ``depth`` streams over the channels."""
+        return depth / self.config.channels * per_job_s * self.queue_weight
 
     def _host_work(self, cost: float) -> Generator:
         yield self.system.sim.timeout(cost)

@@ -15,18 +15,26 @@ on a representative leg per application chain (the chain's first motion
 stage, staged where the placement mode *currently* homes it — live
 queue depths and the live placement both feed the bid). A leg's
 contention-free half depends only on the chain and its home DRX, so it
-is priced once per ``(app, home DRX)`` pair and kept; each bid reads
-only the live DRX and CPU queue depths. Estimates are pure functions of
-DES state: pricing a tier advances no clock and draws no randomness, so
-two equal-seed runs bid — and therefore step — identically.
+is priced once per ``(app, home DRX)`` pair and kept — in the same
+:class:`~repro.backends.base.PriceMemo` the armed planner prices its
+legs from — and each bid reads only the live DRX and CPU queue depths.
+Estimates are pure functions of DES state: pricing a tier advances no
+clock and draws no randomness, so two equal-seed runs bid — and
+therefore step — identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from ..backends.base import CPUBackend, DRXBackend, LegSpec, UnloadedCost
+from ..backends.base import (
+    CPUBackend,
+    DRXBackend,
+    LegSpec,
+    PriceMemo,
+    UnloadedCost,
+)
 from ..core.chain import MotionStage
 from ..resilience.brownout import BrownoutTier
 
@@ -52,15 +60,15 @@ class TierBid:
 
 
 def _first_motion(system: "DMXSystem", app_index: int):
-    """``(stage, src, dst, fused profile)`` of the chain's first motion
-    stage: the part of its representative leg no placement changes."""
+    """``(stage, src, dst)`` of the chain's first motion stage: the part
+    of its representative leg no placement changes."""
     chain = system.chains[app_index]
     for stage_index, stage in enumerate(chain.stages):
         if not isinstance(stage, MotionStage):
             continue
         src = system._accel_names[(app_index, stage_index - 1)]
         dst = system._accel_names[(app_index, stage_index + 1)]
-        return stage, src, dst, system._fused(stage)
+        return stage, src, dst
     raise ValueError(f"chain {chain.name!r} has no motion stage to price")
 
 
@@ -77,7 +85,7 @@ class TierCostModel:
     immediately lowers FORCE_CPU's relief (there is less queueing left
     to dodge), and the model de-escalates on the next update. A
     migration or scale event only changes which ``(app, home DRX)``
-    entry of the contention-free cache a bid reads.
+    entry of the price memo a bid reads.
     """
 
     def __init__(
@@ -95,8 +103,9 @@ class TierCostModel:
         self.coalesce_cost_s = coalesce_cost_s
         self.energy_cost_s_per_j = energy_cost_s_per_j
         self.max_tier = max_tier
-        # Reuse the armed planner's backends when present (their
-        # queue_weight matches what dispatch actually pays); otherwise
+        # Reuse the armed planner's backends and price memo when present
+        # (their queue_weight matches what dispatch actually pays, and a
+        # leg the planner already priced is not priced again); otherwise
         # build bare ones — both price without touching the sim.
         planner = system.planner
         if planner is not None and "drx" in planner.backends:
@@ -105,32 +114,23 @@ class TierCostModel:
             self._drx = DRXBackend(system)
         if planner is not None:
             self._cpu = planner.backends["cpu"]
+            self._prices = planner.prices
         else:
             self._cpu = CPUBackend(system)
+            self._prices = PriceMemo(system)
         self._motion = [
             _first_motion(system, app_index)
             for app_index in range(len(system.chains))
         ]
-        self._priced: Dict[Tuple[int, str], _PricedLeg] = {}
 
     def _priced_leg(self, app_index: int) -> _PricedLeg:
         """The chain's representative leg, staged where the mode homes
         it right now, with its contention-free prices."""
-        system = self.system
-        mode = system.config.mode
-        stage, src, dst, fused = self._motion[app_index]
-        drx, staging = system._drx_placement(mode, src, app_index)
-        key = (app_index, drx.name)
-        entry = self._priced.get(key)
-        if entry is None:
-            leg = LegSpec(
-                mode=mode, src=src, dst=dst, staging=staging, stage=stage,
-                fused=fused, threads=stage.cpu_threads, drx=drx,
-            )
-            entry = self._priced[key] = (
-                leg, self._drx.unloaded(leg), self._cpu.unloaded(leg),
-            )
-        return entry
+        stage, src, dst = self._motion[app_index]
+        priced = self._prices.leg(app_index, src, dst, stage)
+        return (
+            priced.leg, priced.unloaded(self._drx), priced.unloaded(self._cpu)
+        )
 
     def bids(self, slo_s: float, shed_fraction: float) -> List[TierBid]:
         """Current bids for every actionable tier, in tier order."""

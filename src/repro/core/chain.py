@@ -108,7 +108,8 @@ class MotionStage:
 
     ``profile`` prices the restructuring computation (CPU or DRX);
     ``input_bytes``/``output_bytes`` price the movement. ``cpu_threads``
-    is the MKL-style per-job parallelism when restructuring on the host.
+    is the MKL-style per-job parallelism when restructuring on the host
+    (at least one core).
     """
 
     name: str
@@ -120,6 +121,11 @@ class MotionStage:
     def __post_init__(self) -> None:
         if self.input_bytes <= 0 or self.output_bytes <= 0:
             raise ValueError(f"{self.name}: byte counts must be positive")
+        if self.cpu_threads < 1:
+            raise ValueError(
+                f"{self.name}: cpu_threads must be at least 1, "
+                f"got {self.cpu_threads}"
+            )
 
 
 Stage = Union[KernelStage, MotionStage]

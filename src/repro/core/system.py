@@ -1217,8 +1217,8 @@ class DMXSystem:
 
         if self.planner is not None:
             yield from self._planned_motion(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
+                app_index, src, dst, stage, count, phases, state, sctx,
+                mspan, force_cpu,
             )
             return
 
@@ -1439,12 +1439,10 @@ class DMXSystem:
 
     def _planned_motion(
         self,
-        mode: Mode,
         app_index: int,
         src: str,
         dst: str,
         stage: MotionStage,
-        threads: int,
         count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
@@ -1459,14 +1457,11 @@ class DMXSystem:
         runs race it against the per-request deadline budget and degrade
         to the CPU backend on a recoverable failure.
         """
-        from ..backends.base import BACKEND_CPU, LegSpec
+        from ..backends.base import BACKEND_CPU
 
         planner = self.planner
-        drx, staging = self._drx_placement(mode, src, app_index)
-        leg = LegSpec(
-            mode=mode, src=src, dst=dst, staging=staging, stage=stage,
-            fused=self._fused(stage), threads=threads, count=count, drx=drx,
-        )
+        priced = planner.prices.leg(app_index, src, dst, stage, count)
+        leg = priced.leg
         if force_cpu:
             # The planner-aware brownout FORCE_CPU tier: instead of
             # overriding the cost model outright, it *constrains* it —
@@ -1479,12 +1474,12 @@ class DMXSystem:
             if self.telemetry.enabled and mspan is not None:
                 mspan.attrs["forced_cpu"] = True
             self.telemetry.instant(
-                "brownout_force_cpu", "brownout", actor=drx.name,
+                "brownout_force_cpu", "brownout", actor=leg.drx.name,
                 request_id=state.request_id if state is not None else -1,
             )
-            decision = planner.plan(leg, cpu_ceiling=True)
+            decision = planner.plan(priced, cpu_ceiling=True)
         else:
-            decision = planner.plan(leg)
+            decision = planner.plan(priced)
         backend = decision.backend
         kind = decision.kind
         target = backend.target(leg)

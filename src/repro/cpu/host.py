@@ -18,7 +18,7 @@ latency numbers are produced by one consistent model.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..profiles import WorkProfile
 from ..sim import AllOf, PriorityResource, Simulator
@@ -74,6 +74,9 @@ class HostCPU:
         self.spawn_overhead_s = spawn_overhead_s
         self.restructure_jobs = 0
         self.busy_seconds = 0.0
+        #: serial_time memo: a pure function of the profile and the spec
+        #: fixed above, asked on every CPU restructure and every CPU bid.
+        self._serial: Dict[WorkProfile, float] = {}
 
     # -- cost model ------------------------------------------------------------
 
@@ -83,14 +86,18 @@ class HostCPU:
         The top-down cycle model prices the pipeline behaviour; a
         sustained-bandwidth floor prices the streaming traffic (a core
         cannot stream faster than its achievable memory bandwidth, and
-        gathers derate that bandwidth sharply).
+        gathers derate that bandwidth sharply). Computed once per
+        distinct profile and kept.
         """
-        cycle_time = self.topdown.runtime_seconds(profile)
-        effective_bw = self.spec.core_stream_bandwidth * (
-            1.0 - 0.8 * profile.gather_fraction
-        )
-        bandwidth_floor = profile.total_bytes / effective_bw
-        return max(cycle_time, bandwidth_floor)
+        seconds = self._serial.get(profile)
+        if seconds is None:
+            cycle_time = self.topdown.runtime_seconds(profile)
+            effective_bw = self.spec.core_stream_bandwidth * (
+                1.0 - 0.8 * profile.gather_fraction
+            )
+            bandwidth_floor = profile.total_bytes / effective_bw
+            seconds = self._serial[profile] = max(cycle_time, bandwidth_floor)
+        return seconds
 
     def parallel_time(self, profile: WorkProfile, threads: int) -> float:
         """Contention-free job time using ``threads`` cores.

@@ -5,14 +5,19 @@ including admission-queue wait — the quantity SLOs are written against,
 as opposed to the service-only latency in
 :class:`~repro.core.system.RequestRecord`.
 
-Percentiles are tracked two ways at once:
+Percentiles come one of two ways:
 
+* an **exact** computation from retained samples (the default at
+  simulation scale), so sweep results are reproducible to the byte and
+  assertions about knee curves don't ride on estimator error;
 * a bounded-memory **streaming** estimate per tracked quantile via the
   P² algorithm (Jain & Chlamtác, CACM 1985) — O(1) state per quantile,
-  what a production frontend would run;
-* an optional **exact** computation from retained samples (the default
-  at simulation scale), so sweep results are reproducible to the byte
-  and assertions about knee curves don't ride on estimator error.
+  what a production frontend would run. A tracker that drops its
+  samples feeds its estimators on every ``add``; one that retains them
+  computes the estimate on demand by replaying the samples through a
+  fresh estimator (P² is deterministic in sample order, so the value is
+  the one a live estimator would hold), and its ``add`` stays O(1)
+  amortized with no estimator work.
 
 :class:`LatencyTracker` answers ``percentile(q)`` from the exact samples
 when retained and falls back to the P² estimate otherwise.
@@ -124,12 +129,13 @@ class P2Quantile:
 
 
 class LatencyTracker:
-    """Latency stream: streaming P² percentiles + optional exact samples.
+    """Latency stream: exact retained samples or streaming P² percentiles.
 
     ``retain=True`` (the default) keeps every sample so
-    :meth:`percentile` is exact; with ``retain=False`` memory stays O(1)
-    and tracked quantiles come from the P² estimators (untracked
-    quantiles then raise).
+    :meth:`percentile` is exact and :meth:`streaming_estimate` replays
+    them on demand; with ``retain=False`` memory stays O(1) and tracked
+    quantiles come from live P² estimators (untracked quantiles then
+    raise).
     """
 
     def __init__(
@@ -137,9 +143,14 @@ class LatencyTracker:
         quantiles: Tuple[float, ...] = DEFAULT_QUANTILES,
         retain: bool = True,
     ):
-        self._estimators: Dict[float, P2Quantile] = {
-            q: P2Quantile(q) for q in quantiles
-        }
+        estimators = {q: P2Quantile(q) for q in quantiles}  # validates q
+        self._quantiles: Tuple[float, ...] = tuple(estimators)
+        # Live estimators only when no samples are kept: nothing reads a
+        # retained tracker's estimate except streaming_estimate(), which
+        # replays the samples instead of paying three P² updates per add.
+        self._estimators: Optional[Dict[float, P2Quantile]] = (
+            None if retain else estimators
+        )
         self._samples: Optional[List[float]] = [] if retain else None
         # Sorted view of ``_samples``, invalidated on add: ``summary()``
         # asks for one percentile per tracked quantile, and re-sorting
@@ -151,7 +162,7 @@ class LatencyTracker:
 
     @property
     def quantiles(self) -> Tuple[float, ...]:
-        return tuple(self._estimators)
+        return self._quantiles
 
     def add(self, x: float) -> None:
         if x < 0:
@@ -160,11 +171,12 @@ class LatencyTracker:
         self.total += x
         if x > self.max:
             self.max = x
-        for estimator in self._estimators.values():
-            estimator.add(x)
         if self._samples is not None:
             self._samples.append(x)
             self._sorted = None
+        else:
+            for estimator in self._estimators.values():
+                estimator.add(x)
 
     def mean(self) -> float:
         if self.count == 0:
@@ -202,10 +214,21 @@ class LatencyTracker:
         return sum(1 for x in self._samples if x > threshold)
 
     def streaming_estimate(self, q: float) -> float:
-        """The P² estimate regardless of retention (for comparison)."""
-        if q not in self._estimators:
+        """The P² estimate regardless of retention (for comparison).
+
+        With samples retained it is computed on demand: the samples are
+        replayed, in arrival order, through a fresh :class:`P2Quantile`,
+        which lands on exactly the value a live estimator fed the same
+        stream would hold.
+        """
+        if q not in self._quantiles:
             raise KeyError(f"quantile {q} not tracked")
-        return self._estimators[q].value
+        if self._estimators is not None:
+            return self._estimators[q].value
+        estimator = P2Quantile(q)
+        for x in self._samples:
+            estimator.add(x)
+        return estimator.value
 
     def summary(self) -> Dict[str, float]:
         """Mean + tracked percentiles, for reports."""

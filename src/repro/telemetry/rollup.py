@@ -50,7 +50,13 @@ __all__ = [
 _SHED_NAMES = ("shed", "brownout_shed", "rate_limited")
 
 #: Phases whose actor-carrying spans define a ``site`` (executors).
-_SITE_PHASES = ("kernel", "restructuring", "movement", "control", "recovery")
+_SITE_PHASES = frozenset(
+    ("kernel", "restructuring", "movement", "control", "recovery")
+)
+
+#: Scopes in the order their windows are emitted: ``(scope, key,
+#: window)`` order, so the pass needs no final sort.
+_SCOPES = ("backend", "site", "tenant")
 
 
 @dataclass(frozen=True)
@@ -220,23 +226,34 @@ def _carry_window(
     return total / (end - start), peak
 
 
+def _window_bounds(w: float, n_windows: int) -> List[float]:
+    """Window edges: window ``i`` is ``[bounds[i], bounds[i + 1])``, and
+    ``bounds[i]`` is the float ``i * w``."""
+    return [i * w for i in range(n_windows + 1)]
+
+
 def _carry_windows(
     samples: Sequence[Tuple[float, float]], w: float, n_windows: int
 ) -> List[Optional[Tuple[float, float]]]:
     """:func:`_carry_window` for every window of the run, in one pass.
 
     Time-sorted samples are consumed by an advancing cursor instead of
-    rescanned per window, so the whole run costs O(samples + windows)
-    rather than O(samples x windows). The per-window arithmetic is the
-    exact operation sequence of :func:`_carry_window` — equal floats,
-    byte-identical rollup rows.
+    rescanned per window, and each sample is read once: the value a
+    window ends on is the value carried into the next. The whole run
+    costs O(samples + windows) rather than O(samples x windows). The
+    per-window arithmetic is the exact operation sequence of
+    :func:`_carry_window` — equal floats, byte-identical rollup rows.
     """
     out: List[Optional[Tuple[float, float]]] = [None] * n_windows
+    if not samples:
+        return out
+    bounds = _window_bounds(w, n_windows)
     n = len(samples)
     idx = 0
     prev: Optional[float] = None
     for i in range(n_windows):
-        start, end = i * w, (i + 1) * w
+        start = bounds[i]
+        end = bounds[i + 1]
         while idx < n and samples[idx][0] < start:
             prev = samples[idx][1]
             idx += 1
@@ -249,16 +266,18 @@ def _carry_windows(
         total = 0.0
         peak = first
         cursor, value = start, first
-        j = idx
-        while j < n and samples[j][0] < end:
-            t, v = samples[j]
+        while idx < n:
+            t, v = samples[idx]
+            if not t < end:
+                break
             total += value * (t - cursor)
             cursor, value = t, v
             if v > peak:
                 peak = v
-            j += 1
+            idx += 1
         total += value * (end - cursor)
         out[i] = (total / (end - start), peak)
+        prev = value
     return out
 
 
@@ -266,6 +285,8 @@ def _carry_windows(
 
 
 def _span_overlap(span: Span, start: float, end: float) -> float:
+    """Seconds of ``span`` inside ``[start, end)`` (the reference
+    definition :func:`_busy_windows` evaluates inline)."""
     return max(0.0, min(span.end, end) - max(span.start, start))
 
 
@@ -277,16 +298,32 @@ def _busy_windows(
     Each span contributes overlap only to the windows it actually
     touches (summing a zero overlap is a float no-op, so accumulation
     order matches the old per-window sweep bit for bit), and a leg
-    lands in the window containing its end time.
+    lands in the window containing its end time. The overlap is
+    :func:`_span_overlap` written out — the same ``min``/``max``
+    operand order, so the same floats — because a call per span per
+    window was most of this pass's cost.
     """
     busy = [0.0] * n_windows
     legs = [0] * n_windows
+    bounds = _window_bounds(w, n_windows)
     for span in spans_here:
-        first = max(0, int(span.start // w))
-        last = min(n_windows - 1, int(span.end // w))
+        # Span times can be NumPy scalars; float() is exact and keeps
+        # the arithmetic below on (much cheaper) Python floats.
+        start = float(span.start)
+        end = float(span.end)
+        first = int(start // w)
+        if first < 0:
+            first = 0
+        land = int(end // w)
+        last = land if land < n_windows else n_windows - 1
         for i in range(first, last + 1):
-            busy[i] += _span_overlap(span, i * w, (i + 1) * w)
-        land = int(span.end // w)
+            # max(0.0, min(end, hi) - max(start, lo)), and a zero or
+            # negative overlap adds nothing.
+            hi = bounds[i + 1]
+            lo = bounds[i]
+            overlap = (hi if hi < end else end) - (lo if lo > start else start)
+            if overlap > 0.0:
+                busy[i] += overlap
         if 0 <= land < n_windows:
             legs[land] += 1
     return busy, legs
@@ -325,15 +362,16 @@ def compute_rollups(
     site_spans: Dict[str, List[Span]] = {}
     backend_spans: Dict[str, List[Span]] = {}
     for span in spans:
-        if span.end is None:
+        end = span.end
+        if end is None:
             continue
-        if span.end > horizon:
-            horizon = span.end
+        if end > horizon:
+            horizon = end
         category = span.category
         if category == "client":
             tenant = str(span.attrs.get("tenant") or span.actor)
             clients.setdefault(tenant, []).append(span)
-        elif span.actor and span.phase in _SITE_PHASES and \
+        elif span.phase in _SITE_PHASES and span.actor and \
                 category != "batch":
             site_spans.setdefault(span.actor, []).append(span)
         if category == "stage":
@@ -352,7 +390,7 @@ def compute_rollups(
     n_windows = int(horizon // w) + 1 if horizon > 0 else 1
 
     rollups = RunRollups(window_s=w, quantiles=cfg.quantiles, slo_s=slo_s)
-    emit = rollups.windows.append
+    by_scope: Dict[str, List[RollupWindow]] = {scope: [] for scope in _SCOPES}
     qlabels = [(q, f"p{round(q * 100)}_s") for q in cfg.quantiles]
     edges = [(i * w, (i + 1) * w) for i in range(n_windows)]
 
@@ -368,6 +406,7 @@ def compute_rollups(
             sheds.setdefault(inst.actor, []).append(inst.time)
     tenants = sorted({*clients, *tenant_queue, *sheds})
 
+    emit = by_scope["tenant"].append
     for tenant in tenants:
         by_window: Dict[int, List[Span]] = {}
         for span in clients.get(tenant, ()):
@@ -378,20 +417,16 @@ def compute_rollups(
             shed_by_window[i] = shed_by_window.get(i, 0) + 1
         depths = _carry_windows(tenant_queue.get(tenant, ()), w, n_windows)
         for i, (start, end) in enumerate(edges):
-            members = by_window.get(i)
-            if members:
-                failed = sum(1 for s in members if s.attrs.get("failed"))
-                violations = (
-                    sum(
-                        1 for s in members
-                        if not s.attrs.get("failed") and s.duration > slo_s
-                    )
-                    if slo_s is not None
-                    else 0
-                )
-            else:
-                members = ()
-                failed = violations = 0
+            members = by_window.get(i, ())
+            failed = violations = 0
+            latencies = []
+            for s in members:
+                duration = s.duration
+                latencies.append(duration)
+                if s.attrs.get("failed"):
+                    failed += 1
+                elif slo_s is not None and duration > slo_s:
+                    violations += 1
             stats: Dict[str, object] = {
                 "completed": len(members),
                 "failed": failed,
@@ -400,7 +435,7 @@ def compute_rollups(
                 "shed": shed_by_window.get(i, 0),
             }
             if members:
-                latencies = sorted(s.duration for s in members)
+                latencies.sort()
                 stats["mean_s"] = sum(latencies) / len(latencies)
                 stats["max_s"] = latencies[-1]
                 for q, label in qlabels:
@@ -428,6 +463,7 @@ def compute_rollups(
                 )
     sites = sorted({*site_spans, *site_health, *breaker_events})
 
+    emit = by_scope["site"].append
     for site in sites:
         health = site_health.get(site)
         transitions = breaker_events.get(site, ())
@@ -461,6 +497,7 @@ def compute_rollups(
     }
     backends = sorted({*backend_spans, *backend_queue})
 
+    emit = by_scope["backend"].append
     for backend in backends:
         busy, legs = _busy_windows(
             backend_spans.get(backend, ()), w, n_windows
@@ -477,5 +514,7 @@ def compute_rollups(
                 stats["queue_depth_mean"], stats["queue_depth_max"] = depth
             emit(RollupWindow("backend", backend, i, start, end, stats))
 
-    rollups.windows.sort(key=lambda x: (x.scope, x.key, x.window))
+    # Keys are visited sorted and windows in order within each scope.
+    for scope in _SCOPES:
+        rollups.windows.extend(by_scope[scope])
     return rollups

@@ -32,6 +32,18 @@ def test_kernel_stage_validation():
                     output_bytes=MB)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_motion_stage_rejects_fewer_than_one_cpu_thread(threads):
+    """A zero-thread stage used to be priced by the CPU backend as a
+    1-thread job while HostCPU.restructure fanned it out to every core
+    (``threads or max_threads``), so bid and execution disagreed."""
+    profile = WorkProfile(name="m", bytes_in=MB, bytes_out=MB,
+                          elements=MB // 4, ops_per_element=4.0)
+    with pytest.raises(ValueError, match="m-stage: cpu_threads"):
+        MotionStage("m-stage", profile, input_bytes=MB, output_bytes=MB,
+                    cpu_threads=threads)
+
+
 def test_kernel_serial_time_defaults_to_three_x():
     stage = kernel(cpu=3e-3)
     assert stage.cpu_serial_time_s == pytest.approx(9e-3)

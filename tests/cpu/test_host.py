@@ -166,3 +166,40 @@ def test_negative_parallel_overhead_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         HostCPU(sim, parallel_overhead=-0.1)
+
+
+def _uncached_serial_time(cpu, profile):
+    """The top-down model plus bandwidth floor, computed from scratch."""
+    cycle_time = cpu.topdown.runtime_seconds(profile)
+    effective_bw = cpu.spec.core_stream_bandwidth * (
+        1.0 - 0.8 * profile.gather_fraction
+    )
+    return max(cycle_time, profile.total_bytes / effective_bw)
+
+
+def test_memoized_serial_time_equals_the_uncached_model():
+    """Every motion profile of the five benchmark apps, first call and
+    cached call alike, prices exactly as the model computed afresh."""
+    from repro.core import MotionStage
+    from repro.workloads import benchmark_names, build_benchmark_chains
+
+    cpu = HostCPU(Simulator())
+    profiles = [
+        stage.profile
+        for name in benchmark_names()
+        for stage in build_benchmark_chains(name, 1)[0].stages
+        if isinstance(stage, MotionStage)
+    ]
+    assert len(profiles) >= 5
+    for p in profiles:
+        expected = _uncached_serial_time(cpu, p)
+        assert cpu.serial_time(p) == expected
+        assert cpu.serial_time(p) == expected  # served from the memo
+        for threads in (1, 3, 16):
+            serial = expected
+            scaled = serial / threads * (
+                1.0 + cpu.parallel_overhead * (threads - 1)
+            )
+            floor = p.total_bytes / cpu.spec.socket_stream_bandwidth
+            spawn = cpu.spawn_overhead_s if threads > 1 else 0.0
+            assert cpu.parallel_time(p, threads) == max(scaled, floor) + spawn

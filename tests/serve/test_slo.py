@@ -157,3 +157,58 @@ def test_tracker_percentile_cache_survives_interleaved_adds():
     # Repeated queries with no adds in between reuse the cached sort.
     first = tracker.percentile(0.99)
     assert tracker.percentile(0.99) == first
+
+
+# -- streaming estimate on demand ----------------------------------------
+
+
+def _fresh_p2(q, samples):
+    est = P2Quantile(q)
+    for x in samples:
+        est.add(x)
+    return est.value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_retained_streaming_estimate_equals_a_fresh_p2_over_the_samples(seed):
+    """A retained tracker keeps no live P² state: streaming_estimate()
+    replays the samples, and must land exactly where an estimator fed
+    the same stream in the same order does — below five samples (the
+    exact-start phase), mid-stream between adds, and at the end."""
+    rng = random.Random(seed)
+    tracker = LatencyTracker()
+    shadow = []
+    for n in range(1, 400):
+        x = rng.expovariate(1.0) if n % 5 else rng.uniform(0.0, 0.1)
+        tracker.add(x)
+        shadow.append(x)
+        if n < 6 or n % 37 == 0:
+            for q in tracker.quantiles:
+                assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
+    for q in tracker.quantiles:
+        assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
+
+
+def test_retained_streaming_estimate_errors_match_a_live_estimator():
+    tracker = LatencyTracker()
+    with pytest.raises(ValueError):
+        tracker.streaming_estimate(0.5)  # empty stream, as P2Quantile
+    tracker.add(1.0)
+    with pytest.raises(KeyError):
+        tracker.streaming_estimate(0.25)  # not a tracked quantile
+    with pytest.raises(ValueError):
+        LatencyTracker(quantiles=(0.5, 1.0))  # validated without P² state
+
+
+def test_streaming_tracker_keeps_live_estimators():
+    """retain=False still feeds P² per add (it has nothing to replay)."""
+    rng = random.Random(9)
+    tracker = LatencyTracker(retain=False)
+    shadow = []
+    for _ in range(300):
+        x = rng.expovariate(1.0)
+        tracker.add(x)
+        shadow.append(x)
+    for q in tracker.quantiles:
+        assert tracker.percentile(q) == _fresh_p2(q, shadow)
+        assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
