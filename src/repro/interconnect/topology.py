@@ -32,6 +32,11 @@ SWITCH_PORT_LATENCY_S = 110e-9
 #: ``(links crossed, switch hops)`` between two fabric nodes.
 Route = Tuple[Tuple[PCIeLink, ...], int]
 
+#: A route priced for cut-through transfers: ``(distinct links in
+#: acquisition order, bottleneck bandwidth, propagation sum, switch
+#: hops)``.
+PricedRoute = Tuple[Tuple[PCIeLink, ...], float, float, int]
+
 
 @dataclass
 class Node:
@@ -86,9 +91,11 @@ class Fabric:
         self.root = Node("root", "root")
         self.nodes: Dict[str, Node] = {"root": self.root}
         self.links: List[PCIeLink] = []
-        # Memoized routes per (src, dst): the tree only changes while it
-        # is being built, and every construction method clears the memo.
+        # Memoized routes and their prices per (src, dst): the tree only
+        # changes while it is being built, and every construction method
+        # clears both memos.
         self._routes: Dict[Tuple[str, str], Route] = {}
+        self._priced: Dict[Tuple[str, str], PricedRoute] = {}
         # Optional fault hook: when set (a repro.faults.FaultInjector),
         # every transfer consults the "fabric" site before acquiring links.
         self.injector = None
@@ -106,6 +113,7 @@ class Fabric:
         self.nodes[name] = node
         self.links.append(link)
         self._routes.clear()
+        self._priced.clear()
         return node
 
     def add_switch(self, name: str, parent: Optional[Node] = None) -> Node:
@@ -166,6 +174,7 @@ class Fabric:
         node_b.mux_peers[a] = link
         self.links.append(link)
         self._routes.clear()
+        self._priced.clear()
         return link
 
     def endpoints(self) -> List[Node]:
@@ -220,14 +229,37 @@ class Fabric:
         links.extend(reversed(down))
         return tuple(links), switch_hops
 
-    def _cut_through_duration(self, links, switch_hops: int, nbytes: int) -> float:
+    def _price(self, src: str, dst: str) -> PricedRoute:
+        """Price the ``src`` -> ``dst`` route once (memoized per pair).
+
+        An inline device shares its host's physical link, so the route's
+        links are deduplicated; the propagation sum keeps their
+        first-crossed order, and acquisition uses a canonical global
+        order (by name), so concurrent transfers over overlapping paths
+        queue without deadlock.
+        """
+        links, switch_hops = self.path(src, dst)
+        unique = list({id(link): link for link in links}.values())
+        priced = self._priced[(src, dst)] = (
+            tuple(sorted(unique, key=lambda link: link.name)),
+            # inf for an empty route (src == dst), which is never timed.
+            min((link.bandwidth for link in unique), default=float("inf")),
+            sum(link.config.propagation_latency_s for link in unique),
+            switch_hops,
+        )
+        return priced
+
+    def _cut_through(self, priced: PricedRoute, nbytes: int) -> float:
         """PCIe transfers are cut-through: TLPs stream across every link on
         the path simultaneously, so the serialization time is paid once (at
         the narrowest link), plus per-link propagation and per-switch
-        port-to-port latency."""
-        bottleneck = max(nbytes / link.bandwidth for link in links)
-        propagation = sum(link.config.propagation_latency_s for link in links)
-        return bottleneck + propagation + switch_hops * self.switch_latency_s
+        port-to-port latency. (``nbytes / min(bw)`` is ``max(nbytes / bw)``
+        for ``nbytes >= 0``: correctly rounded division is monotone.)"""
+        _, bottleneck_bw, propagation, switch_hops = priced
+        return (
+            nbytes / bottleneck_bw + propagation
+            + switch_hops * self.switch_latency_s
+        )
 
     def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Process: move ``nbytes`` from ``src`` to ``dst`` over the fabric.
@@ -246,19 +278,15 @@ class Fabric:
             yield from self.injector.interpose(
                 "fabric", actor=f"{src}->{dst}"
             )
-        links, switch_hops = self.path(src, dst)
+        priced = self._priced.get((src, dst)) or self._price(src, dst)
+        links = priced[0]
         if not links:
             return 0.0
-        # Deduplicate (an inline device shares its host's physical link)
-        # and sort for deadlock-free acquisition.
-        unique = {id(link): link for link in links}
-        duration = self._cut_through_duration(
-            list(unique.values()), switch_hops, nbytes
-        )
+        duration = self._cut_through(priced, nbytes)
         held = []
         pending = None
         try:
-            for link in sorted(unique.values(), key=lambda l: l.name):
+            for link in links:
                 request = link.acquire()
                 pending = (link, request)
                 yield request
@@ -278,13 +306,10 @@ class Fabric:
 
     def unloaded_latency(self, src: str, dst: str, nbytes: int) -> float:
         """Contention-free transfer latency, for analytical estimates."""
-        links, switch_hops = self.path(src, dst)
-        if not links:
+        priced = self._priced.get((src, dst)) or self._price(src, dst)
+        if not priced[0]:
             return 0.0
-        unique = {id(link): link for link in links}
-        return self._cut_through_duration(
-            list(unique.values()), switch_hops, nbytes
-        )
+        return self._cut_through(priced, nbytes)
 
     def total_bytes_moved(self) -> int:
         """Total bytes crossing any link — the data-movement metric."""

@@ -163,9 +163,9 @@ class NotificationModel:
         if count < 1:
             raise ValueError(f"notification needs count >= 1: {count}")
         now = self.sim.now
-        history = self._arrivals.setdefault(
-            device, deque(maxlen=self._RATE_WINDOW)
-        )
+        history = self._arrivals.get(device)
+        if history is None:
+            history = self._arrivals[device] = deque(maxlen=self._RATE_WINDOW)
         if count == 1:
             history.append(now)
         else:

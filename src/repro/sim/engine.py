@@ -33,6 +33,7 @@ Example
 from __future__ import annotations
 
 import copy
+import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -164,7 +165,7 @@ class Event:
         self._triggered = True
         self._value = value
         sim = self.sim
-        heappush(sim._heap, (sim.now, sim._next_seq(), self))
+        heappush(sim._heap, (sim.now, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -179,7 +180,7 @@ class Event:
         self._triggered = True
         self._exception = exception
         sim = self.sim
-        heappush(sim._heap, (sim.now, sim._next_seq(), self))
+        heappush(sim._heap, (sim.now, next(sim._seq), self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -210,8 +211,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        # ``not >=`` also rejects NaN, which would poison the clock.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         # Inlined Event.__init__ — timeouts are the hottest allocation
         # in the engine and the extra super() call is measurable.
         self.sim = sim
@@ -222,7 +224,7 @@ class Timeout(Event):
         self._defunct = False
         self._cb0 = None
         self._cbs = None
-        heappush(sim._heap, (sim.now + delay, sim._next_seq(), self))
+        heappush(sim._heap, (sim.now + delay, next(sim._seq), self))
 
     def cancel(self) -> bool:
         """Discard a scheduled timeout that nothing waits on anymore.
@@ -268,7 +270,7 @@ class Process(Event):
         bootstrap._triggered = True
         bootstrap._cb0 = self._on_wake
         self._waiting_on: Optional[Event] = bootstrap
-        heappush(sim._heap, (sim.now, sim._next_seq(), bootstrap))
+        heappush(sim._heap, (sim.now, next(sim._seq), bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -295,7 +297,7 @@ class Process(Event):
         wakeup._exception = Interrupt(cause)
         wakeup._cb0 = self._on_wake
         self._waiting_on = None
-        heappush(sim._heap, (sim.now, sim._next_seq(), wakeup))
+        heappush(sim._heap, (sim.now, next(sim._seq), wakeup))
 
     def _release_generator(self) -> None:
         # ``_on_wake`` is a bound method, so a finished process would
@@ -446,16 +448,13 @@ class Simulator:
         self.now: float = 0.0
         self.strict = strict
         self._heap: List = []
-        self._seq = 0
+        # Heap tiebreak (FIFO among same-time events): every push draws
+        # ``next(sim._seq)``, a C call rather than a Python method.
+        self._seq = itertools.count()
         #: Events processed since construction (canceled entries that
         #: were skipped do not count) — the engine-speed benchmark's
         #: deterministic work measure.
         self.events_processed = 0
-
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
 
     # -- event factories ---------------------------------------------------
 
@@ -477,7 +476,7 @@ class Simulator:
     # -- scheduling core ----------------------------------------------------
 
     def _queue_event(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._heap, (self.now + delay, self._next_seq(), event))
+        heappush(self._heap, (self.now + delay, next(self._seq), event))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` after ``delay``; returns the underlying event."""
@@ -530,8 +529,10 @@ class Simulator:
         clock, so a drained queue leaves ``now`` at the last event that
         actually fired callbacks.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
+        if until is not None and not until >= self.now:
+            raise ValueError(
+                f"until={until} is in the past or NaN (now={self.now})"
+            )
         heap = self._heap
         pop = heappop
         if until is None:

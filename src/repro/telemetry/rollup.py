@@ -81,10 +81,10 @@ class RollupConfig:
             raise ValueError("quantiles must be in (0, 1)")
 
 
-# Not frozen: compute_rollups creates one per (scope, key, window) over
-# the whole run horizon, and the frozen-dataclass __init__ (six
-# object.__setattr__ calls) dominated the rollup pass.
-@dataclass
+# Not frozen, and slotted: compute_rollups creates one per (scope, key,
+# window) over the whole run horizon, and the frozen-dataclass __init__
+# (six object.__setattr__ calls) dominated the rollup pass.
+@dataclass(slots=True)
 class RollupWindow:
     """One (scope, key, window) cell of the rolled-up run."""
 

@@ -14,7 +14,6 @@ the property the artifact determinism tests pin down.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -131,11 +130,12 @@ class SpanTracker:
         self.sim = sim
         self.spans: List[Span] = []
         self.instants: List[Instant] = []
-        self._ids = itertools.count()
         self._open: Dict[int, Span] = {}
-        # parent id -> child span ids, for subtree walks (abandonment).
-        self._children: Dict[int, List[int]] = {}
-        self._by_id: Dict[int, Span] = {}
+        # Every span ever recorded, indexed by its id: ids are dense from
+        # 0, and a parent always exists before its children begin, so a
+        # child's id is larger than its parent's. Subtree walks
+        # (abandonment) rebuild their child lists from this one list.
+        self._index: List[Span] = []
 
     # -- recording -----------------------------------------------------------
 
@@ -159,20 +159,15 @@ class SpanTracker:
             parent_id = parent
         else:
             parent_id = parent.span_id
-        sid = next(self._ids)
+        index = self._index
+        sid = len(index)
         span = Span(
             sid, parent_id, request_id, name, category,
             actor, phase, self.sim.now if start is None else start,
             None, attrs,
         )
+        index.append(span)
         self._open[sid] = span
-        self._by_id[sid] = span
-        if parent_id != ROOT_PARENT:
-            kids = self._children.get(parent_id)
-            if kids is None:
-                self._children[parent_id] = [sid]
-            else:
-                kids.append(sid)
         return span
 
     def end(self, span: ActiveSpan, **attrs: object) -> Span:
@@ -213,15 +208,13 @@ class SpanTracker:
         """Record a span with explicit times (post-hoc recording)."""
         if end < start:
             raise ValueError(f"span ends before it starts: {start}..{end}")
-        parent_id = _parent_id(parent)
+        index = self._index
         span = Span(
-            next(self._ids), parent_id, request_id, name, category,
+            len(index), _parent_id(parent), request_id, name, category,
             actor, phase, start, end, attrs,
         )
-        if parent_id != ROOT_PARENT:
-            self._children.setdefault(parent_id, []).append(span.span_id)
+        index.append(span)
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         return span
 
     def instant(
@@ -248,18 +241,30 @@ class SpanTracker:
         descendants are closed at the current time first). Returns the
         number of spans marked."""
         root_id = root if isinstance(root, int) else root.span_id
+        index = self._index
+        if not 0 <= root_id < len(index):
+            return 0
+        # The subtree's child lists, rebuilt from the spans begun after
+        # the root: one forward pass meets every parent before its
+        # children, and each list comes out in begin order.
+        children: Dict[int, List[int]] = {root_id: []}
+        for span in index[root_id + 1:]:
+            kids = children.get(span.parent_id)
+            if kids is not None:
+                kids.append(span.span_id)
+                children[span.span_id] = []
+        # Depth-first, last-begun child first: open descendants close
+        # (and land in :attr:`spans`) in this order.
         marked = 0
         stack = [root_id]
         while stack:
             span_id = stack.pop()
-            span = self._by_id.get(span_id)
-            if span is None:
-                continue
+            span = index[span_id]
             if span_id in self._open:
                 self.end(span)
             span.attrs["abandoned"] = True
             marked += 1
-            stack.extend(self._children.get(span_id, ()))
+            stack.extend(children[span_id])
         return marked
 
     @property

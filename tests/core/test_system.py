@@ -253,3 +253,32 @@ def test_result_metrics_exclude_failed_requests_by_default():
     assert result.mean_latency(include_failed=True) == pytest.approx(5.0)
     assert result.throughput(include_failed=True) == pytest.approx(1.0)
     assert result.failure_count() == 1
+
+
+def test_fused_profile_is_built_once_per_stage():
+    from dataclasses import replace
+
+    system = build(Mode.BUMP_IN_WIRE, n_apps=2)
+    stages = [s for chain in system.chains for s in chain.stages
+              if isinstance(s, MotionStage)]
+    for stage in stages:
+        fused = system._fused(stage)
+        assert fused == replace(
+            stage.profile,
+            bytes_in=stage.input_bytes, bytes_out=stage.output_bytes,
+        )
+        assert system._fused(stage) is fused
+    # Keyed by identity: an equal but distinct stage gets its own entry.
+    twin = replace(stages[0])
+    assert twin == stages[0] and twin is not stages[0]
+    assert system._fused(twin) == system._fused(stages[0])
+    assert system._fused(twin) is not system._fused(stages[0])
+
+
+def test_fused_profile_honours_the_fusion_ablation(monkeypatch):
+    from repro.core import system as system_module
+
+    monkeypatch.setattr(system_module, "SCRATCHPAD_FUSION", False)
+    system = build(Mode.BUMP_IN_WIRE)
+    stage = system.chains[0].stages[1]
+    assert system._fused(stage) is stage.profile

@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.core import DMXSystem, Mode, SystemConfig
 from repro.interconnect import (
+    KB,
     MB,
     Fabric,
     LinkConfig,
     SWITCH_PORT_LATENCY_S,
 )
 from repro.sim import Simulator
+from repro.workloads import build_benchmark_chains
 
 
 def build_two_switch_fabric(sim):
@@ -195,3 +198,94 @@ def test_total_bytes_moved_counts_every_link_crossing():
     sim.run()
     # 4 links crossed, 1 MB each.
     assert fabric.total_bytes_moved() == 4 * MB
+
+
+# -- route prices: memoized once per (src, dst), exact to the old formula ------
+
+SIZES = (0, 1, 16 * KB, 6 * MB)
+
+
+def _reference_duration(fabric, src, dst, nbytes):
+    """The cut-through duration as every crossing recomputed it before
+    routes were priced once: dedupe the route's links, then the max of
+    the per-link serialization times, plus the propagation sum in
+    first-crossed order, plus the switch hops."""
+    links, switch_hops = fabric.path(src, dst)
+    if not links:
+        return 0.0
+    unique = list({id(link): link for link in links}.values())
+    bottleneck = max(nbytes / link.bandwidth for link in unique)
+    propagation = sum(link.config.propagation_latency_s for link in unique)
+    return bottleneck + propagation + switch_hops * fabric.switch_latency_s
+
+
+def _mode_fabric(mode):
+    # Five apps spill onto a second switch, so routes cross the root.
+    chains = build_benchmark_chains("video-surveillance", 5)
+    return DMXSystem(chains, SystemConfig(mode=mode)).fabric
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+def test_priced_route_equals_the_unmemoized_formula(mode):
+    fabric = _mode_fabric(mode)
+    for src in fabric.nodes:
+        for dst in fabric.nodes:
+            for nbytes in SIZES:
+                assert fabric.unloaded_latency(src, dst, nbytes) == \
+                    _reference_duration(fabric, src, dst, nbytes)
+            # Links are acquired deduplicated, in the global name order.
+            links = {id(link): link for link in fabric.path(src, dst)[0]}
+            assert fabric._priced[(src, dst)][0] == tuple(
+                sorted(links.values(), key=lambda link: link.name)
+            )
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name)
+def test_unloaded_latency_equals_an_executed_idle_transfer(mode):
+    fabric = _mode_fabric(mode)
+    sim = fabric.sim
+    crossings = []
+
+    def mover():
+        for src in fabric.nodes:
+            for dst in fabric.nodes:
+                for nbytes in SIZES:
+                    start = sim.now
+                    elapsed = yield from fabric.transfer(src, dst, nbytes)
+                    crossings.append((start, sim.now, elapsed,
+                                      fabric.unloaded_latency(src, dst, nbytes)))
+
+    sim.spawn(mover())
+    sim.run()
+    assert len(crossings) == len(fabric.nodes) ** 2 * len(SIZES)
+    for start, end, elapsed, expected in crossings:
+        assert end == start + expected  # held the links for exactly that
+        assert elapsed == end - start
+
+
+def test_route_prices_follow_every_construction_change():
+    sim = Simulator()
+    fabric = build_two_switch_fabric(sim)
+    tree = fabric.unloaded_latency("a0", "a1", MB)
+    assert fabric._priced
+    # A mux pair re-prices the pair onto its private link.
+    fabric.add_mux_pair("a0", "a1")
+    assert fabric._priced == {}
+    mux = fabric.unloaded_latency("a0", "a1", MB)
+    assert mux == _reference_duration(fabric, "a0", "a1", MB) < tree
+    # A new node clears the memo too; a narrow link becomes the bottleneck.
+    fabric.add_endpoint("slow", fabric.nodes["sw1"], LinkConfig(lanes=1))
+    assert fabric._priced == {}
+    slow = fabric.unloaded_latency("a0", "slow", MB)
+    assert slow == _reference_duration(fabric, "a0", "slow", MB)
+    assert slow > fabric.unloaded_latency("a0", "b0", MB)
+    fabric.add_switch("sw2")
+    assert fabric._priced == {}
+    # An inline device shares its host's uplink: priced once, deduplicated.
+    fabric.unloaded_latency("b0", "a0", MB)
+    fabric.add_inline("b0.drx", "b0")
+    assert fabric._priced == {}
+    assert fabric.unloaded_latency("b0.drx", "a0", MB) == \
+        _reference_duration(fabric, "b0.drx", "a0", MB)
+    assert fabric.unloaded_latency("b0", "b0.drx", MB) == \
+        _reference_duration(fabric, "b0", "b0.drx", MB)

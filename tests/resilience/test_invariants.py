@@ -33,7 +33,8 @@ def artifact(tmp_path):
 
 
 def _mutate(artifact, tmp_path, fn):
-    rows = [json.loads(line) for line in open(artifact)]
+    with open(artifact) as fh:
+        rows = [json.loads(line) for line in fh]
     fn(rows)
     path = str(tmp_path / "mutated.jsonl")
     with open(path, "w") as fh:

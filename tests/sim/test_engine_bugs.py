@@ -15,6 +15,10 @@ Each test fails on the pre-rework engine (vendored verbatim in
   ``callbacks.remove`` that silently did nothing when the callback was
   absent; the rework makes detach O(1) (stale wakeups are ignored by
   identity) and this file pins interrupt-under-many-waiters behavior.
+* NaN times passed both ordering checks (``delay < 0`` in ``Timeout``,
+  ``until < now`` in ``Simulator.run``): a NaN timeout set the clock to
+  NaN, a later event then fired out of order, and ``run(until=nan)``
+  left ``now`` at NaN.
 """
 
 import pytest
@@ -266,3 +270,47 @@ def test_interrupted_then_rewait_same_event_resumes_once():
     sim.spawn(driver(sim))
     sim.run()
     assert log == [("rewait", 2.0, "go")]
+
+
+# -- bug 4: NaN times slip past the ordering checks ----------------------------
+
+
+def test_nan_timeout_delay_is_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="NaN"):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        Timeout(sim, float("nan"), value="x")
+    assert sim.peek() == float("inf")  # nothing was scheduled
+
+
+def test_nan_timeout_cannot_poison_the_clock():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(2.0)
+        seen.append(sim.now)
+
+    sim.spawn(proc(sim))
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    sim.run()
+    assert seen == [2.0]
+    assert sim.now == 2.0
+
+
+def test_nan_schedule_is_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule(float("nan"), lambda: None)
+
+
+def test_run_until_nan_is_rejected():
+    sim = Simulator()
+    sim.timeout(1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    sim.run(until=1.5)
+    assert sim.now == 1.5

@@ -1,10 +1,14 @@
 """Span model: hierarchy, abandonment, finalization."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.telemetry import ROOT_PARENT, SpanContext, Telemetry
-from repro.telemetry.spans import SpanTracker
+from repro.telemetry.spans import Span, SpanTracker
 
 
 def make_tracker():
@@ -142,3 +146,141 @@ def test_wrap_closes_span_on_interrupt():
     assert telemetry.tracker.open_count == 0
     (span,) = telemetry.spans
     assert span.abandoned and span.end == 1.0
+
+
+# -- mark_abandoned: differential oracle against the child-index walk ----------
+
+
+class _ChildIndexTracker:
+    """The span tracker's abandonment bookkeeping as it was before the
+    one-list index: a dict of spans by id plus a per-parent child list,
+    both written on every ``begin``/``add`` and read only by
+    :meth:`mark_abandoned`. The one-list walk must reproduce it exactly:
+    the same counts, and open descendants closed in the same order."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.spans = []
+        self._ids = itertools.count()
+        self._open = {}
+        self._children = {}
+        self._by_id = {}
+
+    def begin(self, name, category, parent=None, **attrs):
+        parent_id = ROOT_PARENT if parent is None else parent
+        sid = next(self._ids)
+        span = Span(sid, parent_id, -1, name, category, "", "",
+                    self.sim.now, None, attrs)
+        self._open[sid] = span
+        self._by_id[sid] = span
+        if parent_id != ROOT_PARENT:
+            self._children.setdefault(parent_id, []).append(sid)
+        return span
+
+    def end(self, span, **attrs):
+        if self._open.pop(span.span_id, None) is None:
+            if span.attrs.get("abandoned"):
+                return span
+            raise ValueError(f"span {span.span_id} is not open")
+        if attrs:
+            span.attrs.update(attrs)
+        span.end = self.sim.now
+        self.spans.append(span)
+        return span
+
+    def add(self, name, category, start, end, parent=None, **attrs):
+        parent_id = ROOT_PARENT if parent is None else parent
+        span = Span(next(self._ids), parent_id, -1, name, category, "", "",
+                    start, end, attrs)
+        if parent_id != ROOT_PARENT:
+            self._children.setdefault(parent_id, []).append(span.span_id)
+        self.spans.append(span)
+        self._by_id[span.span_id] = span
+        return span
+
+    def mark_abandoned(self, root_id):
+        marked = 0
+        stack = [root_id]
+        while stack:
+            span_id = stack.pop()
+            span = self._by_id.get(span_id)
+            if span is None:
+                continue
+            if span_id in self._open:
+                self.end(span)
+            span.attrs["abandoned"] = True
+            marked += 1
+            stack.extend(self._children.get(span_id, ()))
+        return marked
+
+    def finalize(self):
+        stragglers = list(self._open.values())
+        for span in stragglers:
+            self.end(span, truncated=True)
+        return len(stragglers)
+
+
+def _stream(spans):
+    return [
+        (s.span_id, s.parent_id, s.name, s.start, s.end, s.attrs)
+        for s in spans
+    ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("root", "begin", "end", "add", "abandon", "tick")),
+        st.integers(0, 10**6),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS)
+def test_mark_abandoned_matches_the_child_index_walk(ops):
+    """Random span forests with interleaved begin / end / add / abandon:
+    the one-list walk returns the same counts and leaves the same span
+    stream (order and attrs) as the per-parent child-index walk."""
+    sims = Simulator(), Simulator()
+    tracker, reference = SpanTracker(sims[0]), _ChildIndexTracker(sims[1])
+    ours, theirs = [], []  # spans by id, one list per tracker
+    for kind, pick in ops:
+        n = len(ours)
+        if kind == "tick":
+            for sim in sims:
+                sim.run(until=sim.now + pick % 3)
+        elif kind in ("root", "begin"):
+            parent = None if kind == "root" or not n else pick % n
+            ours.append(tracker.begin(f"s{n}", "stage", parent=parent, k=pick))
+            theirs.append(reference.begin(f"s{n}", "stage", parent=parent,
+                                          k=pick))
+        elif kind == "add":
+            parent = pick % n if n else None
+            start = max(0.0, sims[0].now - pick % 2)
+            ours.append(tracker.add(f"s{n}", "queue", start, sims[0].now,
+                                    parent=parent))
+            theirs.append(reference.add(f"s{n}", "queue", start, sims[1].now,
+                                        parent=parent))
+        elif kind == "end" and n:
+            i = pick % n
+            got = _outcome(lambda: tracker.end(ours[i], done=True).span_id)
+            want = _outcome(lambda: reference.end(theirs[i], done=True).span_id)
+            assert got == want
+        elif kind == "abandon":
+            # Ids just outside the stream (-1, n) abandon nothing.
+            root_id = pick % (n + 2) - 1
+            root = ours[root_id] if 0 <= root_id < n and pick % 2 else root_id
+            assert tracker.mark_abandoned(root) == \
+                reference.mark_abandoned(root_id)
+        assert tracker.open_count == len(reference._open)
+        assert _stream(tracker.spans) == _stream(reference.spans)
+    assert tracker.finalize() == reference.finalize()
+    assert _stream(tracker.spans) == _stream(reference.spans)

@@ -10,9 +10,15 @@ legs through batch formation and the all-backend planner) and one tiny
   replays P² only on demand, so a run makes no ``P2Quantile.add`` call;
 * a backend prices a leg's contention-free half (``unloaded()``) once
   per distinct leg — each plan then reads only live queue depths;
-* ``HostCPU`` runs the top-down model once per distinct profile.
+* ``HostCPU`` runs the top-down model once per distinct profile;
+* no ``Request`` becomes cyclic garbage (a released request no longer
+  holds itself as its value), so none waits for the cyclic collector;
+* a fabric reads each link's bandwidth only when it first prices a
+  route, so the reads follow the distinct routes, not the crossings;
+* ``DMXSystem`` builds each motion stage's fused profile once.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -30,7 +36,9 @@ from repro.core import (
     MotionStage,
     SystemConfig,
 )
+from repro.core import system as system_module
 from repro.cpu.topdown import TopDownModel
+from repro.interconnect import Fabric, PCIeLink
 from repro.profiles import WorkProfile
 from repro.serve import (
     BatchingConfig,
@@ -42,6 +50,7 @@ from repro.serve import (
     ShedPolicy,
     TenantSpec,
 )
+from repro.sim.resources import Request
 from repro.workloads import build_benchmark_chains
 
 KB = 1024
@@ -111,10 +120,14 @@ def _knee():
 
 @pytest.fixture(scope="module", params=["batched", "knee"])
 def counts(request):
-    """Run one scenario with the three hot-path computations counted."""
+    """Run one scenario with the hot-path computations counted, and
+    with the cyclic collector off, keeping whatever it would free."""
     p2 = Counter()
     unloaded = Counter()
     analyze = Counter()
+    work = Counter()
+    routes = {}  # (id(fabric), src, dst) -> (fabric, src, dst)
+    fused_stages = {}  # (id(system), id(stage)) -> (system, stage)
 
     def counting(method, tally, key):
         def wrapper(self, arg):
@@ -122,21 +135,67 @@ def counts(request):
             return method(self, arg)
         return wrapper
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(P2Quantile, "add", counting(
-            P2Quantile.add, p2, lambda est, x: est.q
-        ))
-        for cls in (DRXBackend, CPUBackend, DSABackend, XDMABackend):
-            patch.setattr(cls, "unloaded", counting(
-                cls.unloaded, unloaded, lambda backend, leg: (backend, leg)
+    def routed(method, kind):
+        def wrapper(fabric, src, dst, nbytes):
+            work[kind] += 1
+            routes[(id(fabric), src, dst)] = (fabric, src, dst)
+            return method(fabric, src, dst, nbytes)
+        return wrapper
+
+    bandwidth = PCIeLink.bandwidth.fget
+
+    def counted_bandwidth(link):
+        work["bandwidth_reads"] += 1
+        return bandwidth(link)
+
+    replace = system_module.replace
+
+    def counted_replace(obj, **changes):
+        work["fused_builds"] += 1
+        return replace(obj, **changes)
+
+    fused = DMXSystem._fused
+
+    def counted_fused(system, stage):
+        fused_stages[(id(system), id(stage))] = (system, stage)
+        return fused(system, stage)
+
+    gc.collect()
+    was_enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(P2Quantile, "add", counting(
+                P2Quantile.add, p2, lambda est, x: est.q
             ))
-        patch.setattr(TopDownModel, "analyze", counting(
-            TopDownModel.analyze, analyze, lambda model, p: (model, p)
-        ))
-        {"batched": _batched, "knee": _knee}[request.param]()
+            for cls in (DRXBackend, CPUBackend, DSABackend, XDMABackend):
+                patch.setattr(cls, "unloaded", counting(
+                    cls.unloaded, unloaded,
+                    lambda backend, leg: (backend, leg),
+                ))
+            patch.setattr(TopDownModel, "analyze", counting(
+                TopDownModel.analyze, analyze, lambda model, p: (model, p)
+            ))
+            patch.setattr(Fabric, "transfer",
+                          routed(Fabric.transfer, "crossings"))
+            patch.setattr(Fabric, "unloaded_latency",
+                          routed(Fabric.unloaded_latency, "estimates"))
+            patch.setattr(PCIeLink, "bandwidth", property(counted_bandwidth))
+            patch.setattr(system_module, "replace", counted_replace)
+            patch.setattr(DMXSystem, "_fused", counted_fused)
+            {"batched": _batched, "knee": _knee}[request.param]()
+        gc.collect()
+        cyclic = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
     return {
         "scenario": request.param, "p2": p2, "unloaded": unloaded,
-        "analyze": analyze,
+        "analyze": analyze, "work": work, "routes": routes,
+        "fused_stages": fused_stages, "cyclic": cyclic,
     }
 
 
@@ -160,3 +219,22 @@ def test_topdown_model_runs_once_per_profile_per_host(counts):
     analyze = counts["analyze"]
     assert analyze  # MULTI_AXL restructures on the host in both
     assert analyze == Counter(dict.fromkeys(analyze, 1))
+
+
+def test_no_request_reaches_the_cyclic_collector(counts):
+    assert counts["work"]["crossings"]  # every crossing requests its links
+    assert counts["cyclic"]["Request"] == 0
+
+
+def test_link_bandwidth_is_read_once_per_priced_route(counts):
+    work, routes = counts["work"], counts["routes"]
+    assert work["crossings"] > len(routes)  # routes are crossed again
+    assert work["bandwidth_reads"] == sum(
+        len({id(link) for link in fabric.path(src, dst)[0]})
+        for fabric, src, dst in routes.values()
+    )
+
+
+def test_fused_profile_is_built_once_per_stage(counts):
+    assert counts["fused_stages"]  # both scenarios run DRX legs
+    assert counts["work"]["fused_builds"] == len(counts["fused_stages"])
