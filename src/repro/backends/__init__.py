@@ -3,9 +3,10 @@
 See DESIGN.md §13. The package models four ways to execute a motion
 stage's restructuring leg — DRX, host CPU, an Intel-DSA-style streaming
 engine, and XDMA-style transformation fused into the DMA descriptor —
-behind one :class:`RestructureBackend` interface, and a
-:class:`LegPlanner` that prices each eligible backend under live
-contention and picks the cheapest.
+behind one :class:`RestructureBackend` interface, and the two leg
+routers: the :class:`LegPlanner`, which prices each eligible backend
+under live contention and picks the cheapest, and the static route's
+:class:`FixedRanking` (home DRX unit, sibling unit, CPU).
 """
 
 from .base import (
@@ -21,7 +22,7 @@ from .base import (
     RestructureBackend,
 )
 from .dsa import DSABackend, DSAConfig, DSADevice
-from .planner import LegPlanner, PlanDecision, PlannerConfig
+from .planner import FixedRanking, LegPlanner, PlanDecision, PlannerConfig
 from .xdma import XDMABackend, XDMAConfig, XDMADevice
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "DSABackend",
     "DSAConfig",
     "DSADevice",
+    "FixedRanking",
     "LegPlanner",
     "LegSpec",
     "PlanDecision",

@@ -73,7 +73,9 @@ class LegSpec:
     ``count`` > 1 marks a coalesced batch leg: all members execute on
     the one backend the planner picks (batch members always agree on a
     backend by construction — the decision is per coalesced leg).
-    ``drx`` is the home DRX unit the placement mode assigns this leg.
+    ``drx`` is the DRX unit the leg stages on: the home unit the
+    placement mode assigns, or the sibling the static route moved the
+    leg to when its home was passed over.
     """
 
     mode: Mode
@@ -180,9 +182,10 @@ class RestructureBackend(abc.ABC):
 class DRXBackend(RestructureBackend):
     """The existing DRX path behind the backend interface.
 
-    Estimation and execution both use the leg's *home* unit (the one the
-    placement mode assigns), so a planner restricted to ``{drx, cpu}``
-    reproduces the pre-planner engine exactly.
+    Estimation and execution both use the leg's unit (``leg.drx``).
+    The planner only ever prices a leg at its home unit, so a planner
+    restricted to ``{drx, cpu}`` reproduces the static route only while
+    every home unit admits traffic.
     """
 
     kind = BACKEND_DRX
@@ -243,7 +246,7 @@ class CPUBackend(RestructureBackend):
     """Host-CPU restructuring via host memory (the Multi-Axl path).
 
     Always eligible and never breaker-gated: the CPU is the system's
-    unconditional fallback, exactly as in the pre-planner recovery plane.
+    unconditional fallback, on the static route and the planner alike.
     """
 
     kind = BACKEND_CPU
@@ -319,11 +322,12 @@ class PricedLeg:
 class PriceMemo:
     """The legs a system prices, one :class:`PricedLeg` each.
 
-    A leg is kept per ``(source accelerator, count, home DRX)``. With
+    A leg is kept per ``(source accelerator, count, DRX unit)``. With
     the placement mode fixed at construction those determine every
     :class:`LegSpec` field: the source names the app and the motion
     stage after it (hence the destination, profile, fused profile and
-    CPU threads), and the home DRX names the staging point. The fabric,
+    CPU threads), and the unit — the home one, or a sibling a rerouted
+    leg stages on — names the staging point. The fabric,
     DMA, notifier, CPU and backend configurations that
     :meth:`RestructureBackend.unloaded` also reads are fixed at
     construction too (the scratchpad-fusion ablation switch is only
@@ -341,12 +345,17 @@ class PriceMemo:
     def leg(
         self, app_index: int, src: str, dst: str, stage: MotionStage,
         count: int = 1,
+        placement: Optional[Tuple["DRXDevice", str]] = None,
     ) -> PricedLeg:
         """The motion ``stage`` from ``src`` to ``dst`` of chain
-        ``app_index``, for ``count`` members, at its current home DRX."""
+        ``app_index``, for ``count`` members, at its current home DRX —
+        or, given ``placement``, a ``(drx, staging)`` pair, on that unit
+        instead (a leg rerouted to a sibling of its home)."""
         system = self.system
         mode = system.config.mode
-        drx, staging = system._drx_placement(mode, src, app_index)
+        drx, staging = placement or system._drx_placement(
+            mode, src, app_index
+        )
         key = (src, count, drx.name)
         priced = self._legs.get(key)
         if priced is None:

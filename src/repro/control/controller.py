@@ -102,8 +102,8 @@ class ControllerConfig:
     max_migrations_per_update: int = 1
 
     def __post_init__(self) -> None:
-        if self.update_period_s <= 0:
-            raise ValueError("update_period_s must be positive")
+        if not self.update_period_s > 0:
+            raise ValueError("update_period_s must be positive (not NaN)")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if not 1 <= self.min_samples <= self.window:
@@ -125,9 +125,11 @@ class ControllerConfig:
         if self.max_migrations_per_update < 0:
             raise ValueError("max_migrations_per_update must be >= 0")
         for name in ("weight_dwell_s", "scale_dwell_s",
-                     "placement_dwell_s", "coalesce_cost_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                     "placement_dwell_s", "coalesce_cost_s",
+                     "shed_cost_weight", "coalesce_relief_fraction",
+                     "energy_cost_s_per_j"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0 (not NaN)")
 
 
 class ClosedLoopController:

@@ -15,9 +15,9 @@ on a representative leg per application chain (the chain's first motion
 stage, staged where the placement mode *currently* homes it — live
 queue depths and the live placement both feed the bid). A leg's
 contention-free half depends only on the chain and its home DRX, so it
-is priced once per ``(app, home DRX)`` pair and kept — in the same
-:class:`~repro.backends.base.PriceMemo` the armed planner prices its
-legs from — and each bid reads only the live DRX and CPU queue depths.
+is priced once per ``(app, home DRX)`` pair and kept — in the
+:class:`~repro.backends.base.PriceMemo` of the system's leg router —
+and each bid reads only the live DRX and CPU queue depths.
 Estimates are pure functions of DES state: pricing a tier advances no
 clock and draws no randomness, so two equal-seed runs bid — and
 therefore step — identically.
@@ -28,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
-from ..backends.base import (
-    CPUBackend,
-    DRXBackend,
-    LegSpec,
-    PriceMemo,
-    UnloadedCost,
-)
+from ..backends.base import BACKEND_DRX, DRXBackend, LegSpec, UnloadedCost
 from ..core.chain import MotionStage
 from ..resilience.brownout import BrownoutTier
 
@@ -103,21 +97,14 @@ class TierCostModel:
         self.coalesce_cost_s = coalesce_cost_s
         self.energy_cost_s_per_j = energy_cost_s_per_j
         self.max_tier = max_tier
-        # Reuse the armed planner's backends and price memo when present
-        # (their queue_weight matches what dispatch actually pays, and a
-        # leg the planner already priced is not priced again); otherwise
-        # build bare ones — both price without touching the sim.
-        planner = system.planner
-        if planner is not None and "drx" in planner.backends:
-            self._drx = planner.backends["drx"]
-        else:
-            self._drx = DRXBackend(system)
-        if planner is not None:
-            self._cpu = planner.backends["cpu"]
-            self._prices = planner.prices
-        else:
-            self._cpu = CPUBackend(system)
-            self._prices = PriceMemo(system)
+        # Price on the system router's backends and memo (their
+        # queue_weight matches what dispatch actually pays, and a leg the
+        # router already priced is not priced again); a planner without
+        # a DRX candidate still gets a bare DRX backend.
+        router = system.router
+        self._drx = router.backends.get(BACKEND_DRX) or DRXBackend(system)
+        self._cpu = router.cpu
+        self._prices = router.prices
         self._motion = [
             _first_motion(system, app_index)
             for app_index in range(len(system.chains))

@@ -45,7 +45,8 @@ from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backends.planner import PlanDecision, PlannerConfig
+    from ..backends.base import LegSpec, RestructureBackend
+    from ..backends.planner import FixedRanking, LegPlanner, PlannerConfig
 
 __all__ = ["RequestRecord", "RunResult", "DMXSystem",
            "PHASE_KERNEL", "PHASE_RESTRUCTURE", "PHASE_MOVEMENT",
@@ -312,16 +313,17 @@ class DMXSystem:
     Pass a :class:`~repro.resilience.ResilienceConfig` to additionally
     arm the control plane: per-DRX health monitoring and circuit
     breakers that proactively route motion stages around a sick unit —
-    to an alternate placement or straight to CPU restructuring — before
-    any per-request deadline is burned. With ``resilience=None`` (the
+    to a sibling unit or straight to CPU restructuring — before any
+    per-request deadline is burned. With ``resilience=None`` (the
     default) dispatch is untouched.
 
-    Pass a :class:`~repro.backends.PlannerConfig` as ``backends`` to arm
-    the cost-based per-leg planner: every motion stage's restructuring
+    Pass a :class:`~repro.backends.PlannerConfig` as ``backends`` to make
+    :attr:`router` the cost-based per-leg planner: every restructuring
     leg is priced on each eligible candidate backend (DRX / CPU / DSA /
     XDMA) under live contention and the cheapest admitted one runs it.
-    With ``backends=None`` (the default) routing is the classic
-    DRX-with-CPU-fallback engine, byte-for-byte.
+    With ``backends=None`` (the default) it is the static route: home
+    DRX unit, then a sibling unit, then the CPU. A ``("drx", "cpu")``
+    planner matches it only while every home unit admits traffic.
 
     Pass a :class:`~repro.faults.CrashPlan` as ``domains`` to arm the
     permanent-failure layer: scheduled crashes kill whole failure
@@ -412,20 +414,17 @@ class DMXSystem:
         #: upstream_crossings memo: (app index, card) -> crossings.
         self._crossings: Dict[tuple, int] = {}
         self._build_topology()
-        # The per-leg backend planner (lazy import: repro.backends pulls
-        # repro.core back in for chain/placement types).
-        self.backend_stats: Dict[str, Dict[str, int]] = {}
-        if backends is not None:
-            from ..backends.planner import LegPlanner
+        # The leg routers (lazy import: repro.backends pulls repro.core
+        # back in for chain/placement types).
+        from ..backends.planner import FixedRanking, LegPlanner
 
-            self.planner: Optional[LegPlanner] = LegPlanner(self, backends)
-            for kind in self.planner.kinds():
-                self.backend_stats[kind] = {
-                    "planned": 0, "executed": 0,
-                    "rerouted": 0, "fallen_back": 0,
-                }
-        else:
-            self.planner = None
+        self.planner: Optional[LegPlanner] = (
+            LegPlanner(self, backends) if backends is not None else None
+        )
+        #: Per-backend leg attribution; empty unless the planner is armed.
+        self.backend_stats: Dict[str, Dict[str, int]] = (
+            self.planner.stats if self.planner is not None else {}
+        )
         # The permanent-failure layer (lazy import: the recovery module
         # pulls repro.core back in for the system type). Constructed only
         # when the plan actually schedules a crash, so an armed-but-empty
@@ -438,6 +437,11 @@ class DMXSystem:
             )
         else:
             self.domains = None
+        #: Routes every DRX-placement motion leg: the planner when armed,
+        #: else the static route.
+        self.router: "LegPlanner | FixedRanking" = (
+            self.planner if self.planner is not None else FixedRanking(self)
+        )
 
     # -- topology ------------------------------------------------------------
 
@@ -848,27 +852,6 @@ class DMXSystem:
             return self.drx_devices[f"drx.{switch}"], switch
         raise AssertionError(f"unhandled mode {mode}")  # pragma: no cover
 
-    def _alternate_placements(self, mode: Mode, exclude: str):
-        """Other DRX units (with their staging points) that could serve
-        a leg whose home unit's breaker is open, in deterministic name
-        order. Standalone cards and switch-integrated DRXs are fungible
-        (the fabric routes the extra hops and charges for them);
-        Integrated has a single unit and Bump-in-the-Wire units are
-        private to their wire, so neither has alternates."""
-        if mode == Mode.STANDALONE:
-            return [
-                (self.drx_devices[name], name)
-                for name in sorted(self.drx_devices)
-                if name != exclude
-            ]
-        if mode == Mode.PCIE_INTEGRATED:
-            return [
-                (self.drx_devices[name], name[len("drx."):])
-                for name in sorted(self.drx_devices)
-                if name != exclude
-            ]
-        return []
-
     # -- placement control surface (the closed-loop controller's actuator) ----
 
     def standalone_cards(self) -> List[str]:
@@ -940,84 +923,6 @@ class DMXSystem:
         old = self._standalone_drx_of[app_index]
         self._standalone_drx_of[app_index] = card
         return old
-
-    def _route_drx(
-        self,
-        mode: Mode,
-        drx: DRXDevice,
-        staging: str,
-        state: Optional[_RequestState],
-        mspan: Optional[ActiveSpan],
-        force_cpu: bool,
-    ):
-        """Control-plane routing for one motion stage's DRX leg.
-
-        Returns ``(drx, staging, probe)`` for the unit the leg should
-        use, or ``None`` when the leg must degrade to CPU restructuring
-        right away (the brownout FORCE_CPU tier, the home unit's failure
-        domain decommissioned, or the home breaker open with no
-        admitting alternate). Rerouted legs never burn the per-request
-        DRX deadline — that is the breaker's whole point.
-
-        A *decommissioned* domain (crashed and detected) is excluded
-        outright — home and alternates both — without consulting its
-        breaker; an undetected corpse still admits, dispatches, and
-        fails fast, which is what drives detection.
-        """
-        rid = state.request_id if state is not None else -1
-        record_spans = self.telemetry.enabled and mspan is not None
-        if force_cpu:
-            if state is not None:
-                state.rerouted = True
-            if record_spans:
-                mspan.attrs["forced_cpu"] = True
-            self.telemetry.instant(
-                "brownout_force_cpu", "brownout", actor=drx.name,
-                request_id=rid,
-            )
-            return None
-        down = self.domains is not None and self.domains.is_down(drx.name)
-        if down:
-            if record_spans:
-                mspan.attrs["domain_down"] = True
-        else:
-            if self.control is None:
-                return drx, staging, False
-            decision = self.control.admit(drx.name)
-            if decision.allow:
-                return drx, staging, decision.probe
-            if record_spans:
-                mspan.attrs["breaker_open"] = True
-        if self.control is None or self.control.config.reroute_alternates:
-            for alt, alt_staging in self._alternate_placements(
-                mode, drx.name
-            ):
-                if (
-                    self.domains is not None
-                    and self.domains.is_down(alt.name)
-                ):
-                    continue
-                if self.control is not None:
-                    alt_decision = self.control.admit(alt.name)
-                    if not alt_decision.allow:
-                        continue
-                    probe = alt_decision.probe
-                else:
-                    probe = False
-                if state is not None:
-                    state.rerouted = True
-                if record_spans:
-                    mspan.attrs["rerouted_to"] = alt.name
-                if self.control is not None:
-                    self.control.note_reroute(drx.name, alt.name, rid)
-                return alt, alt_staging, probe
-        if state is not None:
-            state.rerouted = True
-        if record_spans:
-            mspan.attrs["rerouted_to"] = "cpu"
-        if self.control is not None:
-            self.control.note_reroute(drx.name, "cpu", rid)
-        return None
 
     def _overlapped(
         self,
@@ -1183,8 +1088,8 @@ class DMXSystem:
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
+        mspan: ActiveSpan,
+        force_cpu: bool,
     ) -> Generator:
         if mode == Mode.ALL_CPU:
             # Data already lives in host memory; only the computation.
@@ -1221,43 +1126,20 @@ class DMXSystem:
             )
             return
 
-        if self.planner is not None:
-            yield from self._planned_motion(
-                app_index, src, dst, stage, count, phases, state, sctx,
-                mspan, force_cpu,
-            )
-            return
-
-        drx, staging = self._drx_placement(mode, src, app_index)
-
-        probe = False
-        if force_cpu or self.control is not None or self.domains is not None:
-            routed = self._route_drx(
-                mode, drx, staging, state, mspan, force_cpu
-            )
-            if routed is None:
-                # Browned out: the FORCE_CPU tier, the home unit's
-                # domain decommissioned with no surviving alternate, or
-                # the home breaker open with every alternate's breaker
-                # open too. The stage restructures on the host
-                # immediately — no DRX deadline budget is burned.
-                yield from self._multi_axl_motion(
-                    src, dst, stage, threads, count, phases, state, sctx
-                )
-                return
-            drx, staging, probe = routed
-
-        fused = self._fused(stage)
-        yield from self._guarded_leg(
-            lambda acc, ctx: self._drx_motion(
-                mode, src, dst, staging, drx, stage, fused, count, acc,
-                state, ctx,
-            ),
-            lambda: self._multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
-            ),
-            drx.name, "drx", probe, count, phases, state, sctx,
+        router = self.router
+        backend, leg, probe = router.route(
+            app_index, src, dst, stage, count, state, mspan, force_cpu
         )
+        if backend is router.cpu:
+            # The CPU path is never breaker-gated or deadline-raced: it
+            # IS the fallback. A leg routed here burns no DRX deadline.
+            yield from backend.execute(leg, phases, state, sctx)
+            outcome = "done"
+        else:
+            outcome = yield from self._guarded_leg(
+                backend, leg, probe, phases, state, sctx
+            )
+        router.executed(backend.kind, outcome)
 
     def _fused(self, stage: MotionStage):
         """The profile an accelerator executes for ``stage``.
@@ -1285,39 +1167,35 @@ class DMXSystem:
 
     def _guarded_leg(
         self,
-        run: Callable[[PhaseAccumulator, SpanContext], Generator],
-        fallback: Callable[[], Generator],
-        target: str,
-        site: str,
+        backend: "RestructureBackend",
+        leg: "LegSpec",
         probe: bool,
-        count: int,
         phases: PhaseAccumulator,
         state: Optional[_RequestState],
         sctx: SpanContext,
     ) -> Generator:
-        """Run one accelerator leg, ``run(phases, ctx)``, on ``target``
-        under the recovery plane; returns ``"done"``, ``"fell_back"`` or
-        ``"rescued"``.
+        """Run one accelerator ``leg`` on ``backend`` under the recovery
+        plane; returns ``"done"``, ``"fell_back"`` or ``"rescued"``.
 
         Fault-free, crash-free runs execute the leg directly. Otherwise
         it runs under the request's deadline budget (one per member) and,
-        when ``target``'s failure domain has a crash scheduled, races the
+        when the target's failure domain has a crash scheduled, races the
         crash broadcast too. Past the deadline, or on any recoverable
-        failure, the leg falls back to ``fallback()`` (host restructuring
-        via host memory); a crashed domain's leg is drained and rescued
-        by ``fallback()`` exactly once, carrying the burned latency. A
-        batch degrades as a unit — no member is lost. An empty
-        ``target`` is an ungated backend: no breaker, no crash watch.
+        failure, the leg falls back to the router's CPU backend (host
+        restructuring via host memory); a crashed domain's leg is drained
+        and rescued there exactly once, carrying the burned latency. A
+        batch degrades as a unit — no member is lost.
         """
+        target = backend.target(leg)
+        site = backend.kind
+        count = leg.count
         crash_ev = (
-            self.domains.watch(target)
-            if self.domains is not None and target
-            else None
+            self.domains.watch(target) if self.domains is not None else None
         )
         if self._faults is None and crash_ev is None:
             leg_start = self.sim.now
-            yield from run(phases, sctx)
-            if self.control is not None and target:
+            yield from backend.execute(leg, phases, state, sctx)
+            if self.control is not None:
                 self.control.record(
                     target, True, self.sim.now - leg_start, probe=probe
                 )
@@ -1338,28 +1216,28 @@ class DMXSystem:
         rid = state.request_id if state is not None else -1
         try:
             yield from self._leg_race(
-                run(local, sctx.child(attempt)), deadline_s, crash_ev,
-                target, what=f"{site}:{target}",
+                backend.execute(leg, local, state, sctx.child(attempt)),
+                deadline_s, crash_ev, target, what=f"{site}:{target}",
             )
         except DomainCrashed as exc:
             burned = self._rescue_accounting(
                 exc, target, span_start, attempt, sctx, state, phases,
                 probe, count,
             )
-            yield from fallback()
+            yield from self.router.cpu.execute(leg, phases, state, sctx)
             if state is not None:
                 state.rescued = True
             self.domains.on_rescue(target, rid, burned, count)
             return "rescued"
         except _RECOVERABLE as exc:
-            if self.control is not None and target:
+            if self.control is not None:
                 self.control.record(
                     target, False, self.sim.now - span_start, probe=probe
                 )
             if state is not None:
                 state.fell_back = True
             self._note(
-                "fallback", target or site, site=site, request_id=rid,
+                "fallback", target, site=site, request_id=rid,
                 detail=type(exc).__name__,
             )
             # The whole attempt subtree is dead time: abandon it (phase
@@ -1371,13 +1249,13 @@ class DMXSystem:
             phases.add(PHASE_RECOVERY, self.sim.now - span_start)
             self.telemetry.add(
                 "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=target or site,
+                end=self.sim.now, actor=target,
                 parent=sctx.parent_id, request_id=sctx.request_id,
                 phase=PHASE_RECOVERY, cause=type(exc).__name__,
             )
-            yield from fallback()
+            yield from self.router.cpu.execute(leg, phases, state, sctx)
             return "fell_back"
-        if self.control is not None and target:
+        if self.control is not None:
             self.control.record(
                 target, True, self.sim.now - span_start, probe=probe
             )
@@ -1405,120 +1283,6 @@ class DMXSystem:
             on_attempt_failed=self._retry_cb(state, "kernel", device.name),
             what=f"kernel:{device.name}",
         )
-
-    # -- cost-based per-leg backend planning ------------------------------------
-    #
-    # With ``backends=`` armed, the planner replaces the static
-    # DRX-with-CPU-fallback routing for every non-Multi-Axl motion leg:
-    # each eligible backend prices the leg under live contention, the
-    # cheapest admitted one executes it, and the decision (plus the full
-    # ranking) lands on the motion span and the request record. Batched
-    # legs plan once for the whole batch — members agree on a backend by
-    # construction.
-
-    def _record_plan(
-        self,
-        decision: "PlanDecision",
-        target: str,
-        state: Optional[_RequestState],
-        mspan: Optional[ActiveSpan],
-    ) -> None:
-        """Book one planning decision: stats, span attrs, reroute notes."""
-        kind = decision.kind
-        rid = state.request_id if state is not None else -1
-        self.backend_stats[kind]["planned"] += 1
-        for skipped_kind, skipped_target in decision.skipped:
-            # A cheaper backend was breaker-denied: the leg was steered
-            # around it proactively — the planner's reroute.
-            self.backend_stats[skipped_kind]["rerouted"] += 1
-            if state is not None:
-                state.rerouted = True
-            if self.control is not None:
-                self.control.note_reroute(skipped_target, target or kind, rid)
-        if state is not None:
-            state.leg_backends.append(kind)
-            state.leg_reasons.append(decision.reason)
-        if self.telemetry.enabled:
-            if mspan is not None:
-                mspan.attrs["backend"] = kind
-                mspan.attrs["planner_reason"] = decision.reason
-                if decision.skipped:
-                    mspan.attrs["rerouted_to"] = kind
-            self.telemetry.counter("planner_decisions", backend=kind).inc()
-            if decision.estimate is not None:
-                self.telemetry.sample_gauge(
-                    "planner_queue_depth", float(decision.estimate.depth),
-                    backend=kind,
-                )
-
-    def _planned_motion(
-        self,
-        app_index: int,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        count: int,
-        phases: PhaseAccumulator,
-        state: Optional[_RequestState],
-        sctx: SpanContext,
-        mspan: Optional[ActiveSpan] = None,
-        force_cpu: bool = False,
-    ) -> Generator:
-        """One motion leg (single or coalesced batch) under the planner.
-
-        The chosen backend runs under :meth:`_guarded_leg`, as the
-        static DRX leg does: fault-free runs execute it directly; faulted
-        runs race it against the per-request deadline budget and degrade
-        to the CPU backend on a recoverable failure.
-        """
-        from ..backends.base import BACKEND_CPU
-
-        planner = self.planner
-        priced = planner.prices.leg(app_index, src, dst, stage, count)
-        leg = priced.leg
-        if force_cpu:
-            # The planner-aware brownout FORCE_CPU tier: instead of
-            # overriding the cost model outright, it *constrains* it —
-            # the candidate set shrinks to surviving backends no pricier
-            # than the CPU estimate, so a leg whose accelerator path is
-            # cheaper than host restructuring keeps it even under
-            # brownout (shedding load without pessimizing the leg).
-            if state is not None:
-                state.rerouted = True
-            if self.telemetry.enabled and mspan is not None:
-                mspan.attrs["forced_cpu"] = True
-            self.telemetry.instant(
-                "brownout_force_cpu", "brownout", actor=leg.drx.name,
-                request_id=state.request_id if state is not None else -1,
-            )
-            decision = planner.plan(priced, cpu_ceiling=True)
-        else:
-            decision = planner.plan(priced)
-        backend = decision.backend
-        kind = decision.kind
-        target = backend.target(leg)
-        self._record_plan(decision, target, state, mspan)
-
-        if kind == BACKEND_CPU:
-            # The CPU path is never breaker-gated or deadline-raced: it
-            # IS the fallback.
-            yield from backend.execute(leg, phases, state, sctx)
-            self.backend_stats[kind]["executed"] += 1
-            return
-
-        # A drained or fallen-back leg finishes on the CPU backend (the
-        # planner's unconditional survivor).
-        cpu = planner.backend(BACKEND_CPU)
-        outcome = yield from self._guarded_leg(
-            lambda acc, ctx: backend.execute(leg, acc, state, ctx),
-            lambda: cpu.execute(leg, phases, state, sctx),
-            target, kind, decision.probe, count, phases, state, sctx,
-        )
-        if outcome == "fell_back":
-            self.backend_stats[kind]["fallen_back"] += 1
-        self.backend_stats[
-            kind if outcome == "done" else BACKEND_CPU
-        ]["executed"] += 1
 
     def _request(
         self,
@@ -1710,19 +1474,18 @@ class DMXSystem:
     ) -> Generator:
         """Process helper: run one request through the system.
 
-        The entry point for external drivers (notably the serving layer
-        in :mod:`repro.serve`): from any process on this system's
-        simulator, ``record = yield from system.submit(i)`` issues one
-        request on chain ``i`` and returns its :class:`RequestRecord`
-        on completion — including degraded or failed completions when a
-        :class:`~repro.faults.FaultPlan` is armed. Unlike the ``run_*``
-        drivers, ``submit`` does not touch the simulator loop; the
-        caller decides arrival times, concurrency, and admission.
-        ``parent_span`` hangs the request's span tree under a caller
-        span (the serving frontend's client span). ``force_cpu=True``
-        restructures every motion stage on the host CPU regardless of
-        placement — the brownout ladder's last tier. It is the count-1
-        :meth:`submit_batch`.
+        The entry point for external drivers: from any process on this
+        system's simulator, ``record = yield from system.submit(i)``
+        issues one request on chain ``i`` and returns its
+        :class:`RequestRecord` on completion — including degraded or
+        failed completions when a :class:`~repro.faults.FaultPlan` is
+        armed. Unlike the ``run_*`` drivers, ``submit`` does not touch
+        the simulator loop; the caller decides arrival times,
+        concurrency, and admission. ``parent_span`` hangs the request's
+        span tree under a caller span. ``force_cpu=True`` restructures
+        every motion stage on the host CPU regardless of placement — the
+        brownout ladder's last tier. It is the count-1
+        :meth:`submit_batch`, which the serving frontend calls directly.
         """
         (record,) = yield from self.submit_batch(
             app_index, 1, parent_span=parent_span, force_cpu=force_cpu

@@ -78,18 +78,18 @@ class BrownoutConfig:
             raise ValueError("escalate_at must be positive")
         if not 0.0 <= self.deescalate_at < self.escalate_at:
             raise ValueError("deescalate_at must be in [0, escalate_at)")
-        if self.min_dwell_s < 0:
-            raise ValueError("min_dwell_s must be >= 0")
-        if self.update_period_s <= 0:
-            raise ValueError("update_period_s must be positive")
+        if not self.min_dwell_s >= 0:
+            raise ValueError("min_dwell_s must be >= 0 (not NaN)")
+        if not self.update_period_s > 0:
+            raise ValueError("update_period_s must be positive (not NaN)")
 
 
 class BrownoutController:
     """Sliding-window tail latency → degradation tier."""
 
     def __init__(self, slo_s: float, config: BrownoutConfig = BrownoutConfig()):
-        if slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        if not slo_s > 0:
+            raise ValueError("slo_s must be positive (not NaN)")
         self.slo_s = slo_s
         self.config = config
         self.tier = BrownoutTier.NORMAL

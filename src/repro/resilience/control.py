@@ -39,16 +39,14 @@ class ResilienceConfig:
     """Everything :class:`~repro.core.system.DMXSystem` needs to arm
     its control plane.
 
-    ``reroute_alternates=True`` lets an open breaker steer a motion
-    stage to another DRX unit of the same placement (another standalone
-    card, another switch's DRX) before degrading to CPU restructuring;
-    with ``False`` an open breaker always degrades straight to CPU.
+    An open breaker steers a motion stage to another DRX unit of the
+    same placement (another standalone card, another switch's DRX)
+    where the placement has one, before degrading to CPU restructuring.
     """
 
     seed: int = 0
     health: HealthConfig = HealthConfig()
     breaker: BreakerConfig = BreakerConfig()
-    reroute_alternates: bool = True
 
 
 class ControlPlane:

@@ -8,7 +8,8 @@ fixed request counts, this package models *sustained online traffic*:
   arrival processes (one ``random.Random(seed)``, exact replay);
 * :mod:`repro.serve.frontend` — per-tenant bounded admission queues,
   reject-vs-queue shedding, FCFS / weighted-round-robin dispatch into
-  the shared system via :meth:`DMXSystem.submit`;
+  the shared system via :meth:`DMXSystem.submit_batch` (a lone request
+  is a batch of one);
 * :mod:`repro.serve.batching` — per-tenant batch formation (size-out +
   time-out window) feeding coalesced submissions via
   :meth:`DMXSystem.submit_batch` (one descriptor chain + doorbell +

@@ -76,10 +76,10 @@ class BatchingConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.window_s < 0:
-            raise ValueError("window_s must be non-negative")
-        if self.coalesce_window_factor < 1:
-            raise ValueError("coalesce_window_factor must be >= 1")
+        if not self.window_s >= 0:
+            raise ValueError("window_s must be non-negative (not NaN)")
+        if not self.coalesce_window_factor >= 1:
+            raise ValueError("coalesce_window_factor must be >= 1 (not NaN)")
         if self.coalesce_max_batch is not None and self.coalesce_max_batch < 1:
             raise ValueError("coalesce_max_batch must be >= 1")
         if self.rate_window < 2:

@@ -4,7 +4,8 @@ One :class:`ServingFrontend` fronts one :class:`~repro.core.system.DMXSystem`:
 per-tenant arrival processes generate open-loop traffic, a bounded
 admission queue per tenant absorbs (or sheds) bursts, and a dispatcher
 with a bounded in-flight window issues admitted requests into the
-shared system via :meth:`DMXSystem.submit`, collecting each request's
+shared system via :meth:`DMXSystem.submit_batch` (a lone request is a
+batch of one), collecting each request's
 :class:`~repro.core.system.RequestRecord` and charging the full
 arrival→completion latency against the SLO.
 
@@ -12,14 +13,15 @@ The pieces map onto the standard serving pipeline::
 
     arrivals ──> admission (token bucket | bounded queue | shed)
         ──> dispatch (FCFS | WRR | EDF | priority)
-        ──> DMXSystem.submit ──> SLO accounting (p50/p95/p99, goodput)
+        ──> DMXSystem.submit_batch
+        ──> SLO accounting (p50/p95/p99, goodput)
 
 Two resilience hooks from :mod:`repro.resilience` plug in here:
 per-tenant **token buckets** police a tenant's sustained admission rate
 at the door (protecting co-tenants from a bursty neighbour), and the
 **brownout ladder** — driven by windowed tail latency vs. the SLO —
 sheds low-priority arrivals, coalesces dispatch by tenant, and finally
-forces motion stages onto the CPU (``submit(..., force_cpu=True)``).
+forces motion stages onto the CPU (``submit_batch(..., force_cpu=True)``).
 
 Orthogonally to the dispatch discipline, a
 :class:`~repro.serve.batching.BatchingConfig` arms **batch formation**:
@@ -131,8 +133,10 @@ class TenantSpec:
             raise ValueError(f"{self.name}: queue_capacity must be >= 1")
         if self.priority < 0:
             raise ValueError(f"{self.name}: priority must be >= 0")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"{self.name}: deadline_s must be positive")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError(
+                f"{self.name}: deadline_s must be positive (not NaN)"
+            )
 
 
 @dataclass(frozen=True)
@@ -183,10 +187,10 @@ class FrontendConfig:
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if self.sample_period_s is not None and self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        for name in ("slo_s", "sample_period_s"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
         if self.brownout is not None and self.slo_s is None:
             raise ValueError("brownout control requires slo_s")
         if self.max_affinity_run is not None and self.max_affinity_run < 1:
@@ -588,7 +592,7 @@ class ServingFrontend:
                 self._inflight += 1
                 self._tenant_inflight[item.spec.name] += 1
                 self.sim.spawn(
-                    self._serve_one(item),
+                    self._serve([item]),
                     name=f"serve:{item.spec.name}#{item.seq}",
                 )
             if self._former is not None:
@@ -603,26 +607,55 @@ class ServingFrontend:
                 return
             yield self._park()
 
-    def _serve_one(self, item: _Admitted) -> Generator:
+    def _serve(
+        self, items: List[_Admitted], batch: Optional[FormingBatch] = None
+    ) -> Generator:
+        """Submit one tenant's ``items`` as one submission; book each.
+
+        A client span covers arrival→completion (what the SLO sees). A
+        formed ``batch`` gets a batch span, opened at formation start,
+        that parents the client spans and the system's span tree; without
+        one, the lone client span parents the request tree.
+        """
+        spec = items[0].spec
         dispatched = self.sim.now
         telemetry = self.telemetry
-        # The client span covers arrival→completion (what the SLO sees);
-        # its "admission" child is the queue wait, and the system's
-        # request span tree hangs under it via ``parent_span``.
-        client = telemetry.begin(
-            f"{item.spec.name}#{item.seq}", "client", actor=item.spec.name,
-            start=item.arrival, tenant=item.spec.name, seq=item.seq,
-        )
+        bspan = None
+        if batch is not None:
+            bspan = telemetry.begin(
+                f"batch:{spec.name}#{batch.seq}", "batch", actor=spec.name,
+                start=batch.created, tenant=spec.name,
+                batch_size=len(items), sealed_by=batch.sealed_by,
+            )
+        clients = [
+            telemetry.begin(
+                f"{item.spec.name}#{item.seq}", "client",
+                actor=item.spec.name, start=item.arrival,
+                tenant=item.spec.name, seq=item.seq, parent=bspan,
+            )
+            for item in items
+        ]
         force_cpu = (
             self._brownout is not None
             and self._brownout.tier >= BrownoutTier.FORCE_CPU
         )
-        record = yield from self.system.submit(
-            self._app_index[item.spec.name], parent_span=client.span_id,
-            force_cpu=force_cpu,
+        root = bspan if bspan is not None else clients[0]
+        records = yield from self.system.submit_batch(
+            self._app_index[spec.name], len(items),
+            parent_span=root.span_id, force_cpu=force_cpu,
         )
-        self._complete(item, client, record, dispatched)
-        self._release(item.spec.name)
+        if batch is not None:
+            self._stats[spec.name].batches += 1
+            if self._batch_size_hist is not None:
+                self._batch_size_hist.observe(float(len(items)))
+                self._formation_delay_gauge.sample(
+                    self.sim.now, dispatched - batch.created
+                )
+        for item, client, record in zip(items, clients, records):
+            self._complete(item, client, record, dispatched)
+        if bspan is not None:
+            telemetry.end(bspan)
+        self._release(spec.name)
 
     def _complete(
         self,
@@ -751,50 +784,9 @@ class ServingFrontend:
 
     def _launch_batch(self, batch: FormingBatch) -> None:
         self.sim.spawn(
-            self._serve_batch(batch),
+            self._serve(batch.members, batch),
             name=f"serve-batch:{batch.tenant}#{batch.seq}",
         )
-
-    def _serve_batch(self, batch: FormingBatch) -> Generator:
-        items = batch.members
-        spec = items[0].spec
-        stats = self._stats[spec.name]
-        dispatched = self.sim.now
-        telemetry = self.telemetry
-        # The batch span parents every member's client span (and, via
-        # ``parent_span``, the system's batch-exec span tree); it opens
-        # at formation start so its extent covers formation delay too.
-        bspan = telemetry.begin(
-            f"batch:{spec.name}#{batch.seq}", "batch", actor=spec.name,
-            start=batch.created, tenant=spec.name,
-            batch_size=len(items), sealed_by=batch.sealed_by,
-        )
-        clients = [
-            telemetry.begin(
-                f"{item.spec.name}#{item.seq}", "client",
-                actor=item.spec.name, start=item.arrival,
-                tenant=item.spec.name, seq=item.seq, parent=bspan,
-            )
-            for item in items
-        ]
-        force_cpu = (
-            self._brownout is not None
-            and self._brownout.tier >= BrownoutTier.FORCE_CPU
-        )
-        records = yield from self.system.submit_batch(
-            self._app_index[spec.name], len(items),
-            parent_span=bspan.span_id, force_cpu=force_cpu,
-        )
-        stats.batches += 1
-        if self._batch_size_hist is not None:
-            self._batch_size_hist.observe(float(len(items)))
-            self._formation_delay_gauge.sample(
-                self.sim.now, dispatched - batch.created
-            )
-        for item, client, record in zip(items, clients, records):
-            self._complete(item, client, record, dispatched)
-        telemetry.end(bspan)
-        self._release(spec.name)
 
     # -- brownout control loop -----------------------------------------------
 

@@ -137,24 +137,6 @@ def test_force_open_drains_to_sibling_card():
     assert all(i.attrs["to"] == "drx.s1" for i in reroutes)
 
 
-def test_reroute_alternates_disabled_degrades_to_cpu():
-    config = ResilienceConfig(
-        seed=1,
-        breaker=HOLD_OPEN.breaker,
-        reroute_alternates=False,
-    )
-    system = build(n_apps=4, resilience=config)
-    system.control.breaker("drx.s0").force_open(cooldown_s=1e9)
-    result = system.run_latency(requests_per_app=4)
-    assert system.drx_devices["drx.s0"].busy_seconds == 0.0
-    assert system.drx_devices["drx.s1"].busy_seconds > 0.0  # own apps only
-    assert result.rerouted_count() == 8
-    reroutes = [
-        i for i in system.telemetry.instants if i.name == "breaker_reroute"
-    ]
-    assert all(i.attrs["to"] == "cpu" for i in reroutes)
-
-
 def test_breaker_telemetry_spans_and_instants():
     system = build(faults=ALL_HANG, resilience=HOLD_OPEN)
     system.run_latency(requests_per_app=8)

@@ -15,7 +15,13 @@ legs through batch formation and the all-backend planner) and one tiny
   holds itself as its value), so none waits for the cyclic collector;
 * a fabric reads each link's bandwidth only when it first prices a
   route, so the reads follow the distinct routes, not the crossings;
-* ``DMXSystem`` builds each motion stage's fused profile once.
+* ``DMXSystem`` builds each motion stage's fused profile once;
+* the frontend submits every request through ``submit_batch`` (a lone
+  request is a batch of one), never through the ``submit`` wrapper;
+* the leg routers build one ``LegSpec`` per distinct (source, count,
+  unit), and the unarmed static route never walks its ranking;
+* an armed static route over healthy units asks each leg's breaker
+  once and never builds a leg for a sibling unit.
 """
 
 import gc
@@ -25,7 +31,9 @@ import pytest
 
 from repro.accelerators.base import AcceleratorSpec
 from repro.backends import PlannerConfig
-from repro.backends.base import CPUBackend, DRXBackend
+from repro.backends import base as base_module
+from repro.backends import planner as planner_module
+from repro.backends.base import CPUBackend, DRXBackend, PriceMemo
 from repro.backends.dsa import DSABackend
 from repro.backends.xdma import XDMABackend
 from repro.core import (
@@ -40,6 +48,8 @@ from repro.core import system as system_module
 from repro.cpu.topdown import TopDownModel
 from repro.interconnect import Fabric, PCIeLink
 from repro.profiles import WorkProfile
+from repro.resilience import ResilienceConfig
+from repro.resilience.control import ControlPlane
 from repro.serve import (
     BatchingConfig,
     Discipline,
@@ -57,7 +67,7 @@ KB = 1024
 SPEC = AcceleratorSpec(name="accel", domain="d", speedup_vs_cpu=6.0)
 
 
-def _rpc_chains():
+def _rpc_chains(n=2):
     return [
         AppChain(
             name=f"app{i}",
@@ -77,7 +87,7 @@ def _rpc_chains():
                             output_bytes=4 * KB),
             ],
         )
-        for i in range(2)
+        for i in range(n)
     ]
 
 
@@ -160,6 +170,26 @@ def counts(request):
         fused_stages[(id(system), id(stage))] = (system, stage)
         return fused(system, stage)
 
+    submit = DMXSystem.submit
+
+    def counted_submit(system, *args, **kwargs):
+        work["submits"] += 1
+        return submit(system, *args, **kwargs)
+
+    walk = planner_module.admission_walk
+
+    def counted_walk(*args):
+        work["walks"] += 1
+        return walk(*args)
+
+    legspecs = Counter()
+    legspec = base_module.LegSpec
+
+    def counted_legspec(**fields):
+        spec = legspec(**fields)
+        legspecs[(spec.drx, spec.src, spec.count)] += 1
+        return spec
+
     gc.collect()
     was_enabled, debug = gc.isenabled(), gc.get_debug()
     gc.disable()
@@ -184,6 +214,9 @@ def counts(request):
             patch.setattr(PCIeLink, "bandwidth", property(counted_bandwidth))
             patch.setattr(system_module, "replace", counted_replace)
             patch.setattr(DMXSystem, "_fused", counted_fused)
+            patch.setattr(DMXSystem, "submit", counted_submit)
+            patch.setattr(planner_module, "admission_walk", counted_walk)
+            patch.setattr(base_module, "LegSpec", counted_legspec)
             {"batched": _batched, "knee": _knee}[request.param]()
         gc.collect()
         cyclic = Counter(type(obj).__name__ for obj in gc.garbage)
@@ -196,6 +229,7 @@ def counts(request):
         "scenario": request.param, "p2": p2, "unloaded": unloaded,
         "analyze": analyze, "work": work, "routes": routes,
         "fused_stages": fused_stages, "cyclic": cyclic,
+        "legspecs": legspecs,
     }
 
 
@@ -238,3 +272,56 @@ def test_link_bandwidth_is_read_once_per_priced_route(counts):
 def test_fused_profile_is_built_once_per_stage(counts):
     assert counts["fused_stages"]  # both scenarios run DRX legs
     assert counts["work"]["fused_builds"] == len(counts["fused_stages"])
+
+
+def test_frontend_submits_through_submit_batch_only(counts):
+    assert counts["work"]["submits"] == 0
+
+
+def test_one_legspec_per_source_count_and_unit(counts):
+    legspecs = counts["legspecs"]
+    assert legspecs  # both scenarios route DRX-placement legs
+    assert legspecs == Counter(dict.fromkeys(legspecs, 1))
+
+
+def test_unarmed_static_route_never_walks(counts):
+    if counts["scenario"] == "knee":
+        assert counts["work"]["walks"] == 0
+    else:  # the planner walks its ranking on every plan
+        assert counts["work"]["walks"] > 0
+
+
+def test_armed_static_route_asks_each_healthy_home_once():
+    """STANDALONE with two cards and the control plane armed: every leg
+    is admitted on its home card at the first ask, so no sibling leg is
+    ever built."""
+    work = Counter()
+    route = planner_module.FixedRanking.route
+    admit = ControlPlane.admit
+    leg = PriceMemo.leg
+
+    def counted_route(router, *args):
+        work["routes"] += 1
+        return route(router, *args)
+
+    def counted_admit(control, target):
+        work["admits"] += 1
+        return admit(control, target)
+
+    def counted_leg(memo, *args, placement=None, **kwargs):
+        work["siblings"] += placement is not None
+        return leg(memo, *args, placement=placement, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner_module.FixedRanking, "route", counted_route)
+        patch.setattr(ControlPlane, "admit", counted_admit)
+        patch.setattr(PriceMemo, "leg", counted_leg)
+        system = DMXSystem(
+            _rpc_chains(4), SystemConfig(mode=Mode.STANDALONE),
+            resilience=ResilienceConfig(),
+        )
+        assert len(system.drx_devices) == 2
+        system.run_latency(requests_per_app=3)
+    assert work["routes"] == 4 * 3
+    assert work["admits"] == work["routes"]
+    assert work["siblings"] == 0
