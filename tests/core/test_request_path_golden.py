@@ -11,8 +11,12 @@ forced open, a decommissioned home, ``force_cpu``) were captured while
 the static route and the planner were still two separate walks, and pin
 every way a leg can be routed. The serving rows hash one unbatched and
 one batched :class:`~repro.serve.ServingFrontend` run, client and batch
-span trees included. If a change legitimately alters request-path
-output, recapture the tables with
+span trees included. The controller rows hash two runs under the
+closed-loop controller: the benchmark's ``ramp`` scenario at its check
+size, where the controller picks the brownout tier, and the ladder
+stepping tiers itself beside a controller that leaves them alone. If a
+change legitimately alters request-path output, recapture the tables
+with
 ``PYTHONPATH=src python tests/core/test_request_path_golden.py``.
 
 The ``count == 1`` rows double as the batch-of-one contract:
@@ -28,6 +32,7 @@ import pytest
 
 from repro.accelerators.base import AcceleratorSpec
 from repro.backends import PlannerConfig
+from repro.control import ControllerConfig
 from repro.core import (
     AppChain,
     DMXSystem,
@@ -45,11 +50,13 @@ from repro.serve import (
     Discipline,
     FrontendConfig,
     PoissonArrivals,
+    RampArrivals,
     ServingFrontend,
     ShedPolicy,
     TenantSpec,
 )
-from repro.telemetry import artifact_lines
+from repro.telemetry import ObservationConfig, artifact_lines
+from repro.workloads import build_benchmark_chains
 
 KB = 1024
 SPEC = AcceleratorSpec(name="accel", domain="d", speedup_vs_cpu=6.0)
@@ -229,6 +236,60 @@ def serve_digest(scenario):
     return _digest(system.telemetry, result.records, result.to_dict())
 
 
+#: Closed-loop runs on the benchmark's check-size ``ramp`` scenario: four
+#: sound-detection tenants on STANDALONE with resilience armed, one
+#: 0.25 s leg at ~30% and one at ~115% of peak, one standby card and
+#: rollups + alerts. ``ramp`` is the controller driving tiers;
+#: ``ladder-beside-controller`` leaves tiers to the brownout ladder, so
+#: both periodic loops run.
+CONTROLLER_SCENARIOS = {
+    "ramp": ControllerConfig(standby_cards=1, deescalate_fraction=0.2),
+    "ladder-beside-controller": ControllerConfig(
+        drive_tiers=False, standby_cards=1,
+    ),
+}
+
+
+def controller_run(scenario, seed=0):
+    """One controller-armed serving run; returns the drained system, the
+    frontend and its :class:`ServeResult`."""
+    chains = build_benchmark_chains("sound-detection", 4)
+    system = DMXSystem(
+        chains, SystemConfig(mode=Mode.STANDALONE),
+        resilience=ResilienceConfig(seed=seed),
+    )
+    segments = ((0.25, 250.0 / 4), (0.25, 970.0 / 4))
+    tenants = [
+        TenantSpec(
+            name=chain.name, arrivals=RampArrivals(segments=segments),
+            n_requests=round(sum(d * r for d, r in segments)),
+            priority=i % 2,
+        )
+        for i, chain in enumerate(chains)
+    ]
+    frontend = ServingFrontend(
+        system, tenants,
+        FrontendConfig(
+            max_inflight=6, discipline=Discipline.WRR, slo_s=30e-3,
+            brownout=BrownoutConfig(min_dwell_s=4e-3),
+            controller=CONTROLLER_SCENARIOS[scenario],
+            observation=ObservationConfig(),
+        ),
+        seed=seed,
+    )
+    return system, frontend, frontend.run()
+
+
+def controller_digest(scenario):
+    """SHA-256 of one controller run's artifact lines, records,
+    ``ServeResult.to_dict()`` and controller actions."""
+    system, frontend, result = controller_run(scenario)
+    return _digest(
+        system.telemetry, result.records, result.to_dict(),
+        frontend.controller_actions,
+    )
+
+
 GOLDEN = {
     ('all-cpu', 1):
         'fe69e129eda2c77983d7936d1121f62af76c63cd31aaa09bcefa93c1d1994498',
@@ -313,6 +374,14 @@ SERVE_GOLDEN = {
 }
 
 
+CONTROLLER_GOLDEN = {
+    'ladder-beside-controller':
+        'a7855a6482876239f23b1b63e32bd0c806c561ddde76b46837dbb8abed5dd979',
+    'ramp':
+        '9c2499b15dbe03824f3a2993a49ea7753bad3229311103cdbea5cf7583d2bbb1',
+}
+
+
 @pytest.mark.parametrize("scenario,count", sorted(GOLDEN))
 def test_request_path_matches_golden(scenario, count):
     assert run_digest(scenario, count) == GOLDEN[scenario, count]
@@ -321,6 +390,11 @@ def test_request_path_matches_golden(scenario, count):
 @pytest.mark.parametrize("scenario", sorted(SERVE_GOLDEN))
 def test_serving_run_matches_golden(scenario):
     assert serve_digest(scenario) == SERVE_GOLDEN[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(CONTROLLER_GOLDEN))
+def test_controller_run_matches_golden(scenario):
+    assert controller_digest(scenario) == CONTROLLER_GOLDEN[scenario]
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -384,6 +458,22 @@ def test_serving_rows_reach_force_cpu_and_form_batches():
         assert (batches > 0) == (scenario == "batched")
 
 
+def test_controller_rows_exercise_both_tier_writers():
+    """``ramp``'s tier moves come from the controller, and the other
+    row's from the ladder's own loop, beside live controller actions."""
+    for scenario, writer in (
+        ("ramp", "controller"), ("ladder-beside-controller", "brownout"),
+    ):
+        system, frontend, _ = controller_run(scenario)
+        writers = {
+            i.category for i in system.telemetry.instants
+            if i.name in ("brownout_tier", "controller_tier")
+        }
+        assert writers == {writer}
+        kinds = {kind for _, kind, _ in frontend.controller_actions}
+        assert {"weight", "scale_up", "migration"} <= kinds
+
+
 if __name__ == "__main__":  # pragma: no cover - golden capture
     print("GOLDEN = {")
     for name in sorted(SCENARIOS):
@@ -392,4 +482,7 @@ if __name__ == "__main__":  # pragma: no cover - golden capture
     print("}\nSERVE_GOLDEN = {")
     for name in sorted(SERVE_SCENARIOS):
         print(f"    {name!r}:\n        {serve_digest(name)!r},")
+    print("}\nCONTROLLER_GOLDEN = {")
+    for name in sorted(CONTROLLER_SCENARIOS):
+        print(f"    {name!r}:\n        {controller_digest(name)!r},")
     print("}")
