@@ -105,8 +105,7 @@ def _record_force_cpu(
     as rerouted, the motion span carries ``forced_cpu`` and a
     ``brownout_force_cpu`` instant names the home unit."""
     state.rerouted = True
-    if system.telemetry.enabled:
-        mspan.attrs["forced_cpu"] = True
+    mspan.attrs["forced_cpu"] = True
     system.telemetry.instant(
         "brownout_force_cpu", "brownout", actor=leg.drx.name,
         request_id=state.request_id,
@@ -250,17 +249,16 @@ class LegPlanner:
         state.leg_backends.append(kind)
         state.leg_reasons.append(decision.reason)
         telemetry = system.telemetry
-        if telemetry.enabled:
-            mspan.attrs["backend"] = kind
-            mspan.attrs["planner_reason"] = decision.reason
-            if decision.skipped:
-                mspan.attrs["rerouted_to"] = kind
-            telemetry.counter("planner_decisions", backend=kind).inc()
-            if decision.estimate is not None:
-                telemetry.sample_gauge(
-                    "planner_queue_depth", float(decision.estimate.depth),
-                    backend=kind,
-                )
+        mspan.attrs["backend"] = kind
+        mspan.attrs["planner_reason"] = decision.reason
+        if decision.skipped:
+            mspan.attrs["rerouted_to"] = kind
+        telemetry.counter("planner_decisions", backend=kind).inc()
+        if decision.estimate is not None:
+            telemetry.sample_gauge(
+                "planner_queue_depth", float(decision.estimate.depth),
+                backend=kind,
+            )
 
     def executed(self, kind: str, outcome: str) -> None:
         """Book where a ``kind`` leg finished: ``outcome`` is
@@ -426,9 +424,8 @@ class FixedRanking:
             ).leg
         else:
             backend, to = self.cpu, "cpu"
-        if system.telemetry.enabled:
-            mspan.attrs[_HOME_PASSED[passed[0][1]]] = True
-            mspan.attrs["rerouted_to"] = to
+        mspan.attrs[_HOME_PASSED[passed[0][1]]] = True
+        mspan.attrs["rerouted_to"] = to
         if control is not None:
             control.note_reroute(home, to, state.request_id)
         return backend, leg, probe

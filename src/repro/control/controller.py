@@ -3,8 +3,10 @@
 One :class:`ClosedLoopController` runs on the sim clock inside a
 :class:`~repro.serve.frontend.ServingFrontend` and closes the loop over
 every actuator the serving and resilience planes expose, from one
-sensing substrate — windowed per-tenant tail latency vs. the SLO, plus
-the live :class:`~repro.resilience.health.HealthMonitor` scores:
+sensing substrate — windowed per-tenant and global tail latency vs. the
+SLO, read from the frontend's own latency trackers
+(:meth:`~repro.serve.slo.LatencyTracker.tail`), plus the live
+:class:`~repro.resilience.health.HealthMonitor` scores:
 
 * **WRR weights** — tenants burning their SLO headroom get more
   dispatch share, tenants with headroom give it back
@@ -34,18 +36,16 @@ this module existed.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..resilience.brownout import BrownoutTier
-from ..sim.tracing import exact_percentile
 from .cost import TierBid, TierCostModel
 from .placement import plan_placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.frontend import ServingFrontend
+    from ..serve.slo import LatencyTracker
 
 __all__ = ["ControllerConfig", "ClosedLoopController"]
 
@@ -156,10 +156,6 @@ class ClosedLoopController:
         self.config = config
         self.slo_s = frontend.config.slo_s
         self.telemetry = frontend.telemetry
-        self._tenant_window: Dict[str, Deque[float]] = {
-            t.name: deque(maxlen=config.window) for t in frontend.tenants
-        }
-        self._global_window: Deque[float] = deque(maxlen=config.window)
         self._base_weight: Dict[str, int] = {
             t.name: t.weight for t in frontend.tenants
         }
@@ -222,21 +218,15 @@ class ClosedLoopController:
 
     # -- sensing ---------------------------------------------------------------
 
-    def observe(self, tenant: str, latency_s: float) -> None:
-        """Fold one completed request's client latency into the windows."""
-        self._tenant_window[tenant].append(latency_s)
-        self._global_window.append(latency_s)
-
-    def _tail(self, window: Deque[float]) -> Optional[float]:
-        if len(window) < self.config.min_samples:
-            return None
-        return exact_percentile(sorted(window), self.config.quantile)
+    def _tail(self, latency: "LatencyTracker") -> Optional[float]:
+        cfg = self.config
+        return latency.tail(cfg.quantile, cfg.window, cfg.min_samples)
 
     def tenant_tail(self, tenant: str) -> Optional[float]:
-        return self._tail(self._tenant_window[tenant])
+        return self._tail(self.frontend._stats[tenant].latency)
 
     def global_tail(self) -> Optional[float]:
-        return self._tail(self._global_window)
+        return self._tail(self.frontend._latency)
 
     def _shed_fraction(self) -> float:
         """Load share of tenants the SHED_LOW tier would shed."""
@@ -256,8 +246,6 @@ class ClosedLoopController:
 
     def _note(self, now: float, kind: str, detail: str, **attrs) -> None:
         self.actions.append((now, kind, detail))
-        if not self.telemetry.enabled:
-            return
         self.telemetry.counter("controller_actions", kind=kind).inc()
         self.telemetry.instant(f"controller_{kind}", "controller", **attrs)
 
@@ -288,11 +276,7 @@ class ClosedLoopController:
             )
         if self._pool or self.config.drive_placement:
             self._run_placement(now, initial=True)
-        if (
-            self.telemetry.enabled
-            and self.config.drive_tiers
-            and self.frontend._brownout is not None
-        ):
+        if self.config.drive_tiers:
             self.telemetry.metrics.gauge("brownout_tier").sample(
                 now, int(self.frontend._brownout.tier)
             )
@@ -372,10 +356,7 @@ class ClosedLoopController:
         if change is None:
             return
         old, new = change
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge("brownout_tier").sample(
-                now, int(new)
-            )
+        self.telemetry.metrics.gauge("brownout_tier").sample(now, int(new))
         self._note(
             now, "tier",
             f"tier {old.name} -> {new.name} "

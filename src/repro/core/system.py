@@ -340,7 +340,6 @@ class DMXSystem:
         chains: List[AppChain],
         config: SystemConfig,
         faults: Optional[FaultPlan] = None,
-        telemetry_enabled: bool = True,
         resilience: Optional[ResilienceConfig] = None,
         backends: Optional["PlannerConfig"] = None,
         domains: Optional[CrashPlan] = None,
@@ -361,7 +360,7 @@ class DMXSystem:
         #: holds its stage, so the id cannot be reused while cached.
         self._fused_profiles: Dict[int, tuple] = {}
         self.sim = Simulator()
-        self.telemetry = Telemetry(self.sim, enabled=telemetry_enabled)
+        self.telemetry = Telemetry(self.sim)
         self._metrics_recorded = False
         self._faults = faults
         self._request_ids = itertools.count()
@@ -595,8 +594,7 @@ class DMXSystem:
             if will_retry:
                 if state is not None:
                     state.retries += 1
-                if self.telemetry.enabled:
-                    self.telemetry.counter("retries", site=site).inc()
+                self.telemetry.counter("retries", site=site).inc()
                 self._note("retry", actor, site=site, request_id=rid,
                            detail=type(exc).__name__)
             else:
@@ -1596,7 +1594,7 @@ class DMXSystem:
         """Fold end-of-run device/driver counters into the metrics
         registry (idempotent — the serving frontend and the run drivers
         may both call it)."""
-        if self._metrics_recorded or not self.telemetry.enabled:
+        if self._metrics_recorded:
             return
         self._metrics_recorded = True
         t = self.telemetry

@@ -60,11 +60,7 @@ class ControlPlane:
     ):
         self.sim = sim
         self.config = config
-        self._telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.enabled
-            else None
-        )
+        self._telemetry = telemetry
         self.monitor = HealthMonitor(telemetry, config.health)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.reroutes = 0

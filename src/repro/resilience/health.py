@@ -46,9 +46,9 @@ class HealthConfig:
 class HealthMonitor:
     """Per-target sliding windows of operation outcomes.
 
-    ``telemetry=None`` (or a disabled telemetry) keeps the monitor fully
-    functional for the breakers while skipping registry publication —
-    the configuration unit tests use it bare.
+    ``telemetry=None`` keeps the monitor fully functional for the
+    breakers while skipping registry publication — the configuration
+    unit tests use it bare.
     """
 
     def __init__(
@@ -57,11 +57,7 @@ class HealthMonitor:
         config: HealthConfig = HealthConfig(),
     ):
         self.config = config
-        self._telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.enabled
-            else None
-        )
+        self._telemetry = telemetry
         self._windows: Dict[str, Deque[bool]] = {}
         self._ok_counters: Dict[str, object] = {}
         self._fail_counters: Dict[str, object] = {}

@@ -119,11 +119,10 @@ class DomainManager:
         # The broadcast: every leg racing this event is drained at this
         # instant; legs dispatched afterwards fail fast on it.
         self._events[target].succeed()
-        if self.telemetry.enabled:
-            self.telemetry.instant(
-                "domain_crashed", "domain", actor=target,
-                revive_at_s=crash.revive_at_s,
-            )
+        self.telemetry.instant(
+            "domain_crashed", "domain", actor=target,
+            revive_at_s=crash.revive_at_s,
+        )
 
     def _revive(self, crash: DomainCrash) -> None:
         target = crash.target
@@ -132,8 +131,7 @@ class DomainManager:
         self._events.pop(target, None)
         self._failures.pop(target, None)
         self.revived_at[target] = self.sim.now
-        if self.telemetry.enabled:
-            self.telemetry.instant("domain_revived", "domain", actor=target)
+        self.telemetry.instant("domain_revived", "domain", actor=target)
         control = self.system.control
         if control is not None and target in self.dead_at:
             # Back through the front door: DEAD -> OPEN with zero
@@ -169,11 +167,10 @@ class DomainManager:
             self.drained += count
         else:
             self.failed_fast += count
-        if self.telemetry.enabled:
-            self.telemetry.instant(
-                "domain_drain", "domain", actor=target,
-                request_id=request_id, batch=count, inflight=inflight,
-            )
+        self.telemetry.instant(
+            "domain_drain", "domain", actor=target,
+            request_id=request_id, batch=count, inflight=inflight,
+        )
         if target not in self._down or target in self._decommissioned:
             return
         failures = self._failures.get(target, 0) + 1
@@ -186,11 +183,10 @@ class DomainManager:
         self._decommissioned.add(target)
         self.dead_at[target] = now
         detect_s = now - self.crashed_at[target]
-        if self.telemetry.enabled:
-            self.telemetry.instant(
-                "domain_dead", "domain", actor=target, detect_s=detect_s,
-            )
-            self.telemetry.counter("domain_decommissions").inc()
+        self.telemetry.instant(
+            "domain_dead", "domain", actor=target, detect_s=detect_s,
+        )
+        self.telemetry.counter("domain_decommissions").inc()
         control = self.system.control
         if control is not None:
             control.mark_dead(target)
@@ -205,23 +201,21 @@ class DomainManager:
         self, target: str, request_id: int, burned_s: float, count: int
     ) -> None:
         self.rescued += count
-        if self.telemetry.enabled:
-            self.telemetry.instant(
-                "domain_rescue", "domain", actor=target,
-                request_id=request_id, burned_s=burned_s, batch=count,
-                to="cpu",
-            )
-            self.telemetry.counter("domain_rescues", target=target).inc(count)
+        self.telemetry.instant(
+            "domain_rescue", "domain", actor=target,
+            request_id=request_id, burned_s=burned_s, batch=count,
+            to="cpu",
+        )
+        self.telemetry.counter("domain_rescues", target=target).inc(count)
 
     def on_rescue_abandoned(
         self, target: str, request_id: int, burned_s: float, count: int
     ) -> None:
         self.rescues_abandoned += count
-        if self.telemetry.enabled:
-            self.telemetry.instant(
-                "domain_rescue_abandoned", "domain", actor=target,
-                request_id=request_id, burned_s=burned_s, batch=count,
-            )
+        self.telemetry.instant(
+            "domain_rescue_abandoned", "domain", actor=target,
+            request_id=request_id, burned_s=burned_s, batch=count,
+        )
 
     # -- reporting -----------------------------------------------------------
 

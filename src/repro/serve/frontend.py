@@ -257,16 +257,10 @@ class ServingFrontend:
         }
         self._latency = LatencyTracker()
         self._records: List[RequestRecord] = []
-        self._client_latency: Optional[Dict[str, object]] = (
-            {
-                t.name: self.telemetry.histogram(
-                    "client_latency", tenant=t.name
-                )
-                for t in tenants
-            }
-            if self.telemetry.enabled
-            else None
-        )
+        self._client_latency: Dict[str, object] = {
+            t.name: self.telemetry.histogram("client_latency", tenant=t.name)
+            for t in tenants
+        }
         self._inflight = 0
         self._open_arrivals = len(self.tenants)
         self._wake: Optional[Event] = None
@@ -288,7 +282,7 @@ class ServingFrontend:
             if t.rate_limit is not None
         }
         self._brownout: Optional[BrownoutController] = (
-            BrownoutController(config.slo_s, config.brownout)
+            BrownoutController(config.slo_s, self._latency, config.brownout)
             if config.brownout is not None
             else None
         )
@@ -311,7 +305,7 @@ class ServingFrontend:
         )
         self._batch_size_hist = None
         self._formation_delay_gauge = None
-        if self._former is not None and self.telemetry.enabled:
+        if self._former is not None:
             self._batch_size_hist = self.telemetry.histogram("batch_size")
             self._formation_delay_gauge = self.telemetry.metrics.gauge(
                 "batch_formation_delay_s"
@@ -393,36 +387,28 @@ class ServingFrontend:
         queue = self._queues[spec.name]
         gaps = spec.arrivals.interarrivals(self._rng)
         bucket = self._buckets.get(spec.name)
-        record_metrics = self.telemetry.enabled
-        rate_limited_counter = None
-        if record_metrics:
-            arrivals_counter = self.telemetry.counter(
-                "arrivals", tenant=spec.name
-            )
-            shed_counter = self.telemetry.counter("shed", tenant=spec.name)
-            admitted_counter = self.telemetry.counter(
-                "admitted", tenant=spec.name
-            )
-            if bucket is not None:
-                rate_limited_counter = self.telemetry.counter(
-                    "rate_limited", tenant=spec.name
-                )
+        arrivals_counter = self.telemetry.counter("arrivals", tenant=spec.name)
+        shed_counter = self.telemetry.counter("shed", tenant=spec.name)
+        admitted_counter = self.telemetry.counter("admitted", tenant=spec.name)
+        rate_limited_counter = (
+            self.telemetry.counter("rate_limited", tenant=spec.name)
+            if bucket is not None
+            else None
+        )
         for seq in range(spec.n_requests):
             yield self.sim.timeout(next(gaps))
             stats.arrived += 1
-            if record_metrics:
-                arrivals_counter.inc()
+            arrivals_counter.inc()
             # Policer first: a bursty tenant is throttled at the door,
             # before its burst can occupy queue slots.
             if bucket is not None and not bucket.try_take(self.sim.now):
                 stats.shed += 1
                 stats.rate_limited += 1
-                if record_metrics:
-                    shed_counter.inc()
-                    rate_limited_counter.inc()
-                    self.telemetry.instant(
-                        "rate_limited", "admission", actor=spec.name, seq=seq
-                    )
+                shed_counter.inc()
+                rate_limited_counter.inc()
+                self.telemetry.instant(
+                    "rate_limited", "admission", actor=spec.name, seq=seq
+                )
                 continue
             if (
                 self._brownout is not None
@@ -431,27 +417,24 @@ class ServingFrontend:
             ):
                 stats.shed += 1
                 stats.brownout_shed += 1
-                if record_metrics:
-                    shed_counter.inc()
-                    self.telemetry.instant(
-                        "brownout_shed", "admission", actor=spec.name,
-                        seq=seq, tier=int(self._brownout.tier),
-                    )
+                shed_counter.inc()
+                self.telemetry.instant(
+                    "brownout_shed", "admission", actor=spec.name,
+                    seq=seq, tier=int(self._brownout.tier),
+                )
                 continue
             if (
                 self.config.shed is ShedPolicy.REJECT
                 and len(queue) >= spec.queue_capacity
             ):
                 stats.shed += 1
-                if record_metrics:
-                    shed_counter.inc()
-                    self.telemetry.instant(
-                        "shed", "admission", actor=spec.name, seq=seq
-                    )
+                shed_counter.inc()
+                self.telemetry.instant(
+                    "shed", "admission", actor=spec.name, seq=seq
+                )
                 continue
             stats.admitted += 1
-            if record_metrics:
-                admitted_counter.inc()
+            admitted_counter.inc()
             if self._admit_times is not None:
                 self._admit_times[spec.name].append(self.sim.now)
             queue.append(
@@ -646,11 +629,10 @@ class ServingFrontend:
         )
         if batch is not None:
             self._stats[spec.name].batches += 1
-            if self._batch_size_hist is not None:
-                self._batch_size_hist.observe(float(len(items)))
-                self._formation_delay_gauge.sample(
-                    self.sim.now, dispatched - batch.created
-                )
+            self._batch_size_hist.observe(float(len(items)))
+            self._formation_delay_gauge.sample(
+                self.sim.now, dispatched - batch.created
+            )
         for item, client, record in zip(items, clients, records):
             self._complete(item, client, record, dispatched)
         if bspan is not None:
@@ -665,8 +647,9 @@ class ServingFrontend:
         dispatched: float,
     ) -> None:
         """Book one answered request (alone or as a batch member): its
-        queue-wait span, latency and SLO accounting, the brownout and
-        controller feedback, the record, and the closing client span."""
+        queue-wait span, latency and SLO accounting (the latency
+        trackers are what the brownout ladder and the controller sense),
+        the record, and the closing client span."""
         stats = self._stats[item.spec.name]
         telemetry = self.telemetry
         client.request_id = record.request_id
@@ -684,14 +667,9 @@ class ServingFrontend:
         stats.latency.add(latency)
         stats.queue_wait.add(dispatched - item.arrival)
         self._latency.add(latency)
-        if self._brownout is not None:
-            self._brownout.observe(latency)
-        if self._controller is not None:
-            self._controller.observe(item.spec.name, latency)
         self._records.append(record)
         telemetry.end(client, failed=record.failed)
-        if self._client_latency is not None:
-            self._client_latency[item.spec.name].observe(latency)
+        self._client_latency[item.spec.name].observe(latency)
 
     def _release(self, tenant: str) -> None:
         """Free the dispatch slot a request or batch held."""
@@ -826,9 +804,8 @@ class ServingFrontend:
     # -- queue-depth timeline ------------------------------------------------
 
     def _sampler_loop(self, period: float) -> Generator:
-        # The occupancy timeline lives in the metrics registry (written
-        # straight to the registry, not gated on ``telemetry.enabled``,
-        # so ``ServeResult.timeline`` behaves identically either way).
+        # The occupancy timeline lives in the metrics registry;
+        # ``ServeResult.timeline`` is rebuilt from these gauges.
         registry = self.telemetry.metrics
         inflight_gauge = registry.gauge("inflight")
         queue_gauges = {

@@ -5,22 +5,18 @@ including admission-queue wait — the quantity SLOs are written against,
 as opposed to the service-only latency in
 :class:`~repro.core.system.RequestRecord`.
 
-Percentiles come one of two ways:
+:class:`LatencyTracker` keeps every sample, so its percentiles are
+exact at simulation scale: sweep results are reproducible to the byte
+and assertions about knee curves don't ride on estimator error. It is
+also the one in-run record of client latency: the brownout ladder and
+the closed-loop controller read their sliding-window tails from the
+serving frontend's trackers (:meth:`LatencyTracker.tail`) instead of
+keeping copies of the stream.
 
-* an **exact** computation from retained samples (the default at
-  simulation scale), so sweep results are reproducible to the byte and
-  assertions about knee curves don't ride on estimator error;
-* a bounded-memory **streaming** estimate per tracked quantile via the
-  P² algorithm (Jain & Chlamtác, CACM 1985) — O(1) state per quantile,
-  what a production frontend would run. A tracker that drops its
-  samples feeds its estimators on every ``add``; one that retains them
-  computes the estimate on demand by replaying the samples through a
-  fresh estimator (P² is deterministic in sample order, so the value is
-  the one a live estimator would hold), and its ``add`` stays O(1)
-  amortized with no estimator work.
-
-:class:`LatencyTracker` answers ``percentile(q)`` from the exact samples
-when retained and falls back to the P² estimate otherwise.
+:class:`P2Quantile` is a bounded-memory streaming estimate of one
+quantile via the P² algorithm (Jain & Chlamtác, CACM 1985) — O(1)
+state, what a production frontend would run. No tracker feeds it; it
+stays as a standalone estimator.
 """
 
 from __future__ import annotations
@@ -129,29 +125,18 @@ class P2Quantile:
 
 
 class LatencyTracker:
-    """Latency stream: exact retained samples or streaming P² percentiles.
+    """Latency stream with exact percentiles over retained samples.
 
-    ``retain=True`` (the default) keeps every sample so
-    :meth:`percentile` is exact and :meth:`streaming_estimate` replays
-    them on demand; with ``retain=False`` memory stays O(1) and tracked
-    quantiles come from live P² estimators (untracked quantiles then
-    raise).
+    Samples are kept in arrival order: :meth:`percentile` is exact over
+    the whole stream and :meth:`tail` over its most recent window.
     """
 
-    def __init__(
-        self,
-        quantiles: Tuple[float, ...] = DEFAULT_QUANTILES,
-        retain: bool = True,
-    ):
-        estimators = {q: P2Quantile(q) for q in quantiles}  # validates q
-        self._quantiles: Tuple[float, ...] = tuple(estimators)
-        # Live estimators only when no samples are kept: nothing reads a
-        # retained tracker's estimate except streaming_estimate(), which
-        # replays the samples instead of paying three P² updates per add.
-        self._estimators: Optional[Dict[float, P2Quantile]] = (
-            None if retain else estimators
-        )
-        self._samples: Optional[List[float]] = [] if retain else None
+    def __init__(self, quantiles: Tuple[float, ...] = DEFAULT_QUANTILES):
+        for q in quantiles:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"quantile must be in (0, 1), got {q}")
+        self._quantiles: Tuple[float, ...] = tuple(dict.fromkeys(quantiles))
+        self._samples: List[float] = []
         # Sorted view of ``_samples``, invalidated on add: ``summary()``
         # asks for one percentile per tracked quantile, and re-sorting
         # the full sample list per quantile dominated large sweeps.
@@ -165,18 +150,14 @@ class LatencyTracker:
         return self._quantiles
 
     def add(self, x: float) -> None:
-        if x < 0:
-            raise ValueError(f"negative latency sample: {x}")
+        if not x >= 0:
+            raise ValueError(f"latency sample must be >= 0 (not NaN): {x}")
         self.count += 1
         self.total += x
         if x > self.max:
             self.max = x
-        if self._samples is not None:
-            self._samples.append(x)
-            self._sorted = None
-        else:
-            for estimator in self._estimators.values():
-                estimator.add(x)
+        self._samples.append(x)
+        self._sorted = None
 
     def mean(self) -> float:
         if self.count == 0:
@@ -184,51 +165,30 @@ class LatencyTracker:
         return self.total / self.count
 
     def percentile(self, q: float) -> float:
-        """Exact when samples are retained, else the P² estimate.
+        """Exact ``q`` quantile of every sample.
 
-        Exact answers come from a cached sorted view built on the first
+        Answers come from a cached sorted view built on the first
         percentile query after an :meth:`add` — one sort amortized over
         every quantile a summary asks for.
         """
         if self.count == 0:
             raise ValueError("percentile of an empty tracker")
-        if self._samples is not None:
-            ordered = self._sorted
-            if ordered is None:
-                ordered = self._sorted = sorted(self._samples)
-            return _exact_percentile(ordered, q)
-        if q not in self._estimators:
-            raise KeyError(
-                f"quantile {q} not tracked (streaming mode tracks "
-                f"{self.quantiles})"
-            )
-        return self._estimators[q].value
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(self._samples)
+        return _exact_percentile(ordered, q)
+
+    def tail(self, q: float, window: int, min_samples: int) -> Optional[float]:
+        """Exact ``q`` quantile of the last ``window`` samples, or None
+        while fewer than ``min_samples`` have arrived (callers keep
+        ``min_samples <= window``)."""
+        if self.count < min_samples:
+            return None
+        return _exact_percentile(sorted(self._samples[-window:]), q)
 
     def count_over(self, threshold: float) -> int:
-        """How many retained samples exceed ``threshold`` (requires
-        ``retain=True`` — streaming estimators can't answer this)."""
-        if self._samples is None:
-            raise ValueError(
-                "count_over requires retained samples (retain=True)"
-            )
+        """How many samples exceed ``threshold``."""
         return sum(1 for x in self._samples if x > threshold)
-
-    def streaming_estimate(self, q: float) -> float:
-        """The P² estimate regardless of retention (for comparison).
-
-        With samples retained it is computed on demand: the samples are
-        replayed, in arrival order, through a fresh :class:`P2Quantile`,
-        which lands on exactly the value a live estimator fed the same
-        stream would hold.
-        """
-        if q not in self._quantiles:
-            raise KeyError(f"quantile {q} not tracked")
-        if self._estimators is not None:
-            return self._estimators[q].value
-        estimator = P2Quantile(q)
-        for x in self._samples:
-            estimator.add(x)
-        return estimator.value
 
     def summary(self) -> Dict[str, float]:
         """Mean + tracked percentiles, for reports."""
@@ -357,8 +317,8 @@ class ServeResult:
         """
         if slo_s is None:
             return {name: t.violations for name, t in self.tenants.items()}
-        if slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        if not slo_s > 0:
+            raise ValueError("slo_s must be positive (not NaN)")
         return {
             name: t.latency.count_over(slo_s)
             for name, t in self.tenants.items()

@@ -14,7 +14,6 @@ from .engine import (
 from .resources import PriorityResource, Request, Resource, Server, Store
 from .tracing import (
     FaultRecord,
-    Interval,
     PhaseAccumulator,
     Trace,
     exact_percentile,
@@ -38,7 +37,6 @@ __all__ = [
     "Resource",
     "Server",
     "Store",
-    "Interval",
     "PhaseAccumulator",
     "Trace",
     "exact_percentile",

@@ -2,40 +2,24 @@
 
 The DMX experiments need three aggregates per run: per-request latency
 broken into phases (kernel / restructuring / movement), per-resource busy
-time, and per-device energy integrals. :class:`Trace` collects interval
-records; :class:`PhaseAccumulator` sums phase durations; both are cheap
-enough to leave always-on.
+time, and per-device energy integrals. Timing lives in the span tree
+(:mod:`repro.telemetry`); :class:`Trace` keeps the fault plane's point
+events and :class:`PhaseAccumulator` sums phase durations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
-    "Interval",
     "FaultRecord",
     "Trace",
     "PhaseAccumulator",
     "exact_percentile",
     "summarize_latencies",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One traced span of simulated time."""
-
-    start: float
-    end: float
-    actor: str
-    phase: str
-    request_id: int = -1
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -58,63 +42,21 @@ class FaultRecord:
 
 
 class Trace:
-    """Append-only list of :class:`Interval` with simple queries.
-
-    Besides timing intervals, a trace carries a parallel stream of
-    :class:`FaultRecord` point events so injected faults, retries, and
-    fallbacks show up alongside the spans they perturbed.
-    """
+    """Append-only stream of :class:`FaultRecord` point events, so
+    injected faults, retries, and fallbacks show up alongside the spans
+    they perturbed."""
 
     def __init__(
         self,
         note_listener: Optional[Callable[[FaultRecord], None]] = None,
     ) -> None:
-        self.intervals: List[Interval] = []
         self.events: List[FaultRecord] = []
-        # Request-id indexes: the report CLI asks for one request's
-        # intervals/faults at a time, which would otherwise be an O(n)
-        # scan per request (O(n^2) across a large serving run).
-        self._intervals_by_request: Dict[int, List[Interval]] = {}
+        # Request-id index: a per-request fault query would otherwise be
+        # an O(n) scan (O(n^2) across a large serving run).
         self._events_by_request: Dict[int, List[FaultRecord]] = {}
         # Optional mirror: every fault note is forwarded (the telemetry
         # layer subscribes to surface fault events as instants).
         self._note_listener = note_listener
-
-    def record(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        phase: str,
-        request_id: int = -1,
-    ) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
-        interval = Interval(start, end, actor, phase, request_id)
-        self.intervals.append(interval)
-        self._intervals_by_request.setdefault(request_id, []).append(interval)
-
-    def total(self, phase: Optional[str] = None, actor: Optional[str] = None) -> float:
-        """Summed duration of intervals matching the filters."""
-        return sum(
-            iv.duration
-            for iv in self.intervals
-            if (phase is None or iv.phase == phase)
-            and (actor is None or iv.actor == actor)
-        )
-
-    def phases(self) -> Dict[str, float]:
-        """Total duration keyed by phase name."""
-        out: Dict[str, float] = {}
-        for iv in self.intervals:
-            out[iv.phase] = out.get(iv.phase, 0.0) + iv.duration
-        return out
-
-    def for_request(self, request_id: int) -> List[Interval]:
-        """Intervals recorded against one request (indexed lookup)."""
-        return list(self._intervals_by_request.get(request_id, ()))
-
-    # -- fault/recovery event stream ----------------------------------------
 
     def note(
         self,

@@ -77,8 +77,9 @@ class AlertConfig:
             raise ValueError(
                 "need 1 <= fast_windows <= slow_windows"
             )
-        if self.fast_burn <= 0 or self.slow_burn <= 0:
-            raise ValueError("burn thresholds must be positive")
+        for name in ("fast_burn", "slow_burn"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
         if self.clear_after < 1:

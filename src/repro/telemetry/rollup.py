@@ -73,8 +73,8 @@ class RollupConfig:
     quantiles: Tuple[float, ...] = (0.50, 0.95, 0.99)
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not self.window_s > 0:
+            raise ValueError("window_s must be positive (not NaN)")
         if not self.quantiles or any(
             not 0.0 < q < 1.0 for q in self.quantiles
         ):

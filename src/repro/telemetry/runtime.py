@@ -7,9 +7,7 @@ registry behind one object that model components accept, and adds the
 :class:`SpanContext` value that call chains thread downward so leaf
 components (DMA engine, notification model, DRX device) can attach
 their spans under the right parent without knowing about the system.
-
-``Telemetry(sim, enabled=False)`` turns every recording call into a
-no-op — used by the overhead measurement; the default is always-on.
+Recording is always on: there is no off switch.
 """
 
 from __future__ import annotations
@@ -21,27 +19,22 @@ from .spans import ActiveSpan, Instant, Span, SpanTracker, _parent_id
 
 __all__ = ["Telemetry", "SpanContext"]
 
-#: A dummy span handed out while telemetry is disabled.
-_NULL_SPAN = ActiveSpan(-1, -1, -1, "", "", "", "", 0.0, 0.0, {})
-
 
 class Telemetry:
     """Span tracker + metrics registry for one simulated run."""
 
-    def __init__(self, sim, enabled: bool = True) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.enabled = enabled
         self.tracker = SpanTracker(sim)
         self.metrics = MetricsRegistry()
-        if enabled:
-            # Recording is on the DES hot path; while enabled, skip the
-            # gate methods below and dispatch straight to the tracker.
-            self.begin = self.tracker.begin
-            self.end = self.tracker.end
-            self.add = self.tracker.add
-            self.instant = self.tracker.instant
-            self.mark_abandoned = self.tracker.mark_abandoned
-            self.finalize = self.tracker.finalize
+        # Recording is on the DES hot path: bind the tracker's methods
+        # so each call dispatches straight to it.
+        self.begin = self.tracker.begin
+        self.end = self.tracker.end
+        self.add = self.tracker.add
+        self.instant = self.tracker.instant
+        self.mark_abandoned = self.tracker.mark_abandoned
+        self.finalize = self.tracker.finalize
 
     # -- span API ------------------------------------------------------------
 
@@ -52,50 +45,6 @@ class Telemetry:
     @property
     def instants(self) -> List[Instant]:
         return self.tracker.instants
-
-    def begin(
-        self,
-        name: str,
-        category: str,
-        actor: str = "",
-        parent: Union[int, ActiveSpan, Span, None] = None,
-        request_id: int = -1,
-        phase: str = "",
-        start: Optional[float] = None,
-        **attrs: object,
-    ) -> ActiveSpan:
-        if not self.enabled:
-            return _NULL_SPAN
-        return self.tracker.begin(
-            name, category, actor=actor, parent=parent,
-            request_id=request_id, phase=phase, start=start, **attrs,
-        )
-
-    def end(self, span: ActiveSpan, **attrs: object) -> Optional[Span]:
-        if not self.enabled or span is _NULL_SPAN:
-            return None
-        return self.tracker.end(span, **attrs)
-
-    def add(self, *args, **kwargs) -> Optional[Span]:
-        if not self.enabled:
-            return None
-        return self.tracker.add(*args, **kwargs)
-
-    def instant(self, *args, **kwargs) -> Optional[Instant]:
-        if not self.enabled:
-            return None
-        return self.tracker.instant(*args, **kwargs)
-
-    def mark_abandoned(self, root: Union[int, ActiveSpan, Span]) -> int:
-        if not self.enabled or root is _NULL_SPAN:
-            return 0
-        return self.tracker.mark_abandoned(root)
-
-    def finalize(self) -> int:
-        """Close straggling open spans; call after the DES drains."""
-        if not self.enabled:
-            return 0
-        return self.tracker.finalize()
 
     def wrap(
         self,
@@ -134,8 +83,6 @@ class Telemetry:
 
     def sample_gauge(self, name: str, value: float, **labels: str) -> None:
         """Record one gauge sample at the current sim time."""
-        if not self.enabled:
-            return
         self.metrics.gauge(name, **labels).sample(self.sim.now, value)
 
     def context(

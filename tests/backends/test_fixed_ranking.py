@@ -4,14 +4,15 @@ it replaced.
 :class:`~repro.backends.planner.FixedRanking` routes a DRX-placement
 leg through the shared admission walk. The reference below is the
 static route it replaced, ``DMXSystem._route_drx`` with
-``_alternate_placements``. Its code is verbatim apart from two edits:
-methods became functions taking the system, and the
-``reroute_alternates`` knob (whose default, now the only behaviour, was
-``True``) is gone from the alternates condition.
+``_alternate_placements``. Its code is verbatim apart from three edits:
+methods became functions taking the system, the ``reroute_alternates``
+knob (whose default, now the only behaviour, was ``True``) is gone from
+the alternates condition, and ``record_spans`` no longer tests
+``self.telemetry.enabled`` (telemetry has no off switch).
 
 Hypothesis draws a placement mode, a breaker state per DRX unit, a
 decommissioned subset, whether the control plane and the crash layer
-are armed, ``force_cpu``, telemetry on or off, and the batch count. One
+are armed, ``force_cpu``, and the batch count. One
 leg is routed through ``system.router`` on one system and through the
 reference on an identically built twin; every routing effect must
 match — the chosen unit (or CPU) and staging point, the probe flag,
@@ -91,7 +92,7 @@ def _route_drx(self, mode, drx, staging, state, mspan, force_cpu):
     use, or ``None`` when the leg must degrade to CPU restructuring
     right away."""
     rid = state.request_id if state is not None else -1
-    record_spans = self.telemetry.enabled and mspan is not None
+    record_spans = mspan is not None
     if force_cpu:
         if state is not None:
             state.rerouted = True
@@ -193,7 +194,7 @@ def _chain(i):
     )
 
 
-def _build(mode, armed, crash_armed, telemetry):
+def _build(mode, armed, crash_armed):
     # A crash far past anything routed here arms the crash layer (so
     # ``system.domains`` exists) without ever firing.
     domains = (
@@ -202,7 +203,6 @@ def _build(mode, armed, crash_armed, telemetry):
     )
     return DMXSystem(
         [_chain(i) for i in range(N_APPS)], SystemConfig(mode=mode),
-        telemetry_enabled=telemetry,
         resilience=ARMED if armed else None, domains=domains,
     )
 
@@ -235,8 +235,7 @@ def _effects(system, mspan, state):
             for name, b in sorted(control._breakers.items())
         }
     return {
-        "attrs": list(mspan.attrs.items()) if system.telemetry.enabled
-        else [],
+        "attrs": list(mspan.attrs.items()),
         "rerouted": state.rerouted,
         "instants": [
             (i.name, i.category, i.actor, i.time, sorted(i.attrs.items()))
@@ -251,7 +250,7 @@ def _effects(system, mspan, state):
 @st.composite
 def scenarios(draw):
     mode = draw(st.sampled_from(MODES))
-    units = sorted(_build(mode, False, False, False).drx_devices)
+    units = sorted(_build(mode, False, False).drx_devices)
     armed = draw(st.booleans())
     crash_armed = draw(st.booleans())
     return dict(
@@ -271,15 +270,13 @@ def scenarios(draw):
         app=draw(st.integers(0, N_APPS - 1)),
         motion=draw(st.integers(0, 1)),
         force_cpu=draw(st.booleans()),
-        telemetry=draw(st.booleans()),
         count=draw(st.sampled_from([1, 4])),
     )
 
 
 def _route_on_twin(scenario, via_router):
     system = _build(
-        scenario["mode"], scenario["armed"], scenario["crash_armed"],
-        scenario["telemetry"],
+        scenario["mode"], scenario["armed"], scenario["crash_armed"]
     )
     if system.control is not None:
         for name, how in zip(scenario["units"], scenario["breakers"]):

@@ -12,6 +12,7 @@ from repro.resilience import (
     TokenBucket,
     TokenBucketConfig,
 )
+from repro.serve import LatencyTracker
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
 
@@ -72,14 +73,6 @@ def test_monitor_publishes_metrics_into_telemetry():
     assert hist.count == 1 and hist.sum == pytest.approx(2e-3)
 
 
-def test_disabled_telemetry_keeps_monitor_functional():
-    sim = Simulator()
-    telemetry = Telemetry(sim, enabled=False)
-    monitor = HealthMonitor(telemetry)
-    monitor.record("drx.s0", False)
-    assert monitor.health("drx.s0") == 0.0
-
-
 # -- token bucket --------------------------------------------------------------
 
 
@@ -130,22 +123,28 @@ BROWNOUT = BrownoutConfig(
 )
 
 
-def fill(controller, latency, n=8):
+def ladder(config=BROWNOUT):
+    """A ladder at a 50 ms SLO and the latency record it senses."""
+    latency = LatencyTracker()
+    return BrownoutController(50e-3, latency, config), latency
+
+
+def fill(latency, value, n=8):
     for _ in range(n):
-        controller.observe(latency)
+        latency.add(value)
 
 
 def test_no_verdict_below_min_samples():
-    controller = BrownoutController(slo_s=50e-3, config=BROWNOUT)
-    fill(controller, 100e-3, n=3)
+    controller, latency = ladder()
+    fill(latency, 100e-3, n=3)
     assert controller.windowed_tail() is None
     assert controller.update(now=1.0) is None
     assert controller.tier is BrownoutTier.NORMAL
 
 
 def test_escalates_one_tier_per_update_with_dwell():
-    controller = BrownoutController(slo_s=50e-3, config=BROWNOUT)
-    fill(controller, 100e-3)  # tail at 2x SLO
+    controller, latency = ladder()
+    fill(latency, 100e-3)  # tail at 2x SLO
     assert controller.update(now=0.011) == (
         BrownoutTier.NORMAL, BrownoutTier.SHED_LOW,
     )
@@ -165,16 +164,16 @@ def test_escalates_one_tier_per_update_with_dwell():
 
 
 def test_hysteresis_band_holds_tier():
-    controller = BrownoutController(slo_s=50e-3, config=BROWNOUT)
-    fill(controller, 100e-3)
+    controller, latency = ladder()
+    fill(latency, 100e-3)
     controller.update(now=0.011)
     assert controller.tier is BrownoutTier.SHED_LOW
     # Tail between deescalate (35ms) and escalate (50ms): hold.
-    fill(controller, 40e-3)
+    fill(latency, 40e-3)
     assert controller.update(now=0.1) is None
     assert controller.tier is BrownoutTier.SHED_LOW
     # Cool tail de-escalates one step.
-    fill(controller, 10e-3)
+    fill(latency, 10e-3)
     assert controller.update(now=0.2) == (
         BrownoutTier.SHED_LOW, BrownoutTier.NORMAL,
     )
@@ -186,8 +185,8 @@ def test_max_tier_caps_the_ladder():
         window=8, min_samples=4, min_dwell_s=0.0,
         max_tier=BrownoutTier.COALESCE,
     )
-    controller = BrownoutController(slo_s=50e-3, config=config)
-    fill(controller, 1.0)
+    controller, latency = ladder(config)
+    fill(latency, 1.0)
     times = iter(range(1, 10))
     while controller.update(now=float(next(times))) is not None:
         pass
@@ -198,8 +197,8 @@ def test_first_escalation_is_not_suppressed_by_the_initial_dwell():
     """Failing-first for the ``_last_change = 0.0`` bug: before any tier
     change there is nothing to dwell on, so a hot window escalates even
     at ``now < min_dwell_s``."""
-    controller = BrownoutController(slo_s=50e-3, config=BROWNOUT)
-    fill(controller, 100e-3)  # tail at 2x SLO
+    controller, latency = ladder()
+    fill(latency, 100e-3)  # tail at 2x SLO
     assert controller.update(now=0.002) == (
         BrownoutTier.NORMAL, BrownoutTier.SHED_LOW,
     )
@@ -208,7 +207,7 @@ def test_first_escalation_is_not_suppressed_by_the_initial_dwell():
 
 
 def test_set_tier_jumps_directly_and_honors_dwell():
-    controller = BrownoutController(slo_s=50e-3, config=BROWNOUT)
+    controller, _ = ladder()
     # A controller-picked tier may skip rungs (cheapest sufficient tier,
     # not one-step ladder walking), from t=0 on a fresh ladder.
     assert controller.set_tier(0.001, BrownoutTier.FORCE_CPU) == (
@@ -231,7 +230,7 @@ def test_set_tier_respects_max_tier_and_no_ops_on_same_tier():
         window=8, min_samples=4, min_dwell_s=0.0,
         max_tier=BrownoutTier.COALESCE,
     )
-    controller = BrownoutController(slo_s=50e-3, config=config)
+    controller, _ = ladder(config)
     assert controller.set_tier(0.0, BrownoutTier.FORCE_CPU) == (
         BrownoutTier.NORMAL, BrownoutTier.COALESCE,
     )
@@ -250,4 +249,4 @@ def test_brownout_config_validation():
     with pytest.raises(ValueError):
         BrownoutConfig(update_period_s=0.0)
     with pytest.raises(ValueError):
-        BrownoutController(slo_s=0.0)
+        BrownoutController(0.0, LatencyTracker())

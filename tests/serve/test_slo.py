@@ -1,10 +1,14 @@
-"""Streaming percentile estimators and SLO accounting units."""
+"""Percentile estimators, the latency record and SLO accounting units."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import LatencyTracker, P2Quantile, TenantStats
+from repro.sim.tracing import exact_percentile
 
 
 def test_p2_exact_below_five_samples():
@@ -51,31 +55,8 @@ def test_tracker_exact_percentiles_when_retained():
     assert tracker.percentile(0.99) == pytest.approx(99.01)
     assert tracker.mean() == pytest.approx(50.5)
     assert tracker.max == 100.0
-    # Arbitrary quantiles work in retained mode.
+    # Any quantile is exact, tracked or not.
     assert tracker.percentile(0.25) == pytest.approx(25.75)
-
-
-def test_tracker_streaming_mode_bounds_memory():
-    tracker = LatencyTracker(retain=False)
-    rng = random.Random(2)
-    for _ in range(10000):
-        tracker.add(rng.expovariate(1.0))
-    assert tracker._samples is None
-    # Tracked quantiles answer from P2; untracked ones raise.
-    assert tracker.percentile(0.5) > 0
-    with pytest.raises(KeyError):
-        tracker.percentile(0.25)
-
-
-def test_tracker_streaming_estimate_close_to_exact():
-    tracker = LatencyTracker()
-    rng = random.Random(3)
-    for _ in range(20000):
-        tracker.add(rng.expovariate(1.0))
-    for q in (0.5, 0.95, 0.99):
-        assert tracker.streaming_estimate(q) == pytest.approx(
-            tracker.percentile(q), rel=0.15
-        )
 
 
 def test_tracker_summary_and_errors():
@@ -140,8 +121,6 @@ def test_mean_queue_depth_empty_and_single_sample():
 def test_tracker_percentile_cache_survives_interleaved_adds():
     """The cached sorted view must be invalidated by every add, so
     percentile-query/add interleavings always answer from fresh data."""
-    from repro.sim.tracing import exact_percentile
-
     rng = random.Random(11)
     tracker = LatencyTracker()
     shadow = []
@@ -159,56 +138,62 @@ def test_tracker_percentile_cache_survives_interleaved_adds():
     assert tracker.percentile(0.99) == first
 
 
-# -- streaming estimate on demand ----------------------------------------
-
-
-def _fresh_p2(q, samples):
-    est = P2Quantile(q)
-    for x in samples:
-        est.add(x)
-    return est.value
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_retained_streaming_estimate_equals_a_fresh_p2_over_the_samples(seed):
-    """A retained tracker keeps no live P² state: streaming_estimate()
-    replays the samples, and must land exactly where an estimator fed
-    the same stream in the same order does — below five samples (the
-    exact-start phase), mid-stream between adds, and at the end."""
-    rng = random.Random(seed)
-    tracker = LatencyTracker()
-    shadow = []
-    for n in range(1, 400):
-        x = rng.expovariate(1.0) if n % 5 else rng.uniform(0.0, 0.1)
-        tracker.add(x)
-        shadow.append(x)
-        if n < 6 or n % 37 == 0:
-            for q in tracker.quantiles:
-                assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
-    for q in tracker.quantiles:
-        assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
-
-
-def test_retained_streaming_estimate_errors_match_a_live_estimator():
-    tracker = LatencyTracker()
+def test_tracker_validates_and_dedupes_quantiles():
+    with pytest.raises(ValueError, match=r"quantile must be in \(0, 1\)"):
+        LatencyTracker(quantiles=(0.5, 1.0))
     with pytest.raises(ValueError):
-        tracker.streaming_estimate(0.5)  # empty stream, as P2Quantile
+        LatencyTracker(quantiles=(float("nan"),))
+    tracker = LatencyTracker(quantiles=(0.99, 0.5, 0.99))
+    assert tracker.quantiles == (0.99, 0.5)
     tracker.add(1.0)
-    with pytest.raises(KeyError):
-        tracker.streaming_estimate(0.25)  # not a tracked quantile
-    with pytest.raises(ValueError):
-        LatencyTracker(quantiles=(0.5, 1.0))  # validated without P² state
+    assert list(tracker.summary()) == ["count", "mean", "max", "p99", "p50"]
 
 
-def test_streaming_tracker_keeps_live_estimators():
-    """retain=False still feeds P² per add (it has nothing to replay)."""
-    rng = random.Random(9)
-    tracker = LatencyTracker(retain=False)
-    shadow = []
-    for _ in range(300):
-        x = rng.expovariate(1.0)
+# -- the windowed tail ---------------------------------------------------
+
+
+def test_tail_reads_the_last_window_once_min_samples_arrived():
+    tracker = LatencyTracker()
+    for x in (9.0, 1.0, 2.0):
         tracker.add(x)
-        shadow.append(x)
-    for q in tracker.quantiles:
-        assert tracker.percentile(q) == _fresh_p2(q, shadow)
-        assert tracker.streaming_estimate(q) == _fresh_p2(q, shadow)
+    assert tracker.tail(0.5, window=2, min_samples=4) is None
+    tracker.add(3.0)
+    # The window holds the last two samples, 2.0 and 3.0.
+    assert tracker.tail(0.5, window=2, min_samples=4) == 2.5
+    assert tracker.tail(0.99, window=4, min_samples=4) == pytest.approx(
+        exact_percentile([1.0, 2.0, 3.0, 9.0], 0.99)
+    )
+
+
+#: Latencies with repeats and zeros: a small pool drawn with replacement.
+_LATENCIES = st.sampled_from([0.0, 0.0, 1e-6, 2.5e-3, 2.5e-3, 7e-3, 0.03, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.lists(
+        st.one_of(_LATENCIES, st.floats(0.0, 1.0)), max_size=120
+    ),
+    window=st.integers(1, 40),
+    data=st.data(),
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_tail_equals_the_sliding_window_it_replaced(stream, window, data, q):
+    """``tail`` against a verbatim copy of the per-consumer window the
+    brownout ladder and the controller each kept: a
+    ``deque(maxlen=window)`` fed every sample, None while shorter than
+    ``min_samples``, else the exact percentile of its sorted contents."""
+    min_samples = data.draw(st.integers(1, window), label="min_samples")
+    tracker = LatencyTracker()
+    reference = deque(maxlen=window)
+
+    def reference_tail():
+        if len(reference) < min_samples:
+            return None
+        return exact_percentile(sorted(reference), q)
+
+    assert tracker.tail(q, window, min_samples) is None
+    for x in stream:
+        tracker.add(x)
+        reference.append(x)
+        assert tracker.tail(q, window, min_samples) == reference_tail()

@@ -3,34 +3,11 @@
 import pytest
 
 from repro.sim import (
-    Interval,
     PhaseAccumulator,
     Trace,
     geometric_mean,
     summarize_latencies,
 )
-
-
-def test_interval_duration():
-    assert Interval(1.0, 3.5, "cpu", "restructure").duration == 2.5
-
-
-def test_trace_rejects_backwards_interval():
-    trace = Trace()
-    with pytest.raises(ValueError):
-        trace.record(5.0, 4.0, "cpu", "x")
-
-
-def test_trace_totals_and_filters():
-    trace = Trace()
-    trace.record(0.0, 1.0, "cpu", "restructure", request_id=1)
-    trace.record(1.0, 3.0, "accel", "kernel", request_id=1)
-    trace.record(3.0, 4.0, "cpu", "restructure", request_id=2)
-    assert trace.total() == pytest.approx(4.0)
-    assert trace.total(phase="restructure") == pytest.approx(2.0)
-    assert trace.total(actor="accel") == pytest.approx(2.0)
-    assert trace.phases() == {"restructure": 2.0, "kernel": 2.0}
-    assert len(trace.for_request(1)) == 2
 
 
 def test_phase_accumulator_fractions():
@@ -114,19 +91,6 @@ def test_exact_percentile_matches_serving_tracker():
         tracker.add(x)
     for q in (0.5, 0.95, 0.99):
         assert tracker.percentile(q) == exact_percentile(sorted(samples), q)
-
-
-def test_trace_for_request_indexed_lookup():
-    trace = Trace()
-    for rid in (0, 1, 0, 2, 1, 0):
-        trace.record(0.0, 1.0, "a", "p", request_id=rid)
-    assert len(trace.for_request(0)) == 3
-    assert len(trace.for_request(1)) == 2
-    assert trace.for_request(99) == []
-    # The index mirrors a linear scan exactly.
-    assert trace.for_request(2) == [
-        iv for iv in trace.intervals if iv.request_id == 2
-    ]
 
 
 def test_trace_faults_indexed_by_request():

@@ -101,18 +101,6 @@ def test_finalize_truncates_stragglers():
     assert tracker.finalize() == 0
 
 
-def test_disabled_telemetry_is_a_noop():
-    sim = Simulator()
-    telemetry = Telemetry(sim, enabled=False)
-    span = telemetry.begin("x", "stage")
-    assert telemetry.end(span) is None
-    assert telemetry.add("q", "queue", start=0.0, end=1.0) is None
-    assert telemetry.instant("e", "fault") is None
-    assert telemetry.mark_abandoned(span) == 0
-    assert telemetry.finalize() == 0
-    assert telemetry.spans == [] and telemetry.instants == []
-
-
 def test_span_context_threads_parent_and_request():
     sim = Simulator()
     telemetry = Telemetry(sim)

@@ -6,8 +6,8 @@ job), so these pin *counts* on one tiny ``batched`` scenario (16 KB RPC
 legs through batch formation and the all-backend planner) and one tiny
 ``knee`` scenario (MB legs on the single-request path):
 
-* a tracker that retains its samples answers percentiles exactly and
-  replays P² only on demand, so a run makes no ``P2Quantile.add`` call;
+* a tracker answers percentiles exactly from its samples and feeds no
+  P² estimator, so a run makes no ``P2Quantile.add`` call;
 * a backend prices a leg's contention-free half (``unloaded()``) once
   per distinct leg — each plan then reads only live queue depths;
 * ``HostCPU`` runs the top-down model once per distinct profile;

@@ -9,6 +9,13 @@ step, ``PlannerConfig(queue_weight=nan)`` priced every bid at NaN (so
 the ranking fell back to declaration order), and
 ``TenantSpec(deadline_s=nan)`` broke EDF ordering. Negative values of
 the three controller cost weights were accepted too.
+
+The observation plane and the serving summary had the same hole:
+``AlertConfig(fast_burn=nan)`` or ``slow_burn=nan`` never fired an
+alert, ``RollupConfig(window_s=nan)`` let a whole run finish and then
+crashed the rollup pass, ``ServeResult.per_tenant_slo_violations(nan)``
+counted no violation, and ``LatencyTracker.add(nan)`` turned the mean
+and every percentile into NaN.
 """
 
 import math
@@ -21,9 +28,12 @@ from repro.resilience.brownout import BrownoutConfig, BrownoutController
 from repro.serve import (
     BatchingConfig,
     FrontendConfig,
+    LatencyTracker,
     PoissonArrivals,
     TenantSpec,
 )
+from repro.serve.slo import ServeResult, TenantStats
+from repro.telemetry import AlertConfig, RollupConfig
 
 NAN = math.nan
 
@@ -52,6 +62,9 @@ CHECKS = [
     (ControllerConfig, "coalesce_relief_fraction"),
     (ControllerConfig, "energy_cost_s_per_j"),
     (PlannerConfig, "queue_weight"),
+    (AlertConfig, "fast_burn"),
+    (AlertConfig, "slow_burn"),
+    (RollupConfig, "window_s"),
 ]
 
 
@@ -77,7 +90,7 @@ def test_negative_controller_cost_fields_are_rejected(name):
 
 def test_brownout_controller_rejects_nan_slo():
     with pytest.raises(ValueError, match="slo_s.*NaN"):
-        BrownoutController(NAN)
+        BrownoutController(NAN, LatencyTracker())
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=[_id(c) for c in CHECKS])
@@ -85,3 +98,22 @@ def test_finite_defaults_still_accepted(check):
     make, name = check
     value = {"slo_s": 1e-3, "deadline_s": 1e-3}.get(name)
     make(**({name: value} if value is not None else {}))
+
+
+def test_latency_tracker_rejects_a_nan_sample():
+    tracker = LatencyTracker()
+    with pytest.raises(ValueError, match="NaN"):
+        tracker.add(NAN)
+    assert tracker.count == 0
+
+
+def test_what_if_slo_rejects_nan():
+    stats = TenantStats(name="t")
+    stats.latency.add(1e-3)
+    result = ServeResult(
+        tenants={"t": stats}, latency=stats.latency, timeline=[],
+        elapsed=1.0,
+    )
+    assert result.per_tenant_slo_violations(1e-6) == {"t": 1}
+    with pytest.raises(ValueError, match="slo_s.*NaN"):
+        result.per_tenant_slo_violations(NAN)
