@@ -128,8 +128,6 @@ class PlannerConfig:
     """
 
     candidates: Tuple[str, ...] = BACKEND_KINDS
-    dsa: DSAConfig = field(default_factory=DSAConfig)
-    xdma: XDMAConfig = field(default_factory=XDMAConfig)
     #: Scales how strongly live queue depth repels the planner.
     queue_weight: float = 1.0
 
@@ -197,9 +195,9 @@ class LegPlanner:
         if kind == BACKEND_CPU:
             return CPUBackend(self.system, w)
         if kind == BACKEND_DSA:
-            return DSABackend(self.system, self.config.dsa, w)
+            return DSABackend(self.system, DSAConfig(), w)
         if kind == BACKEND_XDMA:
-            return XDMABackend(self.system, self.config.xdma, w)
+            return XDMABackend(self.system, XDMAConfig(), w)
         raise ValueError(f"unknown backend kind {kind!r}")
 
     def kinds(self) -> Tuple[str, ...]:

@@ -5,8 +5,8 @@ The open-loop ladder steps one tier at a time on a threshold; the
 closed-loop controller instead asks each tier for a priced bid —
 estimated tail-latency **relief** (seconds of windowed tail the tier is
 expected to shave) against the **cost** it charges (goodput shed,
-formation latency added, host restructuring time and energy paid) — and
-picks the *cheapest sufficient* tier: the lowest-cost rung whose relief
+formation latency added, host restructuring time paid) — and picks
+the *cheapest sufficient* tier: the lowest-cost rung whose relief
 covers the current SLO overshoot.
 
 All prices come from the same :class:`~repro.backends.base.CostEstimate`
@@ -36,6 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import DMXSystem
 
 __all__ = ["TierBid", "TierCostModel"]
+
+#: Converts the goodput SHED_LOW destroys into latency units.
+SHED_COST_WEIGHT = 2.0
+#: Share of the queueing pressure COALESCE relieves.
+COALESCE_RELIEF_FRACTION = 0.35
+#: COALESCE's price: the formation delay it adds.
+COALESCE_COST_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -82,20 +89,8 @@ class TierCostModel:
     entry of the price memo a bid reads.
     """
 
-    def __init__(
-        self,
-        system: "DMXSystem",
-        shed_cost_weight: float,
-        coalesce_relief_fraction: float,
-        coalesce_cost_s: float,
-        energy_cost_s_per_j: float,
-        max_tier: BrownoutTier,
-    ):
+    def __init__(self, system: "DMXSystem", max_tier: BrownoutTier):
         self.system = system
-        self.shed_cost_weight = shed_cost_weight
-        self.coalesce_relief_fraction = coalesce_relief_fraction
-        self.coalesce_cost_s = coalesce_cost_s
-        self.energy_cost_s_per_j = energy_cost_s_per_j
         self.max_tier = max_tier
         # Price on the system router's backends and memo (their
         # queue_weight matches what dispatch actually pays, and a leg the
@@ -136,27 +131,22 @@ class TierCostModel:
             + cpu_b.queue_s(cpu_b.queue_depth(leg), cpu.per_job_s)
             for leg, _, cpu in priced
         ) / n
-        energy_delta = max(
-            0.0,
-            sum(cpu.energy_j for _, _, cpu in priced) / n
-            - sum(drx.energy_j for _, drx, _ in priced) / n,
-        )
         bids = [
             # Shedding removes the sheddable tenants' share of the
             # queueing pressure; its price is the goodput destroyed,
-            # converted to latency units via the configured weight.
+            # converted to latency units via SHED_COST_WEIGHT.
             TierBid(
                 tier=BrownoutTier.SHED_LOW,
                 relief_s=shed_fraction * queue_s,
-                paid_s=self.shed_cost_weight * shed_fraction * slo_s,
+                paid_s=SHED_COST_WEIGHT * shed_fraction * slo_s,
             ),
             # Coalescing amortizes the control path (descriptor chains,
-            # doorbells, one completion ISR): a configured fraction of
-            # the queueing pressure, paid for in formation delay.
+            # doorbells, one completion ISR): a fixed fraction of the
+            # queueing pressure, paid for in formation delay.
             TierBid(
                 tier=BrownoutTier.COALESCE,
-                relief_s=self.coalesce_relief_fraction * queue_s,
-                paid_s=self.coalesce_cost_s,
+                relief_s=COALESCE_RELIEF_FRACTION * queue_s,
+                paid_s=COALESCE_COST_S,
             ),
             # Host restructuring dodges the DRX queue entirely, but the
             # service-time gap is *signed*: when the CPU path is slower
@@ -168,8 +158,7 @@ class TierCostModel:
             TierBid(
                 tier=BrownoutTier.FORCE_CPU,
                 relief_s=queue_s + (drx_service - cpu_total),
-                paid_s=max(0.0, cpu_total - drx_service)
-                + self.energy_cost_s_per_j * energy_delta,
+                paid_s=max(0.0, cpu_total - drx_service),
             ),
         ]
         return [b for b in bids if b.tier <= self.max_tier]

@@ -56,16 +56,15 @@ class SystemConfig:
     pcie_gen: PCIeGen = PCIeGen.GEN3
     drx: DRXConfig = DEFAULT_DRX
     accelerators_per_switch: int = 8
-    cpu_restructure_threads: int = 8
     # Lanes on the switch→CPU upstream ports and on the accelerator
     # downstream ports. Newer-generation CPUs expose more lanes
     # (Sec. VII-C's Fig. 19 discussion), so the Gen 4/5 *baselines* widen
     # these; DMX accelerator/DRX cards keep their fixed x8 edge.
     upstream_lanes: int = 8
     accelerator_lanes: int = 8
-    # Standalone cards run off PCIe slot power (25 W). The modeled DRX
-    # fits that envelope, so the clock is not derated by default; the
-    # knob remains for studying power-constrained cards.
+    # Standalone cards run off PCIe slot power (25 W), which binds the
+    # card's clock: drx_config_for multiplies it by this factor, so by
+    # default a standalone DRX runs at 85% of the base clock.
     standalone_derate: float = 0.85
 
     def __post_init__(self) -> None:
@@ -73,8 +72,6 @@ class SystemConfig:
             raise ValueError("accelerators_per_switch must be positive")
         if not 0 < self.standalone_derate <= 1:
             raise ValueError("standalone_derate must be in (0, 1]")
-        if self.cpu_restructure_threads <= 0:
-            raise ValueError("cpu_restructure_threads must be positive")
 
 
 def drx_config_for(config: SystemConfig) -> DRXConfig:

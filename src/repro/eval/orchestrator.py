@@ -93,9 +93,7 @@ class IncompleteGridError(OrchestratorError):
 
 
 def _registry() -> Dict[str, type]:
-    from ..backends.dsa import DSAConfig
     from ..backends.planner import PlannerConfig
-    from ..backends.xdma import XDMAConfig
     from ..core.placement import Mode
     from ..faults.injector import FaultPolicy
     from ..faults.plan import FaultPlan
@@ -103,7 +101,6 @@ def _registry() -> Dict[str, type]:
     from ..resilience.brownout import BrownoutConfig, BrownoutTier
     from ..resilience.chaos import ChaosSweepConfig
     from ..resilience.control import ResilienceConfig
-    from ..resilience.health import HealthConfig
     from ..resilience.breaker import BreakerConfig
     from ..serve.batching import BatchingConfig
     from ..serve.frontend import Discipline, ShedPolicy
@@ -115,9 +112,9 @@ def _registry() -> Dict[str, type]:
             Mode, ShedPolicy, Discipline, BrownoutTier,
             SweepConfig, ChaosSweepConfig,
             FaultPlan, FaultPolicy, RetryPolicy,
-            ResilienceConfig, HealthConfig, BreakerConfig,
+            ResilienceConfig, BreakerConfig,
             BrownoutConfig, BatchingConfig,
-            PlannerConfig, DSAConfig, XDMAConfig,
+            PlannerConfig,
         )
     }
 

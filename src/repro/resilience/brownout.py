@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BrownoutTier", "BrownoutConfig", "BrownoutController"]
 
+#: At ``SHED_LOW`` and above, arrivals from tenants with
+#: ``priority <= SHED_MAX_PRIORITY`` are shed at the door.
+SHED_MAX_PRIORITY = 0
+
 
 class BrownoutTier(enum.IntEnum):
     """Degradation tiers, ordered by severity (comparable as ints)."""
@@ -52,8 +56,6 @@ class BrownoutTier(enum.IntEnum):
 class BrownoutConfig:
     """Ladder thresholds and hysteresis.
 
-    ``shed_max_priority``: at ``SHED_LOW`` and above, arrivals from
-    tenants with ``priority <= shed_max_priority`` are shed at the door.
     ``max_tier`` caps how far the ladder may climb (e.g. stop at
     ``COALESCE`` for a deployment that never degrades to CPU).
     """
@@ -65,7 +67,6 @@ class BrownoutConfig:
     deescalate_at: float = 0.7
     min_dwell_s: float = 10e-3
     update_period_s: float = 2e-3
-    shed_max_priority: int = 0
     max_tier: BrownoutTier = BrownoutTier.FORCE_CPU
 
     def __post_init__(self) -> None:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .breaker import BreakerConfig, BreakerDecision, BreakerState, \
     CircuitBreaker
-from .health import HealthConfig, HealthMonitor
+from .health import HealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
@@ -45,7 +45,6 @@ class ResilienceConfig:
     """
 
     seed: int = 0
-    health: HealthConfig = HealthConfig()
     breaker: BreakerConfig = BreakerConfig()
 
 
@@ -61,7 +60,7 @@ class ControlPlane:
         self.sim = sim
         self.config = config
         self._telemetry = telemetry
-        self.monitor = HealthMonitor(telemetry, config.health)
+        self.monitor = HealthMonitor(telemetry)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.reroutes = 0
         self.transitions = 0

@@ -49,11 +49,10 @@ class BatchingConfig:
     the current instant's events drain) but adds no wall-clock delay.
 
     Under the brownout ``COALESCE`` tier the window stretches by
-    ``coalesce_window_factor`` and the cap is replaced by
-    ``coalesce_max_batch`` (when set) — trading more formation delay for
-    fewer control-path invocations exactly when the system is drowning
-    in them. Both escalations read the tier at the moment a batch is
-    *opened*, so an in-flight batch's terms never change under it.
+    ``coalesce_window_factor`` — trading more formation delay for fewer
+    control-path invocations exactly when the system is drowning in
+    them. The stretch reads the tier at the moment a batch is *opened*,
+    so an in-flight batch's terms never change under it.
 
     ``size_aware=True`` shrinks the window of a batch *at open time* to
     the time the tenant's recent admission rate says it actually needs:
@@ -69,7 +68,6 @@ class BatchingConfig:
     max_batch: int = 8
     window_s: float = 2e-3
     coalesce_window_factor: float = 4.0
-    coalesce_max_batch: Optional[int] = None
     size_aware: bool = False
     rate_window: int = 8
 
@@ -80,8 +78,6 @@ class BatchingConfig:
             raise ValueError("window_s must be non-negative (not NaN)")
         if not self.coalesce_window_factor >= 1:
             raise ValueError("coalesce_window_factor must be >= 1 (not NaN)")
-        if self.coalesce_max_batch is not None and self.coalesce_max_batch < 1:
-            raise ValueError("coalesce_max_batch must be >= 1")
         if self.rate_window < 2:
             raise ValueError(
                 "rate_window must be >= 2 (a rate needs two samples)"

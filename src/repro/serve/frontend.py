@@ -52,10 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.alerts import ObservationConfig
 
 from ..control import ClosedLoopController, ControllerConfig
+from ..control.controller import UPDATE_PERIOD_S
 from ..core.system import DMXSystem, RequestRecord
 from ..resilience.admission import TokenBucket, TokenBucketConfig
-from ..resilience.brownout import BrownoutConfig, BrownoutController, \
-    BrownoutTier
+from ..resilience.brownout import SHED_MAX_PRIORITY, BrownoutConfig, \
+    BrownoutController, BrownoutTier
 from ..sim import Event
 from .arrivals import ArrivalProcess
 from .batching import BatchFormer, BatchingConfig, FormingBatch
@@ -174,9 +175,10 @@ class FrontendConfig:
     #: weight driving, cheapest-sufficient-tier brownout selection, the
     #: standby-card capacity autoscaler, and crossing-minimizing chain
     #: placement — all on the sim clock. Requires ``slo_s`` (the loop
-    #: senses p99-vs-SLO headroom); ``drive_tiers`` additionally
-    #: requires ``brownout``. ``None`` (the default) changes nothing:
-    #: disarmed runs are byte-identical to pre-controller builds.
+    #: senses p99-vs-SLO headroom). With ``brownout`` armed too, the
+    #: controller picks the tier and the ladder's own loop stands down.
+    #: ``None`` (the default) changes nothing: disarmed runs are
+    #: byte-identical to pre-controller builds.
     controller: Optional["ControllerConfig"] = None
     #: Arms the SLO observation plane (windowed rollups + burn-rate
     #: alerts). Evaluated strictly *after* the simulation drains, from
@@ -195,13 +197,8 @@ class FrontendConfig:
             raise ValueError("brownout control requires slo_s")
         if self.max_affinity_run is not None and self.max_affinity_run < 1:
             raise ValueError("max_affinity_run must be >= 1")
-        if self.controller is not None:
-            if self.slo_s is None:
-                raise ValueError("the closed-loop controller requires slo_s")
-            if self.controller.drive_tiers and self.brownout is None:
-                raise ValueError(
-                    "controller.drive_tiers requires the brownout ladder"
-                )
+        if self.controller is not None and self.slo_s is None:
+            raise ValueError("the closed-loop controller requires slo_s")
 
 
 class _Admitted:
@@ -413,7 +410,7 @@ class ServingFrontend:
             if (
                 self._brownout is not None
                 and self._brownout.tier >= BrownoutTier.SHED_LOW
-                and spec.priority <= self.config.brownout.shed_max_priority
+                and spec.priority <= SHED_MAX_PRIORITY
             ):
                 stats.shed += 1
                 stats.brownout_shed += 1
@@ -683,10 +680,10 @@ class ServingFrontend:
 
     def _batch_terms(self, tenant: str) -> "tuple[int, float]":
         """(max_batch, window_s) for a batch the ``tenant`` opens *now*:
-        the brownout COALESCE tier stretches the window (and optionally
-        the cap) so overload buys more amortization per control-path
-        invocation; size-aware formation then shrinks the window to what
-        the tenant's admission rate can actually fill."""
+        the brownout COALESCE tier stretches the window so overload buys
+        more amortization per control-path invocation; size-aware
+        formation then shrinks the window to what the tenant's admission
+        rate can actually fill."""
         cfg = self.config.batching
         max_batch, window_s = cfg.max_batch, cfg.window_s
         if (
@@ -694,8 +691,6 @@ class ServingFrontend:
             and self._brownout.tier >= BrownoutTier.COALESCE
         ):
             window_s *= cfg.coalesce_window_factor
-            if cfg.coalesce_max_batch is not None:
-                max_batch = cfg.coalesce_max_batch
         if self._admit_times is not None:
             window_s = self._size_aware_window(tenant, max_batch, window_s)
         return max_batch, window_s
@@ -859,15 +854,11 @@ class ServingFrontend:
                 self._sampler_loop(self.config.sample_period_s),
                 name="queue-sampler",
             )
-        drives_tiers = (
-            self._controller is not None
-            and self.config.controller.drive_tiers
-        )
-        if self._brownout is not None and not drives_tiers:
-            # With the closed-loop controller picking tiers, the open-
-            # loop ladder stepping stands down (two writers would fight
-            # over the same actuator); the ladder machinery still
-            # applies whatever tier the controller sets.
+        if self._brownout is not None and self._controller is None:
+            # An armed controller picks the tiers itself, so the open-
+            # loop ladder stepping runs only without one (two writers
+            # would fight over the same actuator); the ladder machinery
+            # still applies whatever tier the controller sets.
             self.sim.spawn(
                 self._brownout_loop(self.config.brownout.update_period_s),
                 name="brownout-controller",
@@ -878,9 +869,7 @@ class ServingFrontend:
             # clock.
             self._controller.start(self.sim.now)
             self.sim.spawn(
-                self._controller_loop(
-                    self.config.controller.update_period_s
-                ),
+                self._controller_loop(UPDATE_PERIOD_S),
                 name="closed-loop-controller",
             )
         self.sim.run()

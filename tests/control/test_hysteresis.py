@@ -14,6 +14,11 @@ import json
 import pytest
 
 from repro.control import ControllerConfig
+from repro.control.controller import (
+    PLACEMENT_DWELL_S,
+    SCALE_DWELL_S,
+    WEIGHT_DWELL_S,
+)
 from repro.core import DMXSystem, Mode, SystemConfig
 from repro.resilience import ResilienceConfig
 from repro.resilience.brownout import BrownoutConfig
@@ -100,7 +105,7 @@ def test_weight_changes_honor_the_per_tenant_dwell(armed):
         by_tenant.setdefault(detail.split(":", 1)[0], []).append(t)
     assert by_tenant, "no weight actions recorded"
     for times in by_tenant.values():
-        _assert_spaced(times, CONTROLLER.weight_dwell_s)
+        _assert_spaced(times, WEIGHT_DWELL_S)
 
 
 def test_tier_changes_never_flap_faster_than_the_ladder_dwell(armed):
@@ -116,7 +121,7 @@ def test_scaling_honors_its_dwell(armed):
     # scaling decision; the dwell gates in-run decisions.
     times = _times(actions, "scale_up", "scale_down", skip_arm_time=True)
     assert times, "no in-run scaling actions recorded"
-    _assert_spaced(times, CONTROLLER.scale_dwell_s)
+    _assert_spaced(times, SCALE_DWELL_S)
 
 
 def test_placement_updates_honor_their_dwell(armed):
@@ -125,7 +130,7 @@ def test_placement_updates_honor_their_dwell(armed):
     assert times, "no in-run migrations recorded"
     # One update may move several apps at the same instant (urgent
     # evacuations bypass the budget); the dwell gates distinct updates.
-    _assert_spaced(sorted(set(times)), CONTROLLER.placement_dwell_s)
+    _assert_spaced(sorted(set(times)), PLACEMENT_DWELL_S)
 
 
 def test_armed_runs_are_seed_replayable():

@@ -16,6 +16,11 @@ import pytest
 
 from repro.backends.base import CPUBackend, DRXBackend, LegSpec
 from repro.control import ControllerConfig, TierBid
+from repro.control.cost import (
+    COALESCE_COST_S,
+    COALESCE_RELIEF_FRACTION,
+    SHED_COST_WEIGHT,
+)
 from repro.core import DMXSystem, Mode, MotionStage, SystemConfig
 from repro.core.system import SCRATCHPAD_FUSION
 from repro.resilience import ResilienceConfig
@@ -56,7 +61,7 @@ def _reference_leg(system, app_index):
     raise AssertionError("chain has no motion stage")
 
 
-def _reference_bids(system, model, slo_s, shed_fraction):
+def _reference_bids(system, slo_s, shed_fraction):
     """The tier ladder priced on full ``estimate()`` calls."""
     legs = [_reference_leg(system, a) for a in range(len(system.chains))]
     n = len(legs)
@@ -65,27 +70,21 @@ def _reference_bids(system, model, slo_s, shed_fraction):
     queue_s = sum(e.queue_s for e in drx_ests) / n
     drx_service = sum(e.service_s for e in drx_ests) / n
     cpu_total = sum(e.total_s for e in cpu_ests) / n
-    energy_delta = max(
-        0.0,
-        sum(e.energy_j for e in cpu_ests) / n
-        - sum(e.energy_j for e in drx_ests) / n,
-    )
     return [
         TierBid(
             tier=BrownoutTier.SHED_LOW,
             relief_s=shed_fraction * queue_s,
-            paid_s=model.shed_cost_weight * shed_fraction * slo_s,
+            paid_s=SHED_COST_WEIGHT * shed_fraction * slo_s,
         ),
         TierBid(
             tier=BrownoutTier.COALESCE,
-            relief_s=model.coalesce_relief_fraction * queue_s,
-            paid_s=model.coalesce_cost_s,
+            relief_s=COALESCE_RELIEF_FRACTION * queue_s,
+            paid_s=COALESCE_COST_S,
         ),
         TierBid(
             tier=BrownoutTier.FORCE_CPU,
             relief_s=queue_s + (drx_service - cpu_total),
-            paid_s=max(0.0, cpu_total - drx_service)
-            + model.energy_cost_s_per_j * energy_delta,
+            paid_s=max(0.0, cpu_total - drx_service),
         ),
     ]
 
@@ -142,7 +141,7 @@ def ramp():
         )
         ticks.append((
             now, model.bids(SLO, shed),
-            _reference_bids(system, model, SLO, shed),
+            _reference_bids(system, SLO, shed),
         ))
         update(now)
 

@@ -239,14 +239,9 @@ def serve_digest(scenario):
 #: Closed-loop runs on the benchmark's check-size ``ramp`` scenario: four
 #: sound-detection tenants on STANDALONE with resilience armed, one
 #: 0.25 s leg at ~30% and one at ~115% of peak, one standby card and
-#: rollups + alerts. ``ramp`` is the controller driving tiers;
-#: ``ladder-beside-controller`` leaves tiers to the brownout ladder, so
-#: both periodic loops run.
+#: rollups + alerts; the controller drives the tiers.
 CONTROLLER_SCENARIOS = {
     "ramp": ControllerConfig(standby_cards=1, deescalate_fraction=0.2),
-    "ladder-beside-controller": ControllerConfig(
-        drive_tiers=False, standby_cards=1,
-    ),
 }
 
 
@@ -375,8 +370,6 @@ SERVE_GOLDEN = {
 
 
 CONTROLLER_GOLDEN = {
-    'ladder-beside-controller':
-        'a7855a6482876239f23b1b63e32bd0c806c561ddde76b46837dbb8abed5dd979',
     'ramp':
         '9c2499b15dbe03824f3a2993a49ea7753bad3229311103cdbea5cf7583d2bbb1',
 }
@@ -458,20 +451,17 @@ def test_serving_rows_reach_force_cpu_and_form_batches():
         assert (batches > 0) == (scenario == "batched")
 
 
-def test_controller_rows_exercise_both_tier_writers():
-    """``ramp``'s tier moves come from the controller, and the other
-    row's from the ladder's own loop, beside live controller actions."""
-    for scenario, writer in (
-        ("ramp", "controller"), ("ladder-beside-controller", "brownout"),
-    ):
-        system, frontend, _ = controller_run(scenario)
-        writers = {
-            i.category for i in system.telemetry.instants
-            if i.name in ("brownout_tier", "controller_tier")
-        }
-        assert writers == {writer}
-        kinds = {kind for _, kind, _ in frontend.controller_actions}
-        assert {"weight", "scale_up", "migration"} <= kinds
+def test_ramp_tier_moves_come_from_the_controller():
+    """Every tier move of ``ramp`` is the controller's, beside weight,
+    scale-up and migration actions."""
+    system, frontend, _ = controller_run("ramp")
+    writers = {
+        i.category for i in system.telemetry.instants
+        if i.name in ("brownout_tier", "controller_tier")
+    }
+    assert writers == {"controller"}
+    kinds = {kind for _, kind, _ in frontend.controller_actions}
+    assert {"weight", "scale_up", "migration"} <= kinds
 
 
 if __name__ == "__main__":  # pragma: no cover - golden capture
