@@ -72,8 +72,9 @@ class FaultPolicy:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         if self.fail_p + self.hang_p + self.delay_p > 1.0:
             raise ValueError("fault probabilities must sum to at most 1")
-        if self.delay_s < 0 or self.fail_latency_s < 0:
-            raise ValueError("fault latencies must be non-negative")
+        for name in ("delay_s", "fail_latency_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
 
     @property
     def active(self) -> bool:

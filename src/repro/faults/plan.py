@@ -50,8 +50,8 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("dma_timeout_s", "kernel_timeout_s", "notify_timeout_s",
                      "drx_deadline_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
 
     def site_policies(self) -> Dict[str, FaultPolicy]:
         """The injector's site → policy mapping."""

@@ -64,10 +64,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
+        if not self.backoff_multiplier >= 1.0:
+            raise ValueError("backoff_multiplier must be >= 1 (not NaN)")
 
     def backoff(self, failures: int) -> float:
         """Delay before the attempt following the ``failures``-th failure."""

@@ -33,10 +33,10 @@ class TokenBucketConfig:
     initial: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        if self.burst < 1.0:
-            raise ValueError("burst must be >= 1")
+        if not self.rate_per_s > 0:
+            raise ValueError("rate_per_s must be positive (not NaN)")
+        if not self.burst >= 1.0:
+            raise ValueError("burst must be >= 1 (not NaN)")
         if self.initial is not None and not 0.0 <= self.initial <= self.burst:
             raise ValueError("initial must be in [0, burst]")
 
