@@ -37,7 +37,7 @@ artifact re-verifies it automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..telemetry.artifact import RunArtifact, load_artifact
 from ..telemetry.spans import Span
@@ -105,22 +105,23 @@ def _duration(span: Span) -> float:
     return (span.end if span.end is not None else span.start) - span.start
 
 
-def _abandoned(span: Span) -> bool:
-    return bool(span.attrs.get("abandoned")) or bool(
-        span.attrs.get("truncated")
-    )
-
-
 class _Tree:
-    """Index of one artifact's span forest."""
+    """Index of one artifact's span forest: each span's children and
+    abandoned flag, computed once for every check to read."""
 
     def __init__(self, artifact: RunArtifact):
         self.spans = artifact.spans
         self.by_id: Dict[int, Span] = {s.span_id: s for s in artifact.spans}
         self.children: Dict[int, List[Span]] = {}
+        #: Spans of a drained or timed-out attempt, and stragglers the
+        #: run truncated: their time is not live work.
+        self.abandoned: Set[Span] = set()
         for span in artifact.spans:
             if span.parent_id in self.by_id:
                 self.children.setdefault(span.parent_id, []).append(span)
+            attrs = span.attrs
+            if attrs and (attrs.get("abandoned") or attrs.get("truncated")):
+                self.abandoned.add(span)
 
     def kids(self, span: Span) -> List[Span]:
         return self.children.get(span.span_id, [])
@@ -226,24 +227,23 @@ def _phase_children(tree: _Tree, span: Span) -> List[Span]:
     return [
         child
         for child in tree.kids(span)
-        if not _abandoned(child)
-        and (child.phase or child.category == "stage")
+        if (child.phase or child.category == "stage")
         and child.category not in ("request", "client", "queue")
+        and child not in tree.abandoned
     ]
 
 
 def _check_tiling(tree: _Tree, report: InvariantReport) -> None:
     checked = 0
     for span in tree.spans:
-        if _abandoned(span) or span.end is None:
+        if span.category not in ("request", "batch-exec"):
+            continue
+        if span.end is None or span in tree.abandoned:
             continue
         if span.attrs.get("failed"):
             continue  # failed requests legitimately contain dead time
-        if span.category == "request":
-            if span.attrs.get("batched"):
-                continue  # members share the batch-exec span's work
-        elif span.category != "batch-exec":
-            continue
+        if span.category == "request" and span.attrs.get("batched"):
+            continue  # members share the batch-exec span's work
         kids = _phase_children(tree, span)
         member_kernels: List[Span] = []
         if span.category == "batch-exec":
@@ -319,7 +319,7 @@ def _check_rescue(tree: _Tree, report: InvariantReport) -> None:
         drained = [
             s
             for s in subtree
-            if s.category == "attempt" and _abandoned(s)
+            if s.category == "attempt" and s in tree.abandoned
         ]
         if not drained:
             report.problems.append(
@@ -328,12 +328,12 @@ def _check_rescue(tree: _Tree, report: InvariantReport) -> None:
                 f"so what was rescued?"
             )
         for stage in subtree:
-            if stage.category != "stage" or _abandoned(stage):
+            if stage.category != "stage" or stage in tree.abandoned:
                 continue
             live = [
                 s
                 for s in tree.subtree(stage)
-                if s.phase == "restructuring" and not _abandoned(s)
+                if s.phase == "restructuring" and s not in tree.abandoned
             ]
             if len(live) > 1:
                 report.problems.append(

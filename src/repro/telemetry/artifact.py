@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .metrics import Histogram
 from .rollup import RollupWindow, RunRollups
@@ -76,8 +79,59 @@ _REQUIRED_KEYS = {
 }
 
 
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with the
+#: encoder built once instead of once per row.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: A span row as :func:`_dumps` spells it: keys in sorted order, each
+#: slot filled with the encoder's own spelling of the field.
+_SPAN_ROW = (
+    '{"actor":%s,"attrs":%s,"cat":%s,"end":%s,"id":%s,"kind":"span",'
+    '"name":%s,"parent":%s,"phase":%s,"req":%s,"start":%s}'
+)
+
+
+def _span_row(span: Span) -> str:
+    """``span``'s artifact line, byte-equal to :func:`_dumps` of its row.
+
+    Span rows are nearly every line of an artifact. The common shape —
+    ``int`` ids, ``str`` names, finite ``float`` times (``np.float64``
+    included: it is a ``float``) and a ``dict`` of attributes — fills
+    :data:`_SPAN_ROW` with the primitives the C encoder itself uses
+    (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``);
+    any other row (``None``, ``bool`` or non-finite fields, non-``str``
+    names) goes through the encoder, raising what it raises.
+    """
+    sid, parent, req = span.span_id, span.parent_id, span.request_id
+    name, cat, actor, phase = span.name, span.category, span.actor, span.phase
+    start, end, attrs = span.start, span.end, span.attrs
+    if (
+        type(sid) is type(parent) is type(req) is int
+        and type(name) is type(cat) is type(actor) is type(phase) is str
+        and isinstance(start, float) and isfinite(start)
+        and isinstance(end, float) and isfinite(end)
+        and type(attrs) is dict
+    ):
+        return _SPAN_ROW % (
+            encode_basestring_ascii(actor), _dumps(attrs) if attrs else "{}",
+            encode_basestring_ascii(cat), float.__repr__(end), sid,
+            encode_basestring_ascii(name), parent,
+            encode_basestring_ascii(phase), req, float.__repr__(start),
+        )
+    return _dumps({
+        "kind": "span", "id": sid, "parent": parent, "req": req,
+        "name": name, "cat": cat, "actor": actor, "phase": phase,
+        "start": start, "end": end, "attrs": attrs,
+    })
+
+
+def _by_start(spans: List[Span]) -> List[Span]:
+    """``spans`` ordered by ``(start, span_id)``: two stable sorts, each
+    comparing one key, instead of one sort building and comparing a
+    tuple per span."""
+    ordered = sorted(spans, key=attrgetter("span_id"))
+    ordered.sort(key=attrgetter("start"))
+    return ordered
 
 
 def artifact_lines(
@@ -98,22 +152,9 @@ def artifact_lines(
         {"kind": "meta", "schema": SCHEMA_VERSION, "meta": dict(meta or {})}
     )
     keeps = sampling.keeps if sampling is not None else (lambda _rid: True)
-    for span in sorted(telemetry.spans, key=lambda s: (s.start, s.span_id)):
-        if not keeps(span.request_id):
-            continue
-        yield _dumps({
-            "kind": "span",
-            "id": span.span_id,
-            "parent": span.parent_id,
-            "req": span.request_id,
-            "name": span.name,
-            "cat": span.category,
-            "actor": span.actor,
-            "phase": span.phase,
-            "start": span.start,
-            "end": span.end,
-            "attrs": span.attrs,
-        })
+    for span in _by_start(telemetry.spans):
+        if keeps(span.request_id):
+            yield _span_row(span)
     for event in telemetry.instants:
         if not keeps(event.request_id):
             continue
@@ -235,29 +276,61 @@ def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+#: ``json.loads``'s own decoder settings, built once; ``raw_decode``
+#: parses one value and reports where it stopped.
+_raw_decode = json.JSONDecoder().raw_decode
+
+#: What may follow a row on its line: the newline, or nothing at EOF.
+_LINE_ENDS = ("\n", "")
+
+#: :func:`_parse_line`'s answer for a blank line (``None`` is a row).
+_BLANK = object()
+
+
+def _parse_line(line: str) -> Any:
+    """The JSON value on one artifact line, or :data:`_BLANK`.
+
+    A line as the writer spells it — one value starting at column 0,
+    then the newline — is decoded by :data:`_raw_decode` alone. Any
+    other line is stripped and handed to ``json.loads``, which returns
+    the same value for a well-formed line and raises its exact
+    ``JSONDecodeError`` (truncated value, trailing data, a BOM) for a
+    malformed one.
+    """
+    try:
+        row, end = _raw_decode(line)
+        if line[end:] in _LINE_ENDS:
+            return row
+    except json.JSONDecodeError:
+        pass
+    raw = line.strip()
+    return json.loads(raw) if raw else _BLANK
+
+
 def load_artifact(path: str) -> RunArtifact:
     """Parse an artifact file back into a :class:`RunArtifact`.
 
     Accepts every schema in :data:`SUPPORTED_SCHEMAS` — a v1 artifact
     (pre-observation-plane) loads into the same object with empty
     observation sections, so reports and diffs work across the version
-    boundary.
+    boundary. The file is read one line at a time; blank lines are
+    skipped, and the first non-blank line must be the meta record.
     """
     from .alerts import AlertEvent
 
     artifact: Optional[RunArtifact] = None
     rollup_rows: List[RollupWindow] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
+        for lineno, line in enumerate(fh, start=1):
+            row = _parse_line(line)
+            if row is _BLANK:
                 continue
-            row = json.loads(raw)
             kind = row.get("kind")
-            if lineno == 1:
+            if artifact is None:
                 if kind != "meta":
                     raise ValueError(
-                        f"{path}:1: first line must be the meta record"
+                        f"{path}:{lineno}: first line must be the meta "
+                        f"record"
                     )
                 artifact = RunArtifact(
                     schema=int(row["schema"]), meta=row["meta"]
@@ -268,14 +341,11 @@ def load_artifact(path: str) -> RunArtifact:
                         f"(supported: {SUPPORTED_SCHEMAS})"
                     )
                 continue
-            assert artifact is not None
             if kind == "span":
                 artifact.spans.append(Span(
-                    span_id=row["id"], parent_id=row["parent"],
-                    request_id=row["req"], name=row["name"],
-                    category=row["cat"], actor=row["actor"],
-                    phase=row["phase"], start=row["start"], end=row["end"],
-                    attrs=row["attrs"],
+                    row["id"], row["parent"], row["req"], row["name"],
+                    row["cat"], row["actor"], row["phase"], row["start"],
+                    row["end"], row["attrs"],
                 ))
             elif kind == "instant":
                 artifact.instants.append(Instant(
@@ -307,6 +377,8 @@ def load_artifact(path: str) -> RunArtifact:
                 rollup_rows.append(RollupWindow.from_row(row))
             elif kind == "alert":
                 artifact.alerts.append(AlertEvent.from_row(row))
+            elif kind == "meta":
+                raise ValueError(f"{path}:{lineno}: duplicate meta record")
             else:
                 raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
     if artifact is None:
@@ -327,85 +399,94 @@ def validate_artifact(path: str) -> List[str]:
 
     Checks line-level required keys, the schema version, span parent
     references, span time sanity, and observation-section shape — the
-    contract the CI artifact step enforces on every uploaded run.
+    contract the CI artifact step enforces on every uploaded run. The
+    file is read one line at a time, and each problem names its line
+    number in the file (blank lines count).
     """
     problems: List[str] = []
     span_ids: set = set()
     parent_refs: List[Tuple[int, int]] = []  # (lineno, parent id)
     observation_seen = False
+    first = True  # the next non-blank line is the first
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return [f"{path}: empty artifact"]
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            row = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        kind = row.get("kind")
-        if lineno == 1:
-            if kind != "meta":
-                problems.append("line 1: expected the meta record")
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                row = _parse_line(line)
+            except json.JSONDecodeError as exc:
+                problems.append(f"line {lineno}: invalid JSON ({exc})")
+                first = False
                 continue
-            if row.get("schema") not in SUPPORTED_SCHEMAS:
-                problems.append(
-                    f"line 1: schema {row.get('schema')!r} not in "
-                    f"{SUPPORTED_SCHEMAS}"
-                )
-            continue
-        if kind == "meta":
-            problems.append(f"line {lineno}: duplicate meta record")
-            continue
-        required = _REQUIRED_KEYS.get(kind or "")
-        if required is None:
-            problems.append(f"line {lineno}: unknown kind {kind!r}")
-            continue
-        missing = [key for key in required if key not in row]
-        if missing:
-            problems.append(f"line {lineno}: {kind} missing {missing}")
-            continue
-        if kind == "span":
-            if row["end"] < row["start"]:
-                problems.append(
-                    f"line {lineno}: span {row['id']} ends before start"
-                )
-            span_ids.add(row["id"])
-            if row["parent"] != -1:
-                parent_refs.append((lineno, row["parent"]))
-        if kind == "gauge":
-            times = [t for t, _ in row["samples"]]
-            if times != sorted(times):
-                problems.append(
-                    f"line {lineno}: gauge {row['name']} samples unordered"
-                )
-        if kind == "histogram":
-            if len(row["counts"]) != len(row["bounds"]) + 1:
-                problems.append(
-                    f"line {lineno}: histogram {row['name']} "
-                    f"counts/bounds length mismatch"
-                )
-        if kind == "observation":
-            if observation_seen:
-                problems.append(
-                    f"line {lineno}: duplicate observation record"
-                )
-            observation_seen = True
-        if kind == "rollup":
-            if not isinstance(row["stats"], dict):
-                problems.append(
-                    f"line {lineno}: rollup stats must be an object"
-                )
-            if row["end"] <= row["start"]:
-                problems.append(
-                    f"line {lineno}: rollup window ends before start"
-                )
-        if kind == "alert":
-            if row["state"] not in ("fire", "clear"):
-                problems.append(
-                    f"line {lineno}: alert state {row['state']!r} "
-                    f"not fire/clear"
-                )
+            if row is _BLANK:
+                continue
+            kind = row.get("kind")
+            if first:
+                first = False
+                if kind != "meta":
+                    problems.append(
+                        f"line {lineno}: expected the meta record"
+                    )
+                    continue
+                if row.get("schema") not in SUPPORTED_SCHEMAS:
+                    problems.append(
+                        f"line {lineno}: schema {row.get('schema')!r} not "
+                        f"in {SUPPORTED_SCHEMAS}"
+                    )
+                continue
+            if kind == "meta":
+                problems.append(f"line {lineno}: duplicate meta record")
+                continue
+            required = _REQUIRED_KEYS.get(kind or "")
+            if required is None:
+                problems.append(f"line {lineno}: unknown kind {kind!r}")
+                continue
+            missing = [key for key in required if key not in row]
+            if missing:
+                problems.append(f"line {lineno}: {kind} missing {missing}")
+                continue
+            if kind == "span":
+                if row["end"] < row["start"]:
+                    problems.append(
+                        f"line {lineno}: span {row['id']} ends before start"
+                    )
+                span_ids.add(row["id"])
+                if row["parent"] != -1:
+                    parent_refs.append((lineno, row["parent"]))
+            if kind == "gauge":
+                times = [t for t, _ in row["samples"]]
+                if times != sorted(times):
+                    problems.append(
+                        f"line {lineno}: gauge {row['name']} samples "
+                        f"unordered"
+                    )
+            if kind == "histogram":
+                if len(row["counts"]) != len(row["bounds"]) + 1:
+                    problems.append(
+                        f"line {lineno}: histogram {row['name']} "
+                        f"counts/bounds length mismatch"
+                    )
+            if kind == "observation":
+                if observation_seen:
+                    problems.append(
+                        f"line {lineno}: duplicate observation record"
+                    )
+                observation_seen = True
+            if kind == "rollup":
+                if not isinstance(row["stats"], dict):
+                    problems.append(
+                        f"line {lineno}: rollup stats must be an object"
+                    )
+                if row["end"] <= row["start"]:
+                    problems.append(
+                        f"line {lineno}: rollup window ends before start"
+                    )
+            if kind == "alert":
+                if row["state"] not in ("fire", "clear"):
+                    problems.append(
+                        f"line {lineno}: alert state {row['state']!r} "
+                        f"not fire/clear"
+                    )
+    if first:
+        return [f"{path}: empty artifact"]
     for lineno, parent in parent_refs:
         if parent not in span_ids:
             problems.append(

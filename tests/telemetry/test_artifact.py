@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.core import DMXSystem, Mode, SystemConfig
 from repro.serve import (
     FrontendConfig,
@@ -135,3 +137,52 @@ def test_validate_rejects_wrong_schema(tmp_path):
         json.dumps({"kind": "meta", "schema": 0, "meta": {}}) + "\n"
     )
     assert any("schema" in p for p in validate_artifact(str(path)))
+
+
+def test_first_non_blank_line_is_the_meta_record(tmp_path):
+    path, result = write_run(tmp_path, seed=3, name="run.jsonl")
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n  \n" + path.read_text())
+    artifact = load_artifact(str(padded))
+    assert artifact.meta == {"seed": 3}
+    assert len(artifact.spans) == len(result.telemetry.spans)
+    assert validate_artifact(str(padded)) == []
+
+    headless = tmp_path / "headless.jsonl"
+    headless.write_text("\n" + path.read_text().split("\n", 1)[1])
+    with pytest.raises(
+        ValueError, match=r"headless\.jsonl:2: first line must be the meta"
+    ):
+        load_artifact(str(headless))
+
+
+def test_load_rejects_a_second_meta_record(tmp_path):
+    meta = json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "meta": {}})
+    path = tmp_path / "twice.jsonl"
+    path.write_text(meta + "\n\n" + meta + "\n")
+    with pytest.raises(
+        ValueError, match=r"twice\.jsonl:3: duplicate meta record"
+    ):
+        load_artifact(str(path))
+
+
+def test_validate_numbers_file_lines(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n".join([
+        "",
+        json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "meta": {}}),
+        json.dumps({
+            "kind": "span", "id": 0, "parent": -1, "req": 0, "name": "x",
+            "cat": "dma", "actor": "a", "phase": "", "start": 2.0,
+            "end": 1.0, "attrs": {},
+        }),
+        "",
+        "{",
+        json.dumps({"kind": "meta", "schema": SCHEMA_VERSION, "meta": {}}),
+    ]) + "\n")
+    assert validate_artifact(str(path)) == [
+        "line 3: span 0 ends before start",
+        "line 5: invalid JSON (Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1))",
+        "line 6: duplicate meta record",
+    ]

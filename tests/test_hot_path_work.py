@@ -21,10 +21,18 @@ legs through batch formation and the all-backend planner) and one tiny
 * the leg routers build one ``LegSpec`` per distinct (source, count,
   unit), and the unarmed static route never walks its ranking;
 * an armed static route over healthy units asks each leg's breaker
-  once and never builds a leg for a sibling unit.
+  once and never builds a leg for a sibling unit;
+* on a small crash-and-revive run's artifact, the writer builds no
+  JSON encoder per line, the loader calls ``json.loads`` on no line the
+  writer wrote, and neither side holds the whole file: each one's
+  ``tracemalloc`` peak (the loader's net of the artifact it returns)
+  stays under half the file's size.
 """
 
 import gc
+import json
+import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -46,10 +54,15 @@ from repro.core import (
 )
 from repro.core import system as system_module
 from repro.cpu.topdown import TopDownModel
+from repro.faults import DomainCrash
 from repro.interconnect import Fabric, PCIeLink
 from repro.profiles import WorkProfile
 from repro.resilience import ResilienceConfig
 from repro.resilience.control import ControlPlane
+from repro.resilience.recovery import (
+    RecoveryScenarioConfig,
+    run_recovery_scenario,
+)
 from repro.serve import (
     BatchingConfig,
     Discipline,
@@ -61,6 +74,8 @@ from repro.serve import (
     TenantSpec,
 )
 from repro.sim.resources import Request
+from repro.telemetry import artifact as artifact_module
+from repro.telemetry import load_artifact, write_artifact
 from repro.workloads import build_benchmark_chains
 
 KB = 1024
@@ -325,3 +340,89 @@ def test_armed_static_route_asks_each_healthy_home_once():
     assert work["routes"] == 4 * 3
     assert work["admits"] == work["routes"]
     assert work["siblings"] == 0
+
+
+@pytest.fixture(scope="module")
+def recovery_artifact(tmp_path_factory):
+    """A small crash-and-revive run (two cards die and come back): its
+    telemetry and the artifact it wrote and verified."""
+    path = str(tmp_path_factory.mktemp("recovery") / "recovery.jsonl")
+    result = run_recovery_scenario(RecoveryScenarioConfig(
+        offered_rps=560.0,
+        crashes=(
+            DomainCrash("drx.s0", at_s=0.02, revive_at_s=0.04),
+            DomainCrash("drx.s1", at_s=0.06, revive_at_s=0.08),
+        ),
+        requests_per_tenant=20,
+        artifact_path=path,
+    ))
+    assert any(s.attrs.get("abandoned") for s in result.serve.telemetry.spans)
+    return result.serve.telemetry, path
+
+
+def test_artifact_writer_builds_no_encoder_per_line(
+    recovery_artifact, tmp_path
+):
+    """No encoder is built per line, and a recorded span row (``int``
+    ids, ``str`` names, ``float`` or ``np.float64`` times) reaches the
+    shared encoder only for non-empty attributes."""
+    telemetry, path = recovery_artifact
+    built = Counter()
+    init = json.JSONEncoder.__init__
+    dumps = artifact_module._dumps
+
+    def counted_init(encoder, *args, **kwargs):
+        built["encoders"] += 1
+        init(encoder, *args, **kwargs)
+
+    def counted_dumps(obj):
+        built["encoded"] += 1
+        return dumps(obj)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json.JSONEncoder, "__init__", counted_init)
+        patch.setattr(artifact_module, "_dumps", counted_dumps)
+        write_artifact(str(tmp_path / "again.jsonl"), telemetry)
+    assert built["encoders"] == 0
+    with open(path, encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
+    bare = sum(1 for span in telemetry.spans if not span.attrs)
+    assert bare and built["encoded"] == lines - bare
+
+
+def test_artifact_loader_calls_json_loads_on_no_written_line(
+    recovery_artifact,
+):
+    telemetry, path = recovery_artifact
+    calls = Counter()
+    loads = json.loads
+
+    def counted_loads(*args, **kwargs):
+        calls["loads"] += 1
+        return loads(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", counted_loads)
+        artifact = load_artifact(path)
+    assert len(artifact.spans) == len(telemetry.spans)
+    assert calls["loads"] == 0
+
+
+def test_artifact_round_trip_never_holds_the_whole_file(
+    recovery_artifact, tmp_path
+):
+    telemetry, path = recovery_artifact
+    size = os.path.getsize(path)
+    load_artifact(path)  # lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        write_artifact(str(tmp_path / "again.jsonl"), telemetry)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        artifact = load_artifact(path)
+        returned, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert artifact.spans
+    assert write_peak < size / 2
+    assert load_peak - returned < size / 2
