@@ -37,7 +37,7 @@ this module existed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from ..resilience.brownout import SHED_MAX_PRIORITY
 from .cost import TierCostModel
@@ -45,7 +45,7 @@ from .placement import plan_placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.frontend import ServingFrontend
-    from ..serve.slo import LatencyTracker
+    from ..serve.slo import LatencyTracker, TenantStats
 
 __all__ = ["ControllerConfig", "ClosedLoopController"]
 
@@ -106,6 +106,16 @@ class ControllerConfig:
             )
 
 
+class _Tenant(NamedTuple):
+    """One tenant's handles, resolved at arm time."""
+
+    name: str
+    stats: "TenantStats"
+    app_index: int
+    base_weight: int
+    sheddable: bool
+
+
 class ClosedLoopController:
     """Sense windowed tails + health; drive weights, tier, capacity,
     and placement. Owned and clocked by a :class:`ServingFrontend`."""
@@ -127,9 +137,17 @@ class ClosedLoopController:
         self.config = config
         self.slo_s = frontend.config.slo_s
         self.telemetry = frontend.telemetry
-        self._base_weight: Dict[str, int] = {
-            t.name: t.weight for t in frontend.tenants
-        }
+        #: The headroom target the weight driver's pressure divides by.
+        self._target_s = TARGET_FRACTION * self.slo_s
+        #: Nothing here changes after arm time, so a tick reads it
+        #: instead of looking each tenant up again.
+        self._tenants = [
+            _Tenant(
+                t.name, frontend._stats[t.name], frontend._app_index[t.name],
+                t.weight, t.priority <= SHED_MAX_PRIORITY,
+            )
+            for t in frontend.tenants
+        ]
         self._last_weight_change: Dict[str, Optional[float]] = {
             t.name: None for t in frontend.tenants
         }
@@ -152,7 +170,9 @@ class ClosedLoopController:
         #: backlogged tenant would otherwise be unmigratable exactly
         #: when moving it matters most.
         self._pending_migration: Dict[int, Tuple[str, str, bool]] = {}
-        cards = self.system.standalone_cards()
+        #: Sorted standalone cards; the topology is fixed once built.
+        self._cards: List[str] = self.system.standalone_cards()
+        cards = self._cards
         if config.standby_cards > 0:
             if self.system.control is None:
                 raise ValueError(
@@ -185,19 +205,16 @@ class ClosedLoopController:
     def _tail(self, latency: "LatencyTracker") -> Optional[float]:
         return latency.tail(QUANTILE, WINDOW, MIN_SAMPLES)
 
-    def tenant_tail(self, tenant: str) -> Optional[float]:
-        return self._tail(self.frontend._stats[tenant].latency)
-
     def global_tail(self) -> Optional[float]:
         return self._tail(self.frontend._latency)
 
     def _shed_fraction(self) -> float:
         """Load share of tenants the SHED_LOW tier would shed."""
         total = sheddable = 0
-        for spec in self.frontend.tenants:
-            admitted = self.frontend._stats[spec.name].admitted
+        for tenant in self._tenants:
+            admitted = tenant.stats.admitted
             total += admitted
-            if spec.priority <= SHED_MAX_PRIORITY:
+            if tenant.sheddable:
                 sheddable += admitted
         return sheddable / total if total else 0.0
 
@@ -241,43 +258,49 @@ class ClosedLoopController:
 
     def _in_service_count(self) -> int:
         dead = set(self._dead_cards())
-        return sum(
-            1 for c in self.system.standalone_cards() if c not in dead
-        )
+        return sum(1 for c in self._cards if c not in dead)
 
     # -- the update ------------------------------------------------------------
 
     def update(self, now: float) -> None:
-        """One control period: sense, then drive each armed actuator."""
+        """One control period: sense, then drive each armed actuator.
+
+        A tick with nothing to do is cheap: a tail no new sample moved
+        is not re-sorted, the tier ladder is priced only on overshoot
+        (or for the note of a tier change), and placement stops before
+        its passes when no app could move.
+        """
         self._drive_weight(now)
         tail = self.global_tail()
-        if self._tier_model is not None and tail is not None:
-            self._drive_tier(now, tail)
-        if self._pool and tail is not None:
-            self._drive_capacity(now, tail)
+        if tail is not None:
+            # The tails are often np.float64; the arithmetic below gives
+            # the same values on a Python float, at a fraction of the
+            # cost per operation.
+            tail = float(tail)
+            if self._tier_model is not None:
+                self._drive_tier(now, tail)
+            if self._pool:
+                self._drive_capacity(now, tail)
         self._run_placement(now)
 
     # (a) -- WRR weights -------------------------------------------------------
 
     def _drive_weight(self, now: float) -> None:
-        standalone = bool(self.system.standalone_cards())
-        for spec in self.frontend.tenants:
-            name = spec.name
-            tail = self.tenant_tail(name)
+        standalone = bool(self._cards)
+        for name, stats, app_index, base_weight, _ in self._tenants:
+            tail = self._tail(stats.latency)
             if tail is None:
                 continue
             last = self._last_weight_change[name]
             if last is not None and now - last < WEIGHT_DWELL_S:
                 continue
-            pressure = tail / (TARGET_FRACTION * self.slo_s)
-            pressure = min(2.0, max(0.5, pressure))
+            tail = float(tail)
+            pressure = min(2.0, max(0.5, tail / self._target_s))
             health = self._card_health(
-                self.system.card_of_app(self.frontend._app_index[name])
-                if standalone
-                else name
+                self.system.card_of_app(app_index) if standalone else name
             )
-            raw = self._base_weight[name] * pressure * health
-            weight = max(MIN_WEIGHT, min(MAX_WEIGHT, int(round(raw))))
+            raw = base_weight * pressure * health
+            weight = max(MIN_WEIGHT, min(MAX_WEIGHT, round(raw)))
             current = self.frontend.weight(name)
             if weight == current:
                 continue
@@ -294,9 +317,9 @@ class ClosedLoopController:
 
     def _drive_tier(self, now: float, tail: float) -> None:
         brownout = self.frontend._brownout
+        shed_fraction = self._shed_fraction()
         chosen, bids = self._tier_model.choose(
-            tail, self.slo_s, TARGET_FRACTION,
-            self._shed_fraction(),
+            tail, self.slo_s, TARGET_FRACTION, shed_fraction,
         )
         if (
             chosen < brownout.tier
@@ -309,6 +332,11 @@ class ClosedLoopController:
         change = brownout.set_tier(now, chosen)
         if change is None:
             return
+        if bids is None:
+            # Inside the headroom target nothing was priced; the note
+            # still shows the ladder's bids. Pricing reads no state a
+            # tier change writes, so these are the bids of this tick.
+            bids = self._tier_model.bids(self.slo_s, shed_fraction)
         old, new = change
         self.telemetry.metrics.gauge("brownout_tier").sample(now, int(new))
         self._note(
@@ -365,7 +393,7 @@ class ClosedLoopController:
         return self.frontend._tenant_inflight.get(tenant, 0) == 0
 
     def _run_placement(self, now: float, initial: bool = False) -> None:
-        cards = self.system.standalone_cards()
+        cards = self._cards
         if not cards:
             return
         if (
@@ -379,10 +407,11 @@ class ClosedLoopController:
         if not alive:
             return
         loads: Dict[int, float] = {}
-        for app, tenant in self._tenant_of_app.items():
-            admitted = self.frontend._stats[tenant].admitted
-            loads[app] = float(admitted - self._admitted_snapshot[tenant])
-            self._admitted_snapshot[tenant] = admitted
+        snapshot = self._admitted_snapshot
+        for name, stats, app_index, _, _ in self._tenants:
+            admitted = stats.admitted
+            loads[app_index] = float(admitted - snapshot[name])
+            snapshot[name] = admitted
         plan = plan_placement(self.system, loads, alive)
         if not plan.migrations:
             return

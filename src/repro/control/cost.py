@@ -26,7 +26,7 @@ therefore step — identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..backends.base import BACKEND_DRX, DRXBackend, LegSpec, UnloadedCost
 from ..core.chain import MotionStage
@@ -166,18 +166,23 @@ class TierCostModel:
     def choose(
         self, tail_s: float, slo_s: float, target_fraction: float,
         shed_fraction: float,
-    ) -> "tuple[BrownoutTier, List[TierBid]]":
-        """The cheapest tier whose relief covers the overshoot.
+    ) -> "tuple[BrownoutTier, Optional[List[TierBid]]]":
+        """The cheapest tier whose relief covers the overshoot, and the
+        bids it was chosen from.
 
         ``needed = tail - target_fraction * slo``; non-positive means
-        the system is inside its headroom target and NORMAL suffices.
-        When no tier's relief covers the overshoot, the biggest-relief
-        tier wins (cheapest among ties) — degrade as far as the ladder
-        can usefully go rather than giving up.
+        the system is inside its headroom target and NORMAL suffices
+        without pricing anything (the bids are then None). When no
+        tier's relief covers the overshoot, the biggest-relief tier wins
+        (cheapest among ties) — degrade as far as the ladder can
+        usefully go rather than giving up. With no actionable tier
+        (``max_tier`` NORMAL) there is nothing to degrade to.
         """
-        bids = self.bids(slo_s, shed_fraction)
         needed = tail_s - target_fraction * slo_s
         if needed <= 0.0:
+            return BrownoutTier.NORMAL, None
+        bids = self.bids(slo_s, shed_fraction)
+        if not bids:
             return BrownoutTier.NORMAL, bids
         sufficient = [b for b in bids if b.relief_s >= needed]
         if sufficient:

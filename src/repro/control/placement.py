@@ -24,7 +24,8 @@ Three kinds of move are emitted, hottest app first:
 Everything is deterministic: apps are visited hottest-first (observed
 load, chain index breaking ties), candidate cards are ranked by
 ``(crossings, load, occupancy, name)`` — no randomness, no clock
-access.
+access. With nothing stranded and no app able to make either win (the
+usual control tick), the plan returns before visiting anything.
 """
 
 from __future__ import annotations
@@ -50,6 +51,33 @@ class PlacementPlan:
     #: card differs from its current one — evacuations off dead cards
     #: first, then improvement moves, hottest app first within each.
     migrations: List["tuple[int, str, str]"]
+
+
+def _move_possible(
+    system: "DMXSystem",
+    assignment: Dict[int, str],
+    loads: Dict[int, float],
+    card_load: Dict[str, float],
+    room: List[str],
+) -> bool:
+    """Whether the improvement pass could move any placed app.
+
+    A move needs another card with ``room`` that either cuts the app's
+    crossings or is lighter than the app's card by more than the app's
+    own load (a balance win can only pick such a card). Until one app
+    moves, every app sees the same occupancy and loads, so when no app
+    has such a card the pass moves nothing.
+    """
+    for app_index, current in assignment.items():
+        load = loads.get(app_index, 0.0)
+        crossings_now = system.upstream_crossings(app_index, current)
+        for card in room:
+            if card != current and (
+                system.upstream_crossings(app_index, card) < crossings_now
+                or (load > 0.0 and card_load[current] - card_load[card] > load)
+            ):
+                return True
+    return False
 
 
 def plan_placement(
@@ -84,6 +112,12 @@ def plan_placement(
             card_load[home] += loads.get(app_index, 0.0)
         else:
             stranded.append(app_index)
+
+    if not stranded and not _move_possible(
+        system, assignment, loads, card_load,
+        [card for card in cards if occupancy[card] < capacity],
+    ):
+        return PlacementPlan(assignment=assignment, migrations=[])
 
     def by_heat(apps):
         return sorted(apps, key=lambda a: (-loads.get(a, 0.0), a))

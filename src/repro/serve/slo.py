@@ -141,6 +141,12 @@ class LatencyTracker:
         # asks for one percentile per tracked quantile, and re-sorting
         # the full sample list per quantile dominated large sweeps.
         self._sorted: Optional[List[float]] = None
+        # The last ``tail`` answer and its ``(count, q, window)``: the
+        # controller reads every tracker each tick, and most ticks see
+        # no new sample. Samples are only appended, so ``count`` names
+        # the window.
+        self._tail_key: Optional[Tuple[int, float, int]] = None
+        self._tail_value = 0.0
         self.count = 0
         self.total = 0.0
         self.max = 0.0
@@ -181,10 +187,17 @@ class LatencyTracker:
     def tail(self, q: float, window: int, min_samples: int) -> Optional[float]:
         """Exact ``q`` quantile of the last ``window`` samples, or None
         while fewer than ``min_samples`` have arrived (callers keep
-        ``min_samples <= window``)."""
+        ``min_samples <= window``). Repeating the last question before a
+        new sample arrives returns the last answer without a re-sort."""
         if self.count < min_samples:
             return None
-        return _exact_percentile(sorted(self._samples[-window:]), q)
+        key = (self.count, q, window)
+        if key != self._tail_key:
+            self._tail_key = key
+            self._tail_value = _exact_percentile(
+                sorted(self._samples[-window:]), q
+            )
+        return self._tail_value
 
     def count_over(self, threshold: float) -> int:
         """How many samples exceed ``threshold``."""

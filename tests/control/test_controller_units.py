@@ -13,6 +13,7 @@ from repro.resilience import ResilienceConfig, brownout
 from repro.resilience.brownout import BrownoutConfig, BrownoutController, \
     BrownoutTier
 from repro.serve import (
+    Discipline,
     FrontendConfig,
     PoissonArrivals,
     RampArrivals,
@@ -104,6 +105,61 @@ def test_equal_price_tie_breaks_to_the_lower_tier():
     )
     tier, _ = model.choose(19e-3, SLO, TARGET, shed_fraction=0.5)
     assert tier is BrownoutTier.SHED_LOW
+
+
+def test_overshoot_with_no_actionable_tier_picks_normal():
+    # max_tier NORMAL leaves no tier to bid: nothing to degrade to.
+    model = _FixedBidModel([])
+    tier, bids = model.choose(60e-3, SLO, TARGET, shed_fraction=0.5)
+    assert tier is BrownoutTier.NORMAL
+    assert bids == []
+
+
+def test_inside_headroom_target_prices_nothing():
+    class _Unpriced(TierCostModel):
+        def __init__(self):
+            pass
+
+        def bids(self, slo_s, shed_fraction):
+            raise AssertionError("priced inside the headroom target")
+
+    tier, bids = _Unpriced().choose(16e-3, SLO, TARGET, shed_fraction=0.5)
+    assert tier is BrownoutTier.NORMAL
+    assert bids is None
+
+
+def test_controller_over_a_normal_capped_ladder_survives_overshoot():
+    """A ladder capped at NORMAL leaves the controller no tier to bid.
+    The first overshoot once crashed the run in ``choose`` (``max()``
+    of an empty bid list); the tier must simply stay NORMAL."""
+    chains = build_benchmark_chains("sound-detection", 4)
+    system = DMXSystem(
+        chains, SystemConfig(mode=Mode.STANDALONE),
+        resilience=ResilienceConfig(seed=0),
+    )
+    tenants = [
+        TenantSpec(
+            name=c.name, arrivals=RampArrivals(((0.05, 242.5),)),
+            n_requests=12,
+        )
+        for c in chains
+    ]
+    frontend = ServingFrontend(
+        system, tenants,
+        FrontendConfig(
+            max_inflight=6, discipline=Discipline.WRR, slo_s=5e-3,
+            brownout=BrownoutConfig(max_tier=BrownoutTier.NORMAL),
+            controller=ControllerConfig(),
+        ),
+        seed=0,
+    )
+    result = frontend.run()
+    assert result.completed == 48
+    # The SLO was overshot, so the tier model was consulted.
+    assert frontend._latency.max > controller.TARGET_FRACTION * 5e-3
+    assert frontend._brownout.tier is BrownoutTier.NORMAL
+    assert frontend._brownout.history == []
+    assert "tier" not in {kind for _, kind, _ in frontend.controller_actions}
 
 
 def real_model(system, max_tier=BrownoutTier.FORCE_CPU):

@@ -1,5 +1,5 @@
 """What one control tick costs: the tier model's cached bids against a
-from-scratch oracle.
+from-scratch oracle, and the work an idle tick skips.
 
 :class:`TierCostModel` keeps each chain's representative leg and its
 contention-free DRX/CPU prices per ``(app, home DRX)`` pair and reads
@@ -8,19 +8,28 @@ calls the backends' full ``estimate()`` at every tick of a ramp that
 migrates chains and scales the card pool both ways; the two must agree
 exactly, and the contention-free pricing must run once per pair seen,
 not once per tick.
+
+A profile hook watches each tick run, with no wall clock: a latency
+window is sorted at most once per sample count, the tier ladder is
+priced only on an overshoot or a tier change, and placement reaches
+its by-heat passes only when a move was possible.
 """
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.backends.base import CPUBackend, DRXBackend, LegSpec
-from repro.control import ControllerConfig, TierBid
+from repro.control import ControllerConfig, TierBid, TierCostModel
+from repro.control.controller import TARGET_FRACTION
 from repro.control.cost import (
     COALESCE_COST_S,
     COALESCE_RELIEF_FRACTION,
     SHED_COST_WEIGHT,
 )
+from repro.control.placement import plan_placement
 from repro.core import DMXSystem, Mode, MotionStage, SystemConfig
 from repro.core.system import SCRATCHPAD_FUSION
 from repro.resilience import ResilienceConfig
@@ -28,11 +37,14 @@ from repro.resilience.brownout import BrownoutConfig, BrownoutTier
 from repro.serve import (
     Discipline,
     FrontendConfig,
+    LatencyTracker,
     RampArrivals,
     ServingFrontend,
     TenantSpec,
 )
 from repro.workloads import build_benchmark_chains
+
+from .test_placement_exact import BY_HEAT, reference_plan_placement
 
 SLO = 30e-3
 TENANTS = 4
@@ -89,10 +101,48 @@ def _reference_bids(system, slo_s, shed_fraction):
     ]
 
 
+_TAIL = LatencyTracker.tail.__code__
+_BIDS = TierCostModel.bids.__code__
+_PLAN = plan_placement.__code__
+
+
+class _TickWork:
+    """What one tick ran, seen by a ``sys.setprofile`` hook: its bids
+    calls, its window sorts (tallied run-wide per tracker and sample
+    count) and, per placement plan, the reference plan for the same
+    inputs and whether the by-heat passes were reached."""
+
+    def __init__(self, sorts):
+        self.sorts = sorts
+        self.bids = 0
+        self.plans = []
+
+    def hook(self, frame, event, arg):
+        code = frame.f_code
+        if event == "call":
+            if code is _BIDS:
+                self.bids += 1
+            elif code is _PLAN:
+                inputs = frame.f_locals
+                self.plans.append([
+                    reference_plan_placement(
+                        inputs["system"], dict(inputs["loads"]),
+                        list(inputs["alive_cards"]),
+                    ),
+                    False,
+                ])
+            elif code is BY_HEAT:
+                self.plans[-1][1] = True
+        elif event == "c_call" and arg is sorted and code is _TAIL:
+            tracker = frame.f_locals["self"]
+            self.sorts[tracker, tracker.count] += 1
+
+
 @pytest.fixture(scope="module")
 def ramp():
     """Run one ramp cycle, checking the model against the oracle and
-    tallying contention-free pricing calls at every controller tick."""
+    tallying contention-free pricing calls and each tick's work at
+    every controller tick."""
     chains = build_benchmark_chains("sound-detection", TENANTS)
     system = DMXSystem(
         chains, SystemConfig(mode=Mode.STANDALONE),
@@ -132,7 +182,10 @@ def ramp():
 
     ticks = []
     pairs = set()
+    sorts = Counter()
+    work = []
     update = controller.update
+    brownout = frontend._brownout
 
     def checked_update(now):
         shed = controller._shed_fraction()
@@ -143,13 +196,23 @@ def ramp():
             now, model.bids(SLO, shed),
             _reference_bids(system, SLO, shed),
         ))
-        update(now)
+        tier = brownout.tier
+        tick = _TickWork(sorts)
+        previous = sys.getprofile()
+        sys.setprofile(tick.hook)
+        try:
+            update(now)
+        finally:
+            sys.setprofile(previous)
+        # A tick adds no sample, so this is the tail the tick read.
+        work.append((controller.global_tail(), tier, brownout.tier, tick))
 
     controller.update = checked_update
     frontend.run()
     return {
         "ticks": ticks, "pairs": pairs, "calls": calls,
         "kinds": {kind for _, kind, _ in controller.actions},
+        "system": system, "sorts": sorts, "work": work,
     }
 
 
@@ -171,3 +234,37 @@ def test_contention_free_pricing_runs_once_per_app_home_pair(ramp):
     assert ramp["calls"]["drx"] <= seen
     assert ramp["calls"]["cpu"] <= seen
     assert len(ramp["ticks"]) > 10 * seen
+
+
+def test_a_window_is_sorted_at_most_once_per_sample_count(ramp):
+    sorts = ramp["sorts"]
+    # Every tracker the controller reads: the run-wide one and four
+    # tenants'.
+    assert len({tracker for tracker, _ in sorts}) == TENANTS + 1
+    assert max(sorts.values()) == 1
+
+
+def test_bids_run_only_on_an_overshoot_or_a_tier_change(ramp):
+    priced = 0
+    for tail, before, after, tick in ramp["work"]:
+        overshoot = tail is not None and tail > TARGET_FRACTION * SLO
+        assert tick.bids == int(overshoot or after is not before)
+        priced += tick.bids
+    # The ramp both overshoots and idles.
+    assert 0 < priced < len(ramp["work"]) // 2
+
+
+def test_placement_passes_run_only_when_a_move_was_possible(ramp):
+    system = ramp["system"]
+    cards = system.standalone_cards()
+    # Every card costs every app the same crossings here, so an app can
+    # move only on a balance win, and a move that was possible is made:
+    # the passes should run on exactly the plans that migrate.
+    assert len({
+        system.upstream_crossings(a, c) for a in range(TENANTS) for c in cards
+    }) == 1
+    plans = [plan for _, _, _, tick in ramp["work"] for plan in tick.plans]
+    assert len(plans) > 100
+    for reference, reached in plans:
+        assert reached == bool(reference.migrations)
+    assert any(reached for _, reached in plans)

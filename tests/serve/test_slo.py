@@ -169,31 +169,60 @@ def test_tail_reads_the_last_window_once_min_samples_arrived():
 _LATENCIES = st.sampled_from([0.0, 0.0, 1e-6, 2.5e-3, 2.5e-3, 7e-3, 0.03, 1.0])
 
 
-@settings(max_examples=200, deadline=None)
+_QUANTILES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None)
 @given(
     stream=st.lists(
         st.one_of(_LATENCIES, st.floats(0.0, 1.0)), max_size=120
     ),
     window=st.integers(1, 40),
     data=st.data(),
-    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    q=_QUANTILES,
 )
 def test_tail_equals_the_sliding_window_it_replaced(stream, window, data, q):
     """``tail`` against a verbatim copy of the per-consumer window the
     brownout ladder and the controller each kept: a
     ``deque(maxlen=window)`` fed every sample, None while shorter than
-    ``min_samples``, else the exact percentile of its sorted contents."""
+    ``min_samples``, else the exact percentile of its sorted contents.
+
+    ``tail`` keeps its last answer until the next sample, so between
+    adds the test also reads it again, and with other ``(q, window,
+    min_samples)``, each answer against the slice-and-sort definition
+    ``tail`` had before that memo."""
     min_samples = data.draw(st.integers(1, window), label="min_samples")
     tracker = LatencyTracker()
     reference = deque(maxlen=window)
+    samples = []
 
     def reference_tail():
         if len(reference) < min_samples:
             return None
         return exact_percentile(sorted(reference), q)
 
+    def sliced_tail(read_q, read_window, read_min):
+        if len(samples) < read_min:
+            return None
+        return exact_percentile(sorted(samples[-read_window:]), read_q)
+
+    reads = st.lists(
+        st.tuples(
+            st.one_of(st.just(q), _QUANTILES),
+            st.one_of(st.just(window), st.integers(1, 40)),
+            st.integers(1, 40),
+        ),
+        max_size=3,
+    )
     assert tracker.tail(q, window, min_samples) is None
     for x in stream:
         tracker.add(x)
         reference.append(x)
+        samples.append(x)
+        assert tracker.tail(q, window, min_samples) == reference_tail()
+        for other_q, other_window, other_min in data.draw(reads):
+            other_min = min(other_min, other_window)
+            assert tracker.tail(other_q, other_window, other_min) == (
+                sliced_tail(other_q, other_window, other_min)
+            )
         assert tracker.tail(q, window, min_samples) == reference_tail()
