@@ -73,19 +73,16 @@ def _scale_policy(policy: FaultPolicy, intensity: float) -> FaultPolicy:
 
 def scale_plan(plan: FaultPlan, intensity: float) -> FaultPlan:
     """Scale every injection probability of ``plan`` by ``intensity``
-    (clamped so each site's probabilities still sum to <= 1); timeouts,
-    retry budgets, and the seed are untouched. ``intensity=0`` yields a
-    plan that injects nothing but keeps the recovery plane armed."""
+    (clamped so each site's probabilities still sum to <= 1), at every
+    site :meth:`FaultPlan.site_policies` names; timeouts, retry budgets,
+    and the seed are untouched. ``intensity=0`` yields a plan that
+    injects nothing but keeps the recovery plane armed."""
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    return replace(
-        plan,
-        dma=_scale_policy(plan.dma, intensity),
-        drx=_scale_policy(plan.drx, intensity),
-        kernel=_scale_policy(plan.kernel, intensity),
-        fabric=_scale_policy(plan.fabric, intensity),
-        notify=_scale_policy(plan.notify, intensity),
-    )
+    return replace(plan, **{
+        site: _scale_policy(policy, intensity)
+        for site, policy in plan.site_policies().items()
+    })
 
 
 @dataclass(frozen=True)
