@@ -17,6 +17,7 @@ Usage::
 """
 
 import sys
+from collections import Counter
 
 from repro.core import DMXSystem, Mode, SystemConfig
 from repro.faults import FaultPlan, FaultPolicy
@@ -53,7 +54,10 @@ def main() -> None:
               f"  failures={run.failure_count(app)}")
 
     print("\ninjected-fault trace:")
-    for kind, count in sorted(system.fault_trace.fault_counts().items()):
+    notes = Counter(
+        i.name for i in system.telemetry.instants if i.category == "fault"
+    )
+    for kind, count in sorted(notes.items()):
         print(f"  {kind:16s} x{count}")
 
     healthy = runs["healthy"][1].mean_latency()

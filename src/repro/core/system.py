@@ -29,6 +29,7 @@ from ..faults import (
     InjectedFault,
     RescueAbandoned,
     RetryExhausted,
+    RetryPolicy,
     retry,
     with_timeout,
 )
@@ -36,9 +37,7 @@ from ..faults.recovery import shielded
 from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
-from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, Trace, \
-    WaitTimeout
-from ..sim.tracing import FaultRecord
+from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, WaitTimeout
 from ..telemetry import ActiveSpan, SpanContext, Telemetry
 from ..telemetry.spans import batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
@@ -73,6 +72,11 @@ _RECOVERABLE = (WaitTimeout, InjectedFault, RetryExhausted)
 #: *permanent*-failure outcome, deliberately kept out of ``_RECOVERABLE``
 #: so nothing retries it.
 _REQUEST_FATAL = _RECOVERABLE + (RescueAbandoned,)
+
+#: Watchdog on one accelerator invocation under a FaultPlan, and the
+#: bounded backoff that re-issues a hung or faulted kernel.
+KERNEL_TIMEOUT_S = 50e-3
+KERNEL_RETRY = RetryPolicy()
 
 # The accelerator→DRX hop crosses the card-internal multiplexer: the
 # same x8 wire rate but with near-ideal protocol efficiency and
@@ -364,19 +368,16 @@ class DMXSystem:
         self._metrics_recorded = False
         self._faults = faults
         self._request_ids = itertools.count()
-        if faults is not None:
-            self.fault_trace: Optional[Trace] = Trace(
-                note_listener=self._fault_instant
-            )
-            self.injector: Optional[FaultInjector] = FaultInjector(
+        self.injector: Optional[FaultInjector] = (
+            FaultInjector(
                 self.sim,
                 seed=faults.seed,
                 policies=faults.site_policies(),
-                trace=self.fault_trace,
+                note=self._note,
             )
-        else:
-            self.fault_trace = None
-            self.injector = None
+            if faults is not None
+            else None
+        )
         self.control: Optional[ControlPlane] = (
             ControlPlane(self.sim, self.telemetry, resilience)
             if resilience is not None
@@ -391,8 +392,6 @@ class DMXSystem:
         upstream = LinkConfig(gen=config.pcie_gen, lanes=config.upstream_lanes)
         self.fabric = Fabric(self.sim, link_config=link,
                              upstream_config=upstream)
-        if self.injector is not None:
-            self.fabric.injector = self.injector
         self.dma = DMAEngine(
             self.sim, self.fabric, DMACosts(),
             injector=self.injector,
@@ -400,10 +399,7 @@ class DMXSystem:
             retry_policy=faults.dma_retry if faults else None,
         )
         self.notifier = NotificationModel(
-            self.sim, self.cpu,
-            injector=self.injector,
-            timeout_s=faults.notify_timeout_s if faults else None,
-            retry_policy=faults.notify_retry if faults else None,
+            self.sim, self.cpu, injector=self.injector
         )
         self.accel_devices: Dict[str, "AcceleratorDeviceProxy"] = {}
         self.drx_devices: Dict[str, DRXDevice] = {}
@@ -560,13 +556,6 @@ class DMXSystem:
 
     # -- recovery-plane plumbing ---------------------------------------------
 
-    def _fault_instant(self, ev: FaultRecord) -> None:
-        """Mirror one fault-trace note into the telemetry instant stream."""
-        self.telemetry.instant(
-            ev.kind, "fault", actor=ev.actor, request_id=ev.request_id,
-            time=ev.time, site=ev.site, detail=ev.detail,
-        )
-
     def _note(
         self,
         kind: str,
@@ -575,17 +564,20 @@ class DMXSystem:
         request_id: int = -1,
         detail: str = "",
     ) -> None:
-        if self.fault_trace is not None:
-            self.fault_trace.note(
-                self.sim.now, actor, kind,
-                site=site, request_id=request_id, detail=detail,
+        """Record one fault-plane event (an injection, retry, fallback,
+        drain or give-up) as a ``fault`` telemetry instant, the only
+        record of it; runs without a FaultPlan record none."""
+        if self._faults is not None:
+            self.telemetry.instant(
+                kind, "fault", actor=actor, request_id=request_id,
+                site=site, detail=detail,
             )
 
     def _retry_cb(
         self, state: Optional[_RequestState], site: str, actor: str
     ) -> Optional[Callable[[int, BaseException, bool], None]]:
         """Per-operation failed-attempt observer: per-request retry count
-        plus a trace record. None in fault-free runs (fast path)."""
+        plus a fault note. None in fault-free runs (fast path)."""
         if self._faults is None:
             return None
 
@@ -1269,15 +1261,14 @@ class DMXSystem:
         """One accelerator invocation under the kernel watchdog: a hung
         or faulted kernel is interrupted (freeing the card's queue slot)
         and re-issued with bounded backoff."""
-        plan = self._faults
         yield from retry(
             self.sim,
             lambda: self.injector.guard(
                 "kernel", device.execute(),
                 actor=device.name, request_id=state.request_id,
             ),
-            plan.kernel_retry,
-            timeout_s=plan.kernel_timeout_s,
+            KERNEL_RETRY,
+            timeout_s=KERNEL_TIMEOUT_S,
             on_attempt_failed=self._retry_cb(state, "kernel", device.name),
             what=f"kernel:{device.name}",
         )

@@ -1,8 +1,8 @@
 """Seeded fault injection for the DES model.
 
 A :class:`FaultInjector` perturbs operations at named *sites* ("dma",
-"drx", "kernel", "fabric", "notify") according to per-site
-:class:`FaultPolicy` probabilities:
+"drx", "kernel", "notify", and the backend planner's "dsa" and "xdma")
+according to per-site :class:`FaultPolicy` probabilities:
 
 * **DELAY** — the operation runs, but only after an extra latency (a
   straggler: descriptor ring backpressure, a slow completion);
@@ -15,7 +15,8 @@ A :class:`FaultInjector` perturbs operations at named *sites* ("dma",
 All randomness comes from one ``random.Random(seed)``, and the DES event
 order is deterministic, so a seeded run replays the exact same fault
 sequence — the property the recovery tests and the acceptance scenario
-rely on.
+rely on. Each injected fault is passed to an optional ``note`` callback
+(the system writes it as a ``fault`` telemetry instant).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim import Event, Simulator
-from ..sim.tracing import Trace
 
 __all__ = ["FaultKind", "FaultPolicy", "InjectedFault", "FaultInjector"]
 
@@ -97,9 +97,9 @@ class FaultInjector:
     policies:
         Mapping of site name → :class:`FaultPolicy`. Sites without an
         entry are never perturbed.
-    trace:
-        Optional :class:`~repro.sim.tracing.Trace`; every injected fault
-        is recorded as a ``FaultRecord`` with kind ``inject:<flavour>``.
+    note:
+        Optional callback ``note(kind, actor, site=, request_id=)``;
+        every injected fault is noted with kind ``inject:<flavour>``.
     """
 
     def __init__(
@@ -107,13 +107,13 @@ class FaultInjector:
         sim: Simulator,
         seed: int = 0,
         policies: Optional[Dict[str, FaultPolicy]] = None,
-        trace: Optional[Trace] = None,
+        note: Optional[Callable[..., None]] = None,
     ):
         self.sim = sim
         self.seed = seed
         self._rng = random.Random(seed)
         self.policies: Dict[str, FaultPolicy] = dict(policies or {})
-        self.trace = trace
+        self.note = note
         self.injected: Dict[Tuple[str, FaultKind], int] = {}
 
     def policy_for(self, site: str) -> FaultPolicy:
@@ -158,13 +158,10 @@ class FaultInjector:
     ) -> None:
         key = (site, kind)
         self.injected[key] = self.injected.get(key, 0) + 1
-        if self.trace is not None:
-            self.trace.note(
-                self.sim.now,
-                actor or site,
-                f"inject:{kind.value}",
-                site=site,
-                request_id=request_id,
+        if self.note is not None:
+            self.note(
+                f"inject:{kind.value}", actor or site,
+                site=site, request_id=request_id,
             )
 
     def interpose(

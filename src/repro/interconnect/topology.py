@@ -96,9 +96,6 @@ class Fabric:
         # clears both memos.
         self._routes: Dict[Tuple[str, str], Route] = {}
         self._priced: Dict[Tuple[str, str], PricedRoute] = {}
-        # Optional fault hook: when set (a repro.faults.FaultInjector),
-        # every transfer consults the "fabric" site before acquiring links.
-        self.injector = None
 
     # -- construction --------------------------------------------------------
 
@@ -274,10 +271,6 @@ class Fabric:
         so a timed-out transfer never wedges the fabric.
         """
         start = self.sim.now
-        if self.injector is not None:
-            yield from self.injector.interpose(
-                "fabric", actor=f"{src}->{dst}"
-            )
         priced = self._priced.get((src, dst)) or self._price(src, dst)
         links = priced[0]
         if not links:

@@ -298,7 +298,6 @@ class RecoveryScenarioConfig:
 
     def crash_plan(self) -> CrashPlan:
         return CrashPlan(
-            seed=self.seed,
             crashes=self.crashes,
             detect_after_failures=self.detect_after_failures,
             rescue_deadline_s=self.rescue_deadline_s,

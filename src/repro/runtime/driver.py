@@ -34,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["NotificationCosts", "NotificationModel", "DriverStats"]
 
+#: Watchdog on one armed delivery.
+NOTIFY_TIMEOUT_S = 200e-6
+#: Bounded backoff that re-delivers a lost or hung notification.
+NOTIFY_RETRY = RetryPolicy()
+
 
 @dataclass(frozen=True)
 class NotificationCosts:
@@ -80,20 +85,16 @@ class NotificationModel:
         cpu: HostCPU,
         costs: NotificationCosts = NotificationCosts(),
         injector: Optional[FaultInjector] = None,
-        timeout_s: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
         self.stats = DriverStats()
-        # Recovery plane: when a timeout (or injector) is configured, each
-        # delivery runs under a watchdog — a lost/hung notification is
-        # re-delivered with bounded backoff, like a driver re-polling a
-        # completion ring whose interrupt never arrived.
+        # Recovery plane: with an injector, each delivery runs under a
+        # watchdog — a lost/hung notification is re-delivered with
+        # bounded backoff, like a driver re-polling a completion ring
+        # whose interrupt never arrived.
         self.injector = injector
-        self.timeout_s = timeout_s
-        self.retry_policy = retry_policy
         self._arrivals: Dict[str, Deque[float]] = {}
         self._polling: Dict[str, bool] = {}
         self._last_isr: Dict[str, float] = {}
@@ -130,12 +131,11 @@ class NotificationModel:
         self.cpu.busy_seconds += cost
 
     def _deliver(self, device: str, cost: float) -> Generator:
-        """One delivery attempt: charge the handler cost on the host."""
-        op = self._charge(cost)
-        if self.injector is not None:
-            yield from self.injector.guard("notify", op, actor=device)
-        else:
-            yield from op
+        """One armed delivery attempt: charge the handler cost on the
+        host under the "notify" site's fault policy."""
+        yield from self.injector.guard(
+            "notify", self._charge(cost), actor=device
+        )
 
     def notify(
         self,
@@ -153,9 +153,9 @@ class NotificationModel:
         coalesced rate — the driver walks the completion ring once. In
         polling mode every member still pays the amortized poll cost.
 
-        Returns the CPU cost charged per delivery. With a recovery
-        configuration, a lost or hung delivery is retried (whole) under
-        the watchdog (``on_retry`` observes each failed attempt);
+        Returns the CPU cost charged per delivery. With an injector, a
+        lost or hung delivery is retried (whole) under the watchdog
+        (``on_retry`` observes each failed attempt);
         exhaustion raises :class:`~repro.faults.RetryExhausted`. ``ctx``
         attaches a "notify" span recording the delivery mode and billed
         cost.
@@ -221,7 +221,7 @@ class NotificationModel:
         # ISRs preempt whatever the cores are doing, so the notification
         # costs wall time and CPU energy but does not queue behind bulk
         # restructuring chunks.
-        if self.injector is None and self.timeout_s is None:
+        if self.injector is None:
             yield self.sim.timeout(cost)
             self.cpu.busy_seconds += cost
             return
@@ -237,8 +237,8 @@ class NotificationModel:
         yield from retry(
             self.sim,
             lambda: self._deliver(device, cost),
-            self.retry_policy or RetryPolicy(),
-            timeout_s=self.timeout_s,
+            NOTIFY_RETRY,
+            timeout_s=NOTIFY_TIMEOUT_S,
             on_attempt_failed=failed,
             what=f"notify:{device}",
         )

@@ -13,9 +13,7 @@ from .engine import (
 )
 from .resources import PriorityResource, Request, Resource, Server, Store
 from .tracing import (
-    FaultRecord,
     PhaseAccumulator,
-    Trace,
     exact_percentile,
     geometric_mean,
     summarize_latencies,
@@ -31,14 +29,12 @@ __all__ = [
     "Simulator",
     "Timeout",
     "WaitTimeout",
-    "FaultRecord",
     "PriorityResource",
     "Request",
     "Resource",
     "Server",
     "Store",
     "PhaseAccumulator",
-    "Trace",
     "exact_percentile",
     "geometric_mean",
     "summarize_latencies",

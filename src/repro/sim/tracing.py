@@ -2,107 +2,21 @@
 
 The DMX experiments need three aggregates per run: per-request latency
 broken into phases (kernel / restructuring / movement), per-resource busy
-time, and per-device energy integrals. Timing lives in the span tree
-(:mod:`repro.telemetry`); :class:`Trace` keeps the fault plane's point
-events and :class:`PhaseAccumulator` sums phase durations.
+time, and per-device energy integrals. Timing and the fault plane's
+point events live in the telemetry layer (:mod:`repro.telemetry`);
+:class:`PhaseAccumulator` sums phase durations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 __all__ = [
-    "FaultRecord",
-    "Trace",
     "PhaseAccumulator",
     "exact_percentile",
     "summarize_latencies",
 ]
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One fault-related occurrence on the recovery plane.
-
-    ``kind`` is an open vocabulary; the fault layer emits
-    ``inject:fail`` / ``inject:hang`` / ``inject:delay`` for injected
-    faults, ``timeout`` for missed deadlines, ``retry`` for re-attempts,
-    ``fallback`` for DRX→CPU degradations, and ``giveup`` when recovery
-    is exhausted.
-    """
-
-    time: float
-    actor: str
-    kind: str
-    site: str = ""
-    request_id: int = -1
-    detail: str = ""
-
-
-class Trace:
-    """Append-only stream of :class:`FaultRecord` point events, so
-    injected faults, retries, and fallbacks show up alongside the spans
-    they perturbed."""
-
-    def __init__(
-        self,
-        note_listener: Optional[Callable[[FaultRecord], None]] = None,
-    ) -> None:
-        self.events: List[FaultRecord] = []
-        # Request-id index: a per-request fault query would otherwise be
-        # an O(n) scan (O(n^2) across a large serving run).
-        self._events_by_request: Dict[int, List[FaultRecord]] = {}
-        # Optional mirror: every fault note is forwarded (the telemetry
-        # layer subscribes to surface fault events as instants).
-        self._note_listener = note_listener
-
-    def note(
-        self,
-        time: float,
-        actor: str,
-        kind: str,
-        site: str = "",
-        request_id: int = -1,
-        detail: str = "",
-    ) -> None:
-        """Record one fault-plane point event."""
-        event = FaultRecord(time, actor, kind, site, request_id, detail)
-        self.events.append(event)
-        self._events_by_request.setdefault(request_id, []).append(event)
-        if self._note_listener is not None:
-            self._note_listener(event)
-
-    def faults(
-        self,
-        kind: Optional[str] = None,
-        site: Optional[str] = None,
-        request_id: Optional[int] = None,
-    ) -> List[FaultRecord]:
-        """Fault events matching the filters (all by default).
-
-        A ``request_id`` filter uses the per-request index instead of
-        scanning the full event stream.
-        """
-        events: Iterable[FaultRecord] = (
-            self.events
-            if request_id is None
-            else self._events_by_request.get(request_id, ())
-        )
-        return [
-            ev
-            for ev in events
-            if (kind is None or ev.kind == kind)
-            and (site is None or ev.site == site)
-        ]
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Number of fault events keyed by kind."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind] = out.get(ev.kind, 0) + 1
-        return out
 
 
 class PhaseAccumulator:

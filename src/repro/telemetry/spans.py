@@ -1,11 +1,12 @@
 """Causal span model: hierarchical, request-linked timing spans.
 
-Where :class:`~repro.sim.tracing.Trace` keeps a *flat* list of
-intervals, the telemetry layer records **spans** — timed regions with a
-parent span, a request id, and an attribute bag — so a run can be
+The telemetry layer records **spans** — timed regions with a parent
+span, a request id, and an attribute bag — so a run can be
 reconstructed as one tree per request (request → chain stage →
 dma/drx/kernel/notify leaves) and rendered as a waterfall or exported to
-Perfetto.
+Perfetto. Point events are **instants**; every fault-plane note (an
+injection, retry, fallback, drain or give-up) is one instant of
+category ``"fault"``, and that is the only record of it.
 
 Span times come from the owning :class:`~repro.sim.engine.Simulator`
 clock, so two runs with equal seeds produce identical span streams —

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultPolicy, InjectedFault
-from repro.sim import Interrupt, Simulator, Trace
+from repro.sim import Interrupt, Simulator
 
 
 def run_draws(seed, policy, n=200):
@@ -153,13 +153,13 @@ def test_guard_closes_unstarted_op_generator():
         next(gen)
 
 
-def test_trace_records_injections():
+def test_note_receives_injections():
     sim = Simulator()
-    trace = Trace()
+    notes = []
     injector = FaultInjector(
         sim, seed=0,
         policies={"dma": FaultPolicy(fail_p=1.0)},
-        trace=trace,
+        note=lambda *args, **kw: notes.append((sim.now, args, kw)),
     )
 
     def op(sim):
@@ -174,8 +174,7 @@ def test_trace_records_injections():
 
     sim.spawn(proc(sim))
     sim.run()
-    record, = trace.faults(kind="inject:fail")
-    assert record.site == "dma"
-    assert record.actor == "eng0"
-    assert record.request_id == 42
-    assert trace.fault_counts() == {"inject:fail": 1}
+    # Noted at the instant of injection, before the fail latency burns.
+    assert notes == [
+        (0.0, ("inject:fail", "eng0"), {"site": "dma", "request_id": 42}),
+    ]
