@@ -98,22 +98,20 @@ def _registry() -> Dict[str, type]:
     from ..faults.injector import FaultPolicy
     from ..faults.plan import FaultPlan
     from ..faults.recovery import RetryPolicy
-    from ..resilience.brownout import BrownoutConfig, BrownoutTier
     from ..resilience.chaos import ChaosSweepConfig
     from ..resilience.control import ResilienceConfig
     from ..resilience.breaker import BreakerConfig
     from ..serve.batching import BatchingConfig
-    from ..serve.frontend import Discipline, ShedPolicy
+    from ..serve.frontend import ShedPolicy
     from ..serve.sweep import SweepConfig
 
     return {
         cls.__name__: cls
         for cls in (
-            Mode, ShedPolicy, Discipline, BrownoutTier,
+            Mode, ShedPolicy,
             SweepConfig, ChaosSweepConfig,
             FaultPlan, FaultPolicy, RetryPolicy,
-            ResilienceConfig, BreakerConfig,
-            BrownoutConfig, BatchingConfig,
+            ResilienceConfig, BreakerConfig, BatchingConfig,
             PlannerConfig,
         )
     }

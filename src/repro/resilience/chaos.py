@@ -1,12 +1,12 @@
 """The chaos sweep: FaultPlan intensity × offered load → goodput cliff.
 
 Open-loop faults at scale: :func:`run_chaos_sweep` crosses a grid of
-fault intensities (a scalar multiplier on a base
-:class:`~repro.faults.FaultPlan`'s injection probabilities) with a grid
-of offered loads, running one full serving experiment per cell — with
-and without the resilience control plane — and charts where **goodput
-falls off a cliff**: the highest offered load a configuration sustains
-while goodput stays at least ``goodput_floor`` of what was offered.
+fault intensities (a scalar multiplier on :data:`DEFAULT_CHAOS_PLAN`'s
+injection probabilities) with a grid of offered loads, running one full
+serving experiment per cell — with and without the resilience control
+plane — and charts where **goodput falls off a cliff**: the highest
+offered load a configuration sustains while goodput stays at least
+``goodput_floor`` (0.7) of what was offered.
 
 The mechanism the sweep exposes: without breakers, every request that
 hits a sick DRX burns the full per-stage deadline budget while holding
@@ -25,24 +25,23 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..core.chain import AppChain
-from ..core.placement import Mode, SystemConfig
+from ..core.placement import Mode
 from ..core.system import DMXSystem
 from ..faults import FaultPlan
 from ..faults.injector import FaultPolicy
-from ..serve.arrivals import make_arrivals
-from ..serve.frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
+from ..serve.frontend import FrontendConfig, ShedPolicy
 from ..serve.slo import ServeResult
-from .brownout import BrownoutConfig
+from ..serve.sweep import (
+    build_chains,
+    check_serving_fields,
+    serve_load,
+    system_config,
+    write_run_artifact,
+)
 from .control import ResilienceConfig
 
 __all__ = ["ChaosSweepConfig", "ChaosPoint", "ChaosSweepResult",
@@ -90,72 +89,53 @@ class ChaosSweepConfig:
     """One chaos experiment: loads × intensities × {baseline, resilient}.
 
     ``offered_loads_rps`` is the aggregate offered load per point, split
-    evenly across ``n_tenants`` tenant chains (ascending, like
+    evenly across the tenant chains (ascending, like
     :class:`~repro.serve.sweep.SweepConfig`). ``fault_intensities``
-    scale ``base_plan`` via :func:`scale_plan`. ``control_plane`` is the
-    pair of arms to run — ``(False, True)`` by default, proving the
-    cliff shift. ``resilience`` configures the breakers for the
-    resilient arm; ``brownout`` (optional) additionally arms the
-    frontend's degradation ladder on that arm.
+    scale :data:`DEFAULT_CHAOS_PLAN` via :func:`scale_plan`.
+    ``control_plane`` is the pair of arms to run — ``(False, True)`` by
+    default, proving the cliff shift. ``resilience`` configures the
+    breakers for the resilient arm.
+
+    Every cell serves ``n_tenants`` Poisson tenants of ``benchmark``
+    (``chain_factory``'s chains when set) on a ``mode`` system, queueing
+    every arrival (``ShedPolicy.QUEUE``) and dispatching FCFS.
 
     ``artifact_dir`` writes each cell's telemetry as a run artifact
     (``{baseline|resilient}-i<intensity idx>-pt<load idx>.jsonl``) —
-    deterministic names, byte-identical contents across equal seeds.
+    deterministic names, byte-identical contents across equal seeds —
+    and runs the conservation-invariant checker on it (raising
+    :class:`~repro.resilience.invariants.InvariantViolation` if the
+    books don't balance: a chaos sweep that miscounts a request is
+    worthless).
     """
+
+    #: The constants of every cell (class attributes, not settable).
+    mode: ClassVar[Mode] = Mode.STANDALONE
+    benchmark: ClassVar[str] = "sound-detection"
+    n_tenants: ClassVar[int] = 2
+    #: A load is sustained while goodput is at least this share of it.
+    goodput_floor: ClassVar[float] = 0.7
 
     offered_loads_rps: Tuple[float, ...]
     fault_intensities: Tuple[float, ...] = (1.0,)
-    base_plan: FaultPlan = DEFAULT_CHAOS_PLAN
     control_plane: Tuple[bool, ...] = (False, True)
     resilience: ResilienceConfig = ResilienceConfig()
-    brownout: Optional[BrownoutConfig] = None
-    mode: Mode = Mode.STANDALONE
-    benchmark: str = "sound-detection"
-    n_tenants: int = 2
     requests_per_tenant: int = 24
-    arrival_kind: str = "poisson"
     seed: int = 0
     slo_s: float = 50e-3
     max_inflight: int = 8
-    queue_capacity: int = 256
-    discipline: Discipline = Discipline.FCFS
     sample_period_s: Optional[float] = 1e-3
-    goodput_floor: float = 0.7
     chain_factory: Optional[Callable[[], List[AppChain]]] = None
     artifact_dir: Optional[str] = None
-    #: Run the conservation-invariant checker on every written cell
-    #: artifact (raises :class:`InvariantViolation` if the books don't
-    #: balance — a chaos sweep that miscounts a request is worthless).
-    verify_artifacts: bool = True
 
     def __post_init__(self) -> None:
-        if not self.offered_loads_rps:
-            raise ValueError("need at least one offered load")
-        if any(load <= 0 for load in self.offered_loads_rps):
-            raise ValueError("offered loads must be positive")
-        if list(self.offered_loads_rps) != sorted(self.offered_loads_rps):
-            raise ValueError("offered loads must be ascending")
+        check_serving_fields(self)
         if not self.fault_intensities:
             raise ValueError("need at least one fault intensity")
-        if any(i < 0 for i in self.fault_intensities):
-            raise ValueError("fault intensities must be >= 0")
+        if not all(i >= 0 for i in self.fault_intensities):
+            raise ValueError("fault_intensities must be >= 0 (not NaN)")
         if not self.control_plane:
             raise ValueError("need at least one control-plane arm")
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if self.requests_per_tenant <= 0:
-            raise ValueError("requests_per_tenant must be positive")
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
-        if not 0.0 < self.goodput_floor <= 1.0:
-            raise ValueError("goodput_floor must be in (0, 1]")
-
-    def build_chains(self) -> List[AppChain]:
-        if self.chain_factory is not None:
-            return self.chain_factory()
-        from ..workloads import build_benchmark_chains
-
-        return build_benchmark_chains(self.benchmark, self.n_tenants)
 
 
 @dataclass(frozen=True)
@@ -252,66 +232,12 @@ class ChaosSweepResult:
             "slo_s": self.slo_s,
             "seed": self.seed,
             "goodput_floor": self.goodput_floor,
-            "points": [
-                {
-                    "control_plane": p.control_plane,
-                    "intensity": p.intensity,
-                    "offered_rps": p.offered_rps,
-                    "goodput_rps": p.goodput_rps,
-                    "p50_s": p.p50_s,
-                    "p99_s": p.p99_s,
-                    "completed": p.completed,
-                    "failed": p.failed,
-                    "violations": p.violations,
-                    "shed": p.shed,
-                    "retries": p.retries,
-                    "fallbacks": p.fallbacks,
-                    "rerouted": p.rerouted,
-                    "elapsed_s": p.elapsed_s,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
         }
 
     def to_json(self) -> str:
         """Canonical serialization — byte-identical across equal runs."""
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _run_cell(
-    config: ChaosSweepConfig, plan: FaultPlan, resilient: bool, load: float
-) -> ServeResult:
-    chains = config.build_chains()
-    system = DMXSystem(
-        chains,
-        SystemConfig(mode=config.mode),
-        faults=plan,
-        resilience=config.resilience if resilient else None,
-    )
-    per_tenant = load / len(chains)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=make_arrivals(config.arrival_kind, per_tenant),
-            n_requests=config.requests_per_tenant,
-            queue_capacity=config.queue_capacity,
-        )
-        for chain in chains
-    ]
-    frontend = ServingFrontend(
-        system,
-        tenants,
-        FrontendConfig(
-            max_inflight=config.max_inflight,
-            shed=ShedPolicy.QUEUE,
-            discipline=config.discipline,
-            slo_s=config.slo_s,
-            sample_period_s=config.sample_period_s,
-            brownout=config.brownout if resilient else None,
-        ),
-        seed=config.seed,
-    )
-    return frontend.run()
 
 
 def _point(
@@ -336,41 +262,6 @@ def _point(
     )
 
 
-def _write_cell_artifact(
-    config: ChaosSweepConfig,
-    resilient: bool,
-    intensity_index: int,
-    load_index: int,
-    intensity: float,
-    load: float,
-    result: ServeResult,
-) -> None:
-    from ..telemetry import write_artifact
-
-    os.makedirs(config.artifact_dir, exist_ok=True)
-    arm = "resilient" if resilient else "baseline"
-    path = os.path.join(
-        config.artifact_dir,
-        f"{arm}-i{intensity_index}-pt{load_index}.jsonl",
-    )
-    write_artifact(
-        path,
-        result.telemetry,
-        meta={
-            "control_plane": resilient,
-            "intensity": intensity,
-            "offered_rps": load,
-            "seed": config.seed,
-            "slo_s": config.slo_s,
-            "mode": config.mode.value,
-        },
-    )
-    if config.verify_artifacts:
-        from .invariants import verify_artifact_path
-
-        verify_artifact_path(path).raise_on_problems()
-
-
 def run_chaos_cell(
     config: ChaosSweepConfig,
     intensity_index: int,
@@ -386,12 +277,39 @@ def run_chaos_cell(
     """
     intensity = config.fault_intensities[intensity_index]
     load = config.offered_loads_rps[load_index]
-    plan = scale_plan(config.base_plan, intensity)
-    result = _run_cell(config, plan, resilient, load)
+    system = DMXSystem(
+        build_chains(config),
+        system_config(config.mode),
+        faults=scale_plan(DEFAULT_CHAOS_PLAN, intensity),
+        resilience=config.resilience if resilient else None,
+    )
+    result = serve_load(
+        system, load, config.requests_per_tenant,
+        FrontendConfig(
+            max_inflight=config.max_inflight,
+            shed=ShedPolicy.QUEUE,
+            slo_s=config.slo_s,
+            sample_period_s=config.sample_period_s,
+        ),
+        seed=config.seed,
+    )
     if config.artifact_dir is not None:
-        _write_cell_artifact(
-            config, resilient, intensity_index, load_index,
-            intensity, load, result,
+        arm = "resilient" if resilient else "baseline"
+        write_run_artifact(
+            os.path.join(
+                config.artifact_dir,
+                f"{arm}-i{intensity_index}-pt{load_index}.jsonl",
+            ),
+            result,
+            meta={
+                "control_plane": resilient,
+                "intensity": intensity,
+                "offered_rps": load,
+                "seed": config.seed,
+                "slo_s": config.slo_s,
+                "mode": config.mode.value,
+            },
+            verify=True,
         )
     return _point(resilient, intensity, load, result)
 

@@ -42,25 +42,23 @@ conservation invariant checker run automatically on the artifact.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..core.chain import AppChain
-from ..core.placement import Mode, SystemConfig
+from ..core.placement import Mode
 from ..core.system import DMXSystem, RequestRecord
-from ..faults import FaultPlan
 from ..faults.domains import CrashPlan, DomainCrash
-from ..serve.arrivals import make_arrivals
 from ..serve.batching import BatchingConfig
-from ..serve.frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
+from ..serve.frontend import FrontendConfig, ShedPolicy
 from ..serve.slo import ServeResult
+from ..serve.sweep import (
+    build_chains,
+    check_serving_fields,
+    serve_load,
+    system_config,
+    write_run_artifact,
+)
 from .control import ResilienceConfig
 
 __all__ = [
@@ -251,12 +249,19 @@ class RecoveryScenarioConfig:
 
     ``offered_rps`` is aggregate load split evenly across ``n_tenants``
     tenant chains; ``crashes`` is the kill schedule (targets are
-    dispatch names like ``"drx.s0"``). ``artifact_path`` writes the
-    run's telemetry artifact and — with ``verify=True`` — runs the
-    conservation invariant checker on it, raising
+    dispatch names like ``"drx.s0"``). The run serves Poisson tenants on
+    a ``mode`` system with the default :class:`ResilienceConfig` armed,
+    at most ``max_inflight`` requests in flight, queueing every arrival
+    (``ShedPolicy.QUEUE``) and dispatching FCFS. ``artifact_path``
+    writes the run's telemetry artifact and — with ``verify=True`` —
+    runs the conservation invariant checker on it, raising
     :class:`~repro.resilience.invariants.InvariantViolation` on any
     problem (every recovery sweep self-checks its own books).
     """
+
+    #: The constants of every scenario (class attributes, not settable).
+    mode: ClassVar[Mode] = Mode.STANDALONE
+    max_inflight: ClassVar[int] = 8
 
     offered_rps: float
     crashes: Tuple[DomainCrash, ...]
@@ -264,37 +269,16 @@ class RecoveryScenarioConfig:
     requests_per_tenant: int = 50
     detect_after_failures: int = 1
     rescue_deadline_s: Optional[float] = None
-    mode: Mode = Mode.STANDALONE
     benchmark: str = "sound-detection"
     chain_factory: Optional[Callable[[], List[AppChain]]] = None
-    arrival_kind: str = "poisson"
     seed: int = 0
     slo_s: float = 50e-3
-    max_inflight: int = 8
-    queue_capacity: int = 256
-    discipline: Discipline = Discipline.FCFS
-    faults: Optional[FaultPlan] = None
-    resilience: Optional[ResilienceConfig] = field(
-        default_factory=ResilienceConfig
-    )
     batching: Optional[BatchingConfig] = None
     artifact_path: Optional[str] = None
     verify: bool = True
 
     def __post_init__(self) -> None:
-        if self.offered_rps <= 0:
-            raise ValueError("offered_rps must be positive")
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if self.requests_per_tenant <= 0:
-            raise ValueError("requests_per_tenant must be positive")
-
-    def build_chains(self) -> List[AppChain]:
-        if self.chain_factory is not None:
-            return self.chain_factory()
-        from ..workloads import build_benchmark_chains
-
-        return build_benchmark_chains(self.benchmark, self.n_tenants)
+        check_serving_fields(self, "offered_rps")
 
     def crash_plan(self) -> CrashPlan:
         return CrashPlan(
@@ -338,37 +322,22 @@ def run_recovery_scenario(
     config: RecoveryScenarioConfig,
 ) -> RecoveryScenarioResult:
     """Run one crash-mid-run serving experiment end to end."""
-    chains = config.build_chains()
     system = DMXSystem(
-        chains,
-        SystemConfig(mode=config.mode),
-        faults=config.faults,
-        resilience=config.resilience,
+        build_chains(config),
+        system_config(config.mode),
+        resilience=ResilienceConfig(),
         domains=config.crash_plan(),
     )
-    per_tenant = config.offered_rps / len(chains)
-    tenants = [
-        TenantSpec(
-            name=chain.name,
-            arrivals=make_arrivals(config.arrival_kind, per_tenant),
-            n_requests=config.requests_per_tenant,
-            queue_capacity=config.queue_capacity,
-        )
-        for chain in chains
-    ]
-    frontend = ServingFrontend(
-        system,
-        tenants,
+    serve = serve_load(
+        system, config.offered_rps, config.requests_per_tenant,
         FrontendConfig(
             max_inflight=config.max_inflight,
             shed=ShedPolicy.QUEUE,
-            discipline=config.discipline,
             slo_s=config.slo_s,
             batching=config.batching,
         ),
         seed=config.seed,
     )
-    serve = frontend.run()
     manager = system.domains
     summary = manager.summary() if manager is not None else {}
     detect = (
@@ -377,14 +346,9 @@ def run_recovery_scenario(
         else {}
     )
     if config.artifact_path is not None:
-        from ..telemetry import write_artifact
-
-        directory = os.path.dirname(config.artifact_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        write_artifact(
+        write_run_artifact(
             config.artifact_path,
-            serve.telemetry,
+            serve,
             meta={
                 "offered_rps": config.offered_rps,
                 "seed": config.seed,
@@ -399,11 +363,8 @@ def run_recovery_scenario(
                     for c in config.crashes
                 ],
             },
+            verify=config.verify,
         )
-        if config.verify:
-            from .invariants import verify_artifact_path
-
-            verify_artifact_path(config.artifact_path).raise_on_problems()
     return RecoveryScenarioResult(
         serve=serve,
         domains=summary,

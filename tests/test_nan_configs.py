@@ -27,6 +27,12 @@ The crash plane too: ``CrashPlan(rescue_deadline_s=nan)`` rescued every
 drained leg, as if no deadline were set, and a NaN ``DomainCrash``
 instant (``at_s`` or ``revive_at_s``) killed the run while the system
 was built, with an engine error that named no field.
+
+And the experiment configs: a NaN offered load in ``SweepConfig``,
+``ChaosSweepConfig`` or ``RecoveryScenarioConfig`` killed the run at its
+first arrival with an engine error that named no field, a NaN chaos
+fault intensity died in ``scale_plan`` naming ``fail_p``, and a NaN
+``slo_s`` got as far as the first point's frontend.
 """
 
 import math
@@ -42,13 +48,19 @@ from repro.faults import (
     FaultPolicy,
     RetryPolicy,
 )
-from repro.resilience import BreakerConfig, TokenBucketConfig
+from repro.resilience import (
+    BreakerConfig,
+    ChaosSweepConfig,
+    RecoveryScenarioConfig,
+    TokenBucketConfig,
+)
 from repro.resilience.brownout import BrownoutConfig, BrownoutController
 from repro.serve import (
     BatchingConfig,
     FrontendConfig,
     LatencyTracker,
     PoissonArrivals,
+    SweepConfig,
     TenantSpec,
 )
 from repro.serve.slo import ServeResult, TenantStats
@@ -69,6 +81,28 @@ def _token_bucket(**kw):
 
 def _crash(**kw):
     return DomainCrash(**{"target": "drx.s0", "at_s": 0.0, **kw})
+
+
+def _tuples(kw, *names):
+    """Wrap the scalar given for each tuple field into a one-item tuple."""
+    return {key: (v,) if key in names else v for key, v in kw.items()}
+
+
+def _sweep(**kw):
+    return SweepConfig(**{
+        "offered_loads_rps": (1.0,), **_tuples(kw, "offered_loads_rps"),
+    })
+
+
+def _chaos(**kw):
+    return ChaosSweepConfig(**{
+        "offered_loads_rps": (1.0,),
+        **_tuples(kw, "offered_loads_rps", "fault_intensities"),
+    })
+
+
+def _recovery(**kw):
+    return RecoveryScenarioConfig(**{"offered_rps": 1.0, "crashes": (), **kw})
 
 
 #: (constructor, field): each call must reject ``field=value``.
@@ -100,6 +134,13 @@ CHECKS = [
     (CrashPlan, "rescue_deadline_s"),
     (_crash, "at_s"),
     (_crash, "revive_at_s"),
+    (_sweep, "offered_loads_rps"),
+    (_sweep, "slo_s"),
+    (_chaos, "offered_loads_rps"),
+    (_chaos, "fault_intensities"),
+    (_chaos, "slo_s"),
+    (_recovery, "offered_rps"),
+    (_recovery, "slo_s"),
 ]
 
 
