@@ -34,8 +34,10 @@ Subpackages
     (``python -m repro.eval``).
 """
 
-from .profiles import WorkProfile, scale_profile
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = ["WorkProfile", "scale_profile", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "profiles": ("WorkProfile", "scale_profile"),
+})

@@ -1,93 +1,35 @@
 """Domain accelerators: functional kernels + device timing models."""
 
-from .base import Accelerator, AcceleratorDevice, AcceleratorSpec
-from .compression import (
-    CorruptStreamError,
-    DecompressionAccelerator,
-    lz77_compress,
-    lz77_decompress,
-)
-from .crypto import (
-    AES128,
-    AesGcmAccelerator,
-    AuthenticationError,
-    aes_gcm_decrypt,
-    aes_gcm_encrypt,
-)
-from .detection import (
-    Detection,
-    ObjectDetectionAccelerator,
-    conv2d,
-    max_pool2d,
-    relu,
-)
-from .fftaccel import (
-    FFTAccelerator,
-    fft_radix2,
-    frame_signal,
-    hann_window,
-    rfft_frames,
-)
-from .hashjoin import HashJoinAccelerator, hash_join
-from .ner import (
-    NER_LABELS,
-    NERAccelerator,
-    TransformerEncoder,
-    gelu,
-    layer_norm,
-    softmax,
-)
-from .regexaccel import PII_PATTERNS, Regex, RegexAccelerator
-from .rl import MLPPolicy, RLPolicyAccelerator, ppo_update
-from .svm import LinearSVM, SVMAccelerator
-from .video import (
-    BitstreamError,
-    VideoDecodeAccelerator,
-    decode_frame,
-    encode_frame,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Accelerator",
-    "AcceleratorDevice",
-    "AcceleratorSpec",
-    "CorruptStreamError",
-    "DecompressionAccelerator",
-    "lz77_compress",
-    "lz77_decompress",
-    "AES128",
-    "AesGcmAccelerator",
-    "AuthenticationError",
-    "aes_gcm_decrypt",
-    "aes_gcm_encrypt",
-    "Detection",
-    "ObjectDetectionAccelerator",
-    "conv2d",
-    "max_pool2d",
-    "relu",
-    "FFTAccelerator",
-    "fft_radix2",
-    "frame_signal",
-    "hann_window",
-    "rfft_frames",
-    "HashJoinAccelerator",
-    "hash_join",
-    "NER_LABELS",
-    "NERAccelerator",
-    "TransformerEncoder",
-    "gelu",
-    "layer_norm",
-    "softmax",
-    "PII_PATTERNS",
-    "Regex",
-    "RegexAccelerator",
-    "MLPPolicy",
-    "RLPolicyAccelerator",
-    "ppo_update",
-    "LinearSVM",
-    "SVMAccelerator",
-    "BitstreamError",
-    "VideoDecodeAccelerator",
-    "decode_frame",
-    "encode_frame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Accelerator", "AcceleratorDevice", "AcceleratorSpec"),
+    "compression": (
+        "CorruptStreamError", "DecompressionAccelerator", "lz77_compress",
+        "lz77_decompress",
+    ),
+    "crypto": (
+        "AES128", "AesGcmAccelerator", "AuthenticationError",
+        "aes_gcm_decrypt", "aes_gcm_encrypt",
+    ),
+    "detection": (
+        "Detection", "ObjectDetectionAccelerator", "conv2d", "max_pool2d",
+        "relu",
+    ),
+    "fftaccel": (
+        "FFTAccelerator", "fft_radix2", "frame_signal", "hann_window",
+        "rfft_frames",
+    ),
+    "hashjoin": ("HashJoinAccelerator", "hash_join"),
+    "ner": (
+        "NER_LABELS", "NERAccelerator", "TransformerEncoder", "gelu",
+        "layer_norm", "softmax",
+    ),
+    "regexaccel": ("PII_PATTERNS", "Regex", "RegexAccelerator"),
+    "rl": ("MLPPolicy", "RLPolicyAccelerator", "ppo_update"),
+    "svm": ("LinearSVM", "SVMAccelerator"),
+    "video": (
+        "BitstreamError", "VideoDecodeAccelerator", "decode_frame",
+        "encode_frame",
+    ),
+})

@@ -20,8 +20,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-import numpy as np
-
 from ..profiles import WorkProfile
 from ..sim import Server, Simulator
 

@@ -9,41 +9,15 @@ under live contention and picks the cheapest, and the static route's
 :class:`FixedRanking` (home DRX unit, sibling unit, CPU).
 """
 
-from .base import (
-    BACKEND_CPU,
-    BACKEND_DRX,
-    BACKEND_DSA,
-    BACKEND_KINDS,
-    BACKEND_XDMA,
-    CostEstimate,
-    CPUBackend,
-    DRXBackend,
-    LegSpec,
-    RestructureBackend,
-)
-from .dsa import DSABackend, DSAConfig, DSADevice
-from .planner import FixedRanking, LegPlanner, PlanDecision, PlannerConfig
-from .xdma import XDMABackend, XDMAConfig, XDMADevice
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_CPU",
-    "BACKEND_DRX",
-    "BACKEND_DSA",
-    "BACKEND_KINDS",
-    "BACKEND_XDMA",
-    "CostEstimate",
-    "CPUBackend",
-    "DRXBackend",
-    "DSABackend",
-    "DSAConfig",
-    "DSADevice",
-    "FixedRanking",
-    "LegPlanner",
-    "LegSpec",
-    "PlanDecision",
-    "PlannerConfig",
-    "RestructureBackend",
-    "XDMABackend",
-    "XDMAConfig",
-    "XDMADevice",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": (
+        "BACKEND_CPU", "BACKEND_DRX", "BACKEND_DSA", "BACKEND_KINDS",
+        "BACKEND_XDMA", "CostEstimate", "CPUBackend", "DRXBackend",
+        "LegSpec", "RestructureBackend",
+    ),
+    "dsa": ("DSABackend", "DSAConfig", "DSADevice"),
+    "planner": ("FixedRanking", "LegPlanner", "PlanDecision", "PlannerConfig"),
+    "xdma": ("XDMABackend", "XDMAConfig", "XDMADevice"),
+})

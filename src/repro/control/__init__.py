@@ -10,15 +10,10 @@ tier pricing, and :func:`~repro.control.placement.plan_placement` for
 the crossing-minimizing re-packer.
 """
 
-from .controller import ClosedLoopController, ControllerConfig
-from .cost import TierBid, TierCostModel
-from .placement import PlacementPlan, plan_placement
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClosedLoopController",
-    "ControllerConfig",
-    "TierBid",
-    "TierCostModel",
-    "PlacementPlan",
-    "plan_placement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "controller": ("ClosedLoopController", "ControllerConfig"),
+    "cost": ("TierBid", "TierCostModel"),
+    "placement": ("PlacementPlan", "plan_placement"),
+})

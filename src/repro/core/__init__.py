@@ -1,40 +1,16 @@
 """DMX core: chains, placements, the system model, collectives."""
 
-from .chain import AppChain, KernelStage, MotionStage, merge_profiles
-from .collectives import (
-    CollectiveResult,
-    CollectiveSystem,
-    collective_profile,
-    reduction_profile,
-)
-from .placement import Mode, SystemConfig, drx_config_for
-from .system import (
-    PHASE_CONTROL,
-    PHASE_KERNEL,
-    PHASE_MOVEMENT,
-    PHASE_RESTRUCTURE,
-    DMXSystem,
-    RequestRecord,
-    RunResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AppChain",
-    "KernelStage",
-    "MotionStage",
-    "merge_profiles",
-    "CollectiveResult",
-    "CollectiveSystem",
-    "collective_profile",
-    "reduction_profile",
-    "Mode",
-    "SystemConfig",
-    "drx_config_for",
-    "PHASE_CONTROL",
-    "PHASE_KERNEL",
-    "PHASE_MOVEMENT",
-    "PHASE_RESTRUCTURE",
-    "DMXSystem",
-    "RequestRecord",
-    "RunResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chain": ("AppChain", "KernelStage", "MotionStage", "merge_profiles"),
+    "collectives": (
+        "CollectiveResult", "CollectiveSystem", "collective_profile",
+        "reduction_profile",
+    ),
+    "placement": ("Mode", "SystemConfig", "drx_config_for"),
+    "system": (
+        "PHASE_CONTROL", "PHASE_KERNEL", "PHASE_MOVEMENT",
+        "PHASE_RESTRUCTURE", "DMXSystem", "RequestRecord", "RunResult",
+    ),
+})

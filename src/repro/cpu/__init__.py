@@ -1,19 +1,10 @@
 """Host CPU models: specs, cache behaviour, top-down analysis, DES device."""
 
-from .cache import CacheBehaviour, CacheModel
-from .host import BULK_PRIORITY, INTERRUPT_PRIORITY, HostCPU
-from .specs import XEON_8260L, CacheLevel, CPUSpec
-from .topdown import TopDownBreakdown, TopDownModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheBehaviour",
-    "CacheModel",
-    "BULK_PRIORITY",
-    "INTERRUPT_PRIORITY",
-    "HostCPU",
-    "XEON_8260L",
-    "CacheLevel",
-    "CPUSpec",
-    "TopDownBreakdown",
-    "TopDownModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CacheBehaviour", "CacheModel"),
+    "host": ("BULK_PRIORITY", "INTERRUPT_PRIORITY", "HostCPU"),
+    "specs": ("XEON_8260L", "CacheLevel", "CPUSpec"),
+    "topdown": ("TopDownBreakdown", "TopDownModel"),
+})

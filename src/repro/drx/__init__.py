@@ -1,90 +1,25 @@
 """Data Restructuring Accelerator: ISA, simulator, compiler, timing."""
 
-from .assembler import assemble, disassemble
-from .compiler.codegen import DRXCompiler, choose_tile
-from .compiler.ir import (
-    BufferDecl,
-    Cast,
-    Elementwise,
-    ElementwiseBinary,
-    IRError,
-    Kernel,
-    MatMul,
-    Primitive,
-    Statement,
-    Transpose2D,
-)
-from .compiler.library import (
-    columnar_pivot_kernel,
-    image_tensor_kernel,
-    log_compress_kernel,
-    mel_projection_kernel,
-    normalize_kernel,
-    power_spectrum_kernel,
-    quantize_kernel,
-    sound_motion_kernel,
-    transpose_kernel,
-    typecast_kernel,
-)
-from .functional import DRXMemory, ExecutionStats, FunctionalDRX
-from .isa import (
-    AddressExpr,
-    Instruction,
-    Opcode,
-    Program,
-    ProgramError,
-)
-from .microarch import DEFAULT_DRX, DRXConfig, DRXDevice, DRXTimingModel
-from .queues import (
-    DRX_MEMORY_BYTES,
-    MAX_ACCELERATORS,
-    QUEUE_BYTES,
-    DataQueue,
-    QueueFullError,
-    QueuePartition,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "assemble",
-    "disassemble",
-    "DRXCompiler",
-    "choose_tile",
-    "BufferDecl",
-    "Cast",
-    "Elementwise",
-    "ElementwiseBinary",
-    "IRError",
-    "Kernel",
-    "MatMul",
-    "Primitive",
-    "Statement",
-    "Transpose2D",
-    "columnar_pivot_kernel",
-    "image_tensor_kernel",
-    "log_compress_kernel",
-    "mel_projection_kernel",
-    "normalize_kernel",
-    "power_spectrum_kernel",
-    "quantize_kernel",
-    "sound_motion_kernel",
-    "transpose_kernel",
-    "typecast_kernel",
-    "DRXMemory",
-    "ExecutionStats",
-    "FunctionalDRX",
-    "AddressExpr",
-    "Instruction",
-    "Opcode",
-    "Program",
-    "ProgramError",
-    "DEFAULT_DRX",
-    "DRXConfig",
-    "DRXDevice",
-    "DRXTimingModel",
-    "DRX_MEMORY_BYTES",
-    "MAX_ACCELERATORS",
-    "QUEUE_BYTES",
-    "DataQueue",
-    "QueueFullError",
-    "QueuePartition",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "assembler": ("assemble", "disassemble"),
+    "compiler.codegen": ("DRXCompiler", "choose_tile"),
+    "compiler.ir": (
+        "BufferDecl", "Cast", "Elementwise", "ElementwiseBinary", "IRError",
+        "Kernel", "MatMul", "Primitive", "Statement", "Transpose2D",
+    ),
+    "compiler.library": (
+        "columnar_pivot_kernel", "image_tensor_kernel", "log_compress_kernel",
+        "mel_projection_kernel", "normalize_kernel", "power_spectrum_kernel",
+        "quantize_kernel", "sound_motion_kernel", "transpose_kernel",
+        "typecast_kernel",
+    ),
+    "functional": ("DRXMemory", "ExecutionStats", "FunctionalDRX"),
+    "isa": ("AddressExpr", "Instruction", "Opcode", "Program", "ProgramError"),
+    "microarch": ("DEFAULT_DRX", "DRXConfig", "DRXDevice", "DRXTimingModel"),
+    "queues": (
+        "DRX_MEMORY_BYTES", "MAX_ACCELERATORS", "QUEUE_BYTES", "DataQueue",
+        "QueueFullError", "QueuePartition",
+    ),
+})

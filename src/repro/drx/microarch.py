@@ -29,10 +29,10 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..profiles import WorkProfile
 from ..sim import Server, Simulator
-from .functional import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
+    from .functional import ExecutionStats
 
 __all__ = ["DRXConfig", "DRXTimingModel", "DRXDevice", "DEFAULT_DRX"]
 

@@ -1,5 +1,7 @@
 """System energy accounting (RAPL-style CPU + card + PCIe models)."""
 
-from .models import EnergyBreakdown, EnergyModel, EnergyParams
+from .._lazy import lazy_exports
 
-__all__ = ["EnergyBreakdown", "EnergyModel", "EnergyParams"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "models": ("EnergyBreakdown", "EnergyModel", "EnergyParams"),
+})

@@ -1,85 +1,25 @@
 """Experiment harness: one driver per paper table/figure + reporting."""
 
-from .ablations import (
-    ablate_batch_size,
-    ablate_decoupling,
-    ablate_notification_strategy,
-    ablate_scalar_residual,
-    ablate_scratchpad_capacity,
-    ablate_scratchpad_fusion,
-)
-from .experiments import (
-    CONCURRENCY_LEVELS,
-    fig3a_runtime_breakdown,
-    fig3b_motivation_speedup,
-    fig5_topdown,
-    fig11_speedup,
-    fig12_breakdown,
-    fig13_throughput,
-    fig14_placement_speedup,
-    fig15_placement_energy,
-    fig16_ner_extension,
-    fig17_collectives,
-    fig18_lane_sweep,
-    fig19_pcie_generations,
-    run_mode,
-    table1_benchmarks,
-)
-from .report import Banner, format_ratio, format_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ablate_batch_size",
-    "ablate_decoupling",
-    "ablate_notification_strategy",
-    "ablate_scalar_residual",
-    "ablate_scratchpad_capacity",
-    "ablate_scratchpad_fusion",
-    "CONCURRENCY_LEVELS",
-    "fig3a_runtime_breakdown",
-    "fig3b_motivation_speedup",
-    "fig5_topdown",
-    "fig11_speedup",
-    "fig12_breakdown",
-    "fig13_throughput",
-    "fig14_placement_speedup",
-    "fig15_placement_energy",
-    "fig16_ner_extension",
-    "fig17_collectives",
-    "fig18_lane_sweep",
-    "fig19_pcie_generations",
-    "run_mode",
-    "table1_benchmarks",
-    "Banner",
-    "format_ratio",
-    "format_table",
-    "ExperimentStore",
-    "IncompleteGridError",
-    "OrchestratorError",
-    "collect",
-    "decode_experiment",
-    "encode_experiment",
-    "fill_store",
-    "grid_points",
-    "point_key",
-    "run_grid",
-    "run_workers",
-]
-
-#: Names served lazily from :mod:`repro.eval.orchestrator` (PEP 562).
-#: Deferring the import keeps ``python -m repro.eval.orchestrator``
-#: clean (runpy warns when the package body already imported the
-#: submodule it is about to execute) and keeps sqlite/multiprocessing
-#: out of the figure drivers' import path.
-_ORCHESTRATOR_EXPORTS = frozenset({
-    "ExperimentStore", "IncompleteGridError", "OrchestratorError",
-    "collect", "decode_experiment", "encode_experiment", "fill_store",
-    "grid_points", "point_key", "run_grid", "run_workers",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ablations": (
+        "ablate_batch_size", "ablate_decoupling",
+        "ablate_notification_strategy", "ablate_scalar_residual",
+        "ablate_scratchpad_capacity", "ablate_scratchpad_fusion",
+    ),
+    "experiments": (
+        "CONCURRENCY_LEVELS", "fig3a_runtime_breakdown",
+        "fig3b_motivation_speedup", "fig5_topdown", "fig11_speedup",
+        "fig12_breakdown", "fig13_throughput", "fig14_placement_speedup",
+        "fig15_placement_energy", "fig16_ner_extension", "fig17_collectives",
+        "fig18_lane_sweep", "fig19_pcie_generations", "run_mode",
+        "table1_benchmarks",
+    ),
+    "report": ("Banner", "format_ratio", "format_table"),
+    "orchestrator": (
+        "ExperimentStore", "IncompleteGridError", "OrchestratorError",
+        "collect", "decode_experiment", "encode_experiment", "fill_store",
+        "grid_points", "point_key", "run_grid", "run_workers",
+    ),
 })
-
-
-def __getattr__(name):
-    if name in _ORCHESTRATOR_EXPORTS:
-        from . import orchestrator
-
-        return getattr(orchestrator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

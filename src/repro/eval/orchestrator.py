@@ -94,25 +94,32 @@ class IncompleteGridError(OrchestratorError):
 
 def _registry() -> Dict[str, type]:
     from ..backends.planner import PlannerConfig
-    from ..core.placement import Mode
+    from ..core.placement import Mode, SystemConfig
+    from ..drx.microarch import DRXConfig
     from ..faults.injector import FaultPolicy
     from ..faults.plan import FaultPlan
     from ..faults.recovery import RetryPolicy
+    from ..interconnect.pcie import PCIeGen
     from ..resilience.chaos import ChaosSweepConfig
     from ..resilience.control import ResilienceConfig
     from ..resilience.breaker import BreakerConfig
     from ..serve.batching import BatchingConfig
     from ..serve.frontend import ShedPolicy
     from ..serve.sweep import SweepConfig
+    from ..telemetry.alerts import AlertConfig, ObservationConfig
+    from ..telemetry.rollup import RollupConfig
+    from ..telemetry.sampling import SamplingConfig
 
     return {
         cls.__name__: cls
         for cls in (
-            Mode, ShedPolicy,
+            Mode, ShedPolicy, PCIeGen,
             SweepConfig, ChaosSweepConfig,
             FaultPlan, FaultPolicy, RetryPolicy,
             ResilienceConfig, BreakerConfig, BatchingConfig,
             PlannerConfig,
+            SystemConfig, DRXConfig,
+            SamplingConfig, ObservationConfig, RollupConfig, AlertConfig,
         )
     }
 

@@ -16,23 +16,11 @@ This package supplies that layer:
   executed by :class:`repro.resilience.recovery.DomainManager`.
 """
 
-from .domains import CrashPlan, DomainCrash, DomainCrashed, RescueAbandoned
-from .injector import FaultInjector, FaultKind, FaultPolicy, InjectedFault
-from .plan import FaultPlan
-from .recovery import RetryExhausted, RetryPolicy, retry, with_timeout
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultKind",
-    "FaultPolicy",
-    "InjectedFault",
-    "FaultPlan",
-    "CrashPlan",
-    "DomainCrash",
-    "DomainCrashed",
-    "RescueAbandoned",
-    "RetryExhausted",
-    "RetryPolicy",
-    "retry",
-    "with_timeout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector", "FaultKind", "FaultPolicy", "InjectedFault"),
+    "plan": ("FaultPlan",),
+    "domains": ("CrashPlan", "DomainCrash", "DomainCrashed", "RescueAbandoned"),
+    "recovery": ("RetryExhausted", "RetryPolicy", "retry", "with_timeout"),
+})

@@ -1,19 +1,9 @@
 """PCIe interconnect substrate: links, fabric topology, DMA engines."""
 
-from .dma import DMACosts, DMAEngine
-from .pcie import GB, KB, MB, LinkConfig, PCIeGen, PCIeLink
-from .topology import SWITCH_PORT_LATENCY_S, Fabric, Node
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DMACosts",
-    "DMAEngine",
-    "GB",
-    "KB",
-    "MB",
-    "LinkConfig",
-    "PCIeGen",
-    "PCIeLink",
-    "SWITCH_PORT_LATENCY_S",
-    "Fabric",
-    "Node",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dma": ("DMACosts", "DMAEngine"),
+    "pcie": ("GB", "KB", "MB", "LinkConfig", "PCIeGen", "PCIeLink"),
+    "topology": ("SWITCH_PORT_LATENCY_S", "Fabric", "Node"),
+})

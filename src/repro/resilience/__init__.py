@@ -32,86 +32,27 @@ deadline fallback), this package closes the loop at the *system* level:
 Everything is deterministic given a seed, like the rest of the repo.
 """
 
-from .admission import TokenBucket, TokenBucketConfig
-from .breaker import (
-    BreakerConfig,
-    BreakerDecision,
-    BreakerState,
-    CircuitBreaker,
-)
-from .brownout import BrownoutConfig, BrownoutController, BrownoutTier
-from .control import ControlPlane, ResilienceConfig
-from .health import HealthConfig, HealthMonitor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HealthConfig",
-    "HealthMonitor",
-    "BreakerState",
-    "BreakerConfig",
-    "BreakerDecision",
-    "CircuitBreaker",
-    "TokenBucketConfig",
-    "TokenBucket",
-    "BrownoutTier",
-    "BrownoutConfig",
-    "BrownoutController",
-    "ResilienceConfig",
-    "ControlPlane",
-    # lazy (see __getattr__): chaos-sweep entry points
-    "ChaosSweepConfig",
-    "ChaosPoint",
-    "ChaosSweepResult",
-    "run_chaos_sweep",
-    "run_chaos_cell",
-    "scale_plan",
-    "DEFAULT_CHAOS_PLAN",
-    # lazy: permanent-failure domains + conservation invariants
-    "DomainManager",
-    "RecoveryScenarioConfig",
-    "RecoveryScenarioResult",
-    "run_recovery_scenario",
-    "InvariantReport",
-    "InvariantViolation",
-    "verify_artifact",
-    "verify_artifact_path",
-]
-
-#: Names served lazily from :mod:`repro.resilience.chaos`. The chaos
-#: module drives full serving experiments, so it imports ``repro.core``
-#: and ``repro.serve`` — which themselves import the breaker/brownout
-#: modules above. Deferring the import (PEP 562) keeps this package
-#: importable from inside ``repro.core.system`` without a cycle.
-_CHAOS_EXPORTS = frozenset({
-    "ChaosSweepConfig", "ChaosPoint", "ChaosSweepResult",
-    "run_chaos_sweep", "run_chaos_cell", "scale_plan",
-    "DEFAULT_CHAOS_PLAN",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "health": ("HealthConfig", "HealthMonitor"),
+    "breaker": (
+        "BreakerState", "BreakerConfig", "BreakerDecision", "CircuitBreaker",
+    ),
+    "admission": ("TokenBucketConfig", "TokenBucket"),
+    "brownout": ("BrownoutTier", "BrownoutConfig", "BrownoutController"),
+    "control": ("ResilienceConfig", "ControlPlane"),
+    "chaos": (
+        "ChaosSweepConfig", "ChaosPoint", "ChaosSweepResult",
+        "run_chaos_sweep", "run_chaos_cell", "scale_plan",
+        "DEFAULT_CHAOS_PLAN",
+    ),
+    "recovery": (
+        "DomainManager", "RecoveryScenarioConfig", "RecoveryScenarioResult",
+        "run_recovery_scenario",
+    ),
+    "invariants": (
+        "InvariantReport", "InvariantViolation", "verify_artifact",
+        "verify_artifact_path",
+    ),
 })
-
-#: Served lazily from :mod:`repro.resilience.recovery` /
-#: :mod:`repro.resilience.invariants` for the same cycle reason.
-_RECOVERY_EXPORTS = frozenset({
-    "DomainManager", "RecoveryScenarioConfig", "RecoveryScenarioResult",
-    "run_recovery_scenario",
-})
-_INVARIANT_EXPORTS = frozenset({
-    "InvariantReport", "InvariantViolation", "verify_artifact",
-    "verify_artifact_path",
-})
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from . import chaos
-
-        return getattr(chaos, name)
-    if name in _RECOVERY_EXPORTS:
-        from . import recovery
-
-        return getattr(recovery, name)
-    if name in _INVARIANT_EXPORTS:
-        from . import invariants
-
-        return getattr(invariants, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -1,73 +1,23 @@
 """Data-restructuring operation library (functional + work profiles)."""
 
-from .audio import (
-    FeatureFlatten,
-    LogCompress,
-    MelScale,
-    PowerSpectrum,
-    SpectrogramAssembly,
-    hz_to_mel,
-    mel_filterbank,
-    mel_to_hz,
-)
-from .base import RestructuringOp, RestructuringPipeline
-from .image import ImageToTensor, Nv12ToRgb, ResizeBilinear
-from .ops import (
-    Crop,
-    Dequantize,
-    InterleaveToPlanar,
-    Normalize,
-    Pad,
-    PlanarToInterleave,
-    Quantize,
-    Reshape,
-    TransposeOp,
-    Typecast,
-)
-from .signal import (
-    EEG_BANDS,
-    BandPower,
-    ObservationAssembly,
-    SpatialFilter,
-    ZScoreNormalize,
-)
-from .table import DictionaryEncode, HashPartition, RowsToColumnar, fnv1a32
-from .text import BytesToRecords, RecordsToBytes, TokenizeForNER
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RestructuringOp",
-    "RestructuringPipeline",
-    "FeatureFlatten",
-    "LogCompress",
-    "MelScale",
-    "PowerSpectrum",
-    "SpectrogramAssembly",
-    "hz_to_mel",
-    "mel_filterbank",
-    "mel_to_hz",
-    "ImageToTensor",
-    "Nv12ToRgb",
-    "ResizeBilinear",
-    "Crop",
-    "Dequantize",
-    "InterleaveToPlanar",
-    "Normalize",
-    "Pad",
-    "PlanarToInterleave",
-    "Quantize",
-    "Reshape",
-    "TransposeOp",
-    "Typecast",
-    "EEG_BANDS",
-    "BandPower",
-    "SpatialFilter",
-    "ObservationAssembly",
-    "ZScoreNormalize",
-    "DictionaryEncode",
-    "HashPartition",
-    "RowsToColumnar",
-    "fnv1a32",
-    "BytesToRecords",
-    "RecordsToBytes",
-    "TokenizeForNER",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("RestructuringOp", "RestructuringPipeline"),
+    "audio": (
+        "FeatureFlatten", "LogCompress", "MelScale", "PowerSpectrum",
+        "SpectrogramAssembly", "hz_to_mel", "mel_filterbank", "mel_to_hz",
+    ),
+    "image": ("ImageToTensor", "Nv12ToRgb", "ResizeBilinear"),
+    "ops": (
+        "Crop", "Dequantize", "InterleaveToPlanar", "Normalize", "Pad",
+        "PlanarToInterleave", "Quantize", "Reshape", "TransposeOp",
+        "Typecast",
+    ),
+    "signal": (
+        "EEG_BANDS", "BandPower", "SpatialFilter", "ObservationAssembly",
+        "ZScoreNormalize",
+    ),
+    "table": ("DictionaryEncode", "HashPartition", "RowsToColumnar", "fnv1a32"),
+    "text": ("BytesToRecords", "RecordsToBytes", "TokenizeForNER"),
+})

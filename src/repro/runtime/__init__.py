@@ -1,27 +1,12 @@
 """System integration: host API, drivers, enumeration (Sec. V)."""
 
-from .driver import DriverStats, NotificationCosts, NotificationModel
-from .enumeration import EnumeratedDevice, SystemInventory, enumerate_fabric
-from .opencl import (
-    CLBuffer,
-    CLError,
-    CLEvent,
-    CommandQueue,
-    Context,
-    DeviceHandle,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DriverStats",
-    "NotificationCosts",
-    "NotificationModel",
-    "EnumeratedDevice",
-    "SystemInventory",
-    "enumerate_fabric",
-    "CLBuffer",
-    "CLError",
-    "CLEvent",
-    "CommandQueue",
-    "Context",
-    "DeviceHandle",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "driver": ("DriverStats", "NotificationCosts", "NotificationModel"),
+    "enumeration": ("EnumeratedDevice", "SystemInventory", "enumerate_fabric"),
+    "opencl": (
+        "CLBuffer", "CLError", "CLEvent", "CommandQueue", "Context",
+        "DeviceHandle",
+    ),
+})

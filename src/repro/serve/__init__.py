@@ -22,70 +22,25 @@ fixed request counts, this package models *sustained online traffic*:
   :class:`~repro.faults.FaultPlan` armed.
 """
 
-from .arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    DeterministicArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-    RampArrivals,
-    arrival_times,
-    make_arrivals,
-)
-from .batching import BatchFormer, BatchingConfig, FormingBatch
-from .frontend import (
-    Discipline,
-    FrontendConfig,
-    ServingFrontend,
-    ShedPolicy,
-    TenantSpec,
-)
-from .slo import (
-    DEFAULT_QUANTILES,
-    LatencyTracker,
-    P2Quantile,
-    QueueSample,
-    ServeResult,
-    TenantStats,
-)
-from .sweep import (
-    SweepConfig,
-    SweepPoint,
-    SweepResult,
-    calibrate_peak_rps,
-    run_sweep,
-    run_sweep_point,
-    unloaded_latency,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "MMPPArrivals",
-    "RampArrivals",
-    "make_arrivals",
-    "arrival_times",
-    "ShedPolicy",
-    "Discipline",
-    "TenantSpec",
-    "FrontendConfig",
-    "ServingFrontend",
-    "BatchingConfig",
-    "BatchFormer",
-    "FormingBatch",
-    "DEFAULT_QUANTILES",
-    "P2Quantile",
-    "LatencyTracker",
-    "TenantStats",
-    "QueueSample",
-    "ServeResult",
-    "SweepConfig",
-    "SweepPoint",
-    "SweepResult",
-    "run_sweep",
-    "run_sweep_point",
-    "calibrate_peak_rps",
-    "unloaded_latency",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arrivals": (
+        "ARRIVAL_KINDS", "ArrivalProcess", "PoissonArrivals",
+        "DeterministicArrivals", "MMPPArrivals", "RampArrivals",
+        "make_arrivals", "arrival_times",
+    ),
+    "frontend": (
+        "ShedPolicy", "Discipline", "TenantSpec", "FrontendConfig",
+        "ServingFrontend",
+    ),
+    "batching": ("BatchingConfig", "BatchFormer", "FormingBatch"),
+    "slo": (
+        "DEFAULT_QUANTILES", "P2Quantile", "LatencyTracker", "TenantStats",
+        "QueueSample", "ServeResult",
+    ),
+    "sweep": (
+        "SweepConfig", "SweepPoint", "SweepResult", "run_sweep",
+        "run_sweep_point", "calibrate_peak_rps", "unloaded_latency",
+    ),
+})

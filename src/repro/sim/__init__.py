@@ -1,41 +1,15 @@
 """Discrete-event simulation engine used by all timing models."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-    WaitTimeout,
-)
-from .resources import PriorityResource, Request, Resource, Server, Store
-from .tracing import (
-    PhaseAccumulator,
-    exact_percentile,
-    geometric_mean,
-    summarize_latencies,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Simulator",
-    "Timeout",
-    "WaitTimeout",
-    "PriorityResource",
-    "Request",
-    "Resource",
-    "Server",
-    "Store",
-    "PhaseAccumulator",
-    "exact_percentile",
-    "geometric_mean",
-    "summarize_latencies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "engine": (
+        "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
+        "Simulator", "Timeout", "WaitTimeout",
+    ),
+    "resources": ("PriorityResource", "Request", "Resource", "Server", "Store"),
+    "tracing": (
+        "PhaseAccumulator", "exact_percentile", "geometric_mean",
+        "summarize_latencies",
+    ),
+})

@@ -30,98 +30,33 @@ possible on every simulated run without rerunning it:
 * ``python -m repro.telemetry`` — the report/diff/dashboard CLI.
 """
 
-from .alerts import (
-    AlertConfig,
-    AlertEvent,
-    ObservationConfig,
-    evaluate_alerts,
-    observe_run,
-)
-from .artifact import (
-    SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
-    RunArtifact,
-    artifact_lines,
-    load_artifact,
-    validate_artifact,
-    write_artifact,
-)
-from .dashboard import render_dashboard
-from .diff import diff_runs, render_diff
-from .export import chrome_trace, write_chrome_trace
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    time_weighted_mean,
-)
-from .report import (
-    IDLE_KEY,
-    critical_path,
-    critical_path_summary,
-    on_critical_path,
-    phase_totals,
-    render_report,
-    report_dict,
-    run_phase_totals,
-    site_critical_path,
-    site_critical_path_summary,
-    waterfall,
-)
-from .rollup import RollupConfig, RollupWindow, RunRollups, compute_rollups
-from .runtime import SpanContext, Telemetry
-from .sampling import SamplePlan, SamplingConfig, plan_sampling
-from .spans import ROOT_PARENT, ActiveSpan, Instant, Span, SpanTracker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMAS",
-    "RunArtifact",
-    "artifact_lines",
-    "write_artifact",
-    "load_artifact",
-    "validate_artifact",
-    "chrome_trace",
-    "write_chrome_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "time_weighted_mean",
-    "DEFAULT_LATENCY_BUCKETS",
-    "IDLE_KEY",
-    "critical_path",
-    "critical_path_summary",
-    "on_critical_path",
-    "phase_totals",
-    "run_phase_totals",
-    "render_report",
-    "report_dict",
-    "site_critical_path",
-    "site_critical_path_summary",
-    "waterfall",
-    "RollupConfig",
-    "RollupWindow",
-    "RunRollups",
-    "compute_rollups",
-    "AlertConfig",
-    "AlertEvent",
-    "ObservationConfig",
-    "evaluate_alerts",
-    "observe_run",
-    "SamplingConfig",
-    "SamplePlan",
-    "plan_sampling",
-    "diff_runs",
-    "render_diff",
-    "render_dashboard",
-    "SpanContext",
-    "Telemetry",
-    "ROOT_PARENT",
-    "ActiveSpan",
-    "Instant",
-    "Span",
-    "SpanTracker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "artifact": (
+        "SCHEMA_VERSION", "SUPPORTED_SCHEMAS", "RunArtifact",
+        "artifact_lines", "write_artifact", "load_artifact",
+        "validate_artifact",
+    ),
+    "export": ("chrome_trace", "write_chrome_trace"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "time_weighted_mean", "DEFAULT_LATENCY_BUCKETS",
+    ),
+    "report": (
+        "IDLE_KEY", "critical_path", "critical_path_summary",
+        "on_critical_path", "phase_totals", "run_phase_totals",
+        "render_report", "report_dict", "site_critical_path",
+        "site_critical_path_summary", "waterfall",
+    ),
+    "rollup": ("RollupConfig", "RollupWindow", "RunRollups", "compute_rollups"),
+    "alerts": (
+        "AlertConfig", "AlertEvent", "ObservationConfig", "evaluate_alerts",
+        "observe_run",
+    ),
+    "sampling": ("SamplingConfig", "SamplePlan", "plan_sampling"),
+    "diff": ("diff_runs", "render_diff"),
+    "dashboard": ("render_dashboard",),
+    "runtime": ("SpanContext", "Telemetry"),
+    "spans": ("ROOT_PARENT", "ActiveSpan", "Instant", "Span", "SpanTracker"),
+})

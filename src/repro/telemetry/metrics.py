@@ -18,6 +18,7 @@ produce byte-identical metric dumps.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -71,8 +72,11 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: negative increment")
+        if not amount >= 0:
+            raise ValueError(
+                f"counter {self.name}: increment must be >= 0 (not NaN), "
+                f"got {amount}"
+            )
         self.value += amount
 
 
@@ -87,11 +91,14 @@ class Gauge:
         self.samples: List[Tuple[float, float]] = []
 
     def sample(self, time: float, value: float) -> None:
-        if self.samples and time < self.samples[-1][0]:
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"gauge {self.name}: sample value is NaN")
+        if not time >= (self.samples[-1][0] if self.samples else -math.inf):
             raise ValueError(
-                f"gauge {self.name}: sample time moved backwards"
+                f"gauge {self.name}: sample time moved backwards or is NaN"
             )
-        self.samples.append((time, float(value)))
+        self.samples.append((time, value))
 
     def last(self) -> float:
         if not self.samples:
@@ -132,6 +139,8 @@ class Histogram:
         self.count = 0
 
     def observe(self, x: float) -> None:
+        if math.isnan(x):
+            raise ValueError(f"histogram {self.name}: observation is NaN")
         self.sum += x
         self.count += 1
         for i, bound in enumerate(self.bounds):

@@ -1,67 +1,19 @@
 """The five end-to-end benchmark applications (+ the NER extension).
 
 Chain construction runs the functional kernels on small samples and is
-therefore moderately expensive (~seconds); :func:`build_benchmark_chains`
-caches built chains and stamps per-instance names for concurrent runs.
+therefore moderately expensive (~seconds);
+:func:`~repro.workloads.registry.build_benchmark_chains` caches built
+chains and stamps per-instance names for concurrent runs. An app's
+module (and numpy with it) is imported when its chain is first built.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from functools import lru_cache
-from typing import Callable, Dict, List
-
-from ..core.chain import AppChain
-from . import (
-    brain_stimulation,
-    hash_join,
-    ner_extension,
-    pii_redaction,
-    sound_detection,
-    video_surveillance,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {"registry": ("BENCHMARKS", "benchmark_names", "build_benchmark_chains")},
+    submodules=(
+        "brain_stimulation", "hash_join", "ner_extension", "pii_redaction",
+        "sound_detection", "video_surveillance",
+    ),
 )
-
-__all__ = [
-    "BENCHMARKS",
-    "benchmark_names",
-    "build_benchmark_chains",
-    "brain_stimulation",
-    "hash_join",
-    "ner_extension",
-    "pii_redaction",
-    "sound_detection",
-    "video_surveillance",
-]
-
-BENCHMARKS: Dict[str, Callable[[int], AppChain]] = {
-    "video-surveillance": video_surveillance.build_chain,
-    "sound-detection": sound_detection.build_chain,
-    "brain-stimulation": brain_stimulation.build_chain,
-    "pii-redaction": pii_redaction.build_chain,
-    "db-hash-join": hash_join.build_chain,
-}
-
-
-def benchmark_names() -> List[str]:
-    """The five Table I benchmarks, in paper order."""
-    return list(BENCHMARKS)
-
-
-@lru_cache(maxsize=None)
-def _template(name: str) -> AppChain:
-    if name == "pii-ner":
-        return ner_extension.build_chain(0)
-    if name not in BENCHMARKS:
-        raise KeyError(f"unknown benchmark {name!r}")
-    return BENCHMARKS[name](0)
-
-
-def build_benchmark_chains(name: str, n_instances: int) -> List[AppChain]:
-    """``n_instances`` uniquely-named copies of one benchmark's chain."""
-    if n_instances <= 0:
-        raise ValueError("n_instances must be positive")
-    template = _template(name)
-    base = template.name.rsplit("-", 1)[0]
-    return [
-        AppChain(name=f"{base}-{i}", stages=list(template.stages))
-        for i in range(n_instances)
-    ]

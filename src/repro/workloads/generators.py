@@ -16,10 +16,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..accelerators.compression import lz77_compress
-from ..accelerators.crypto import aes_gcm_encrypt
-from ..accelerators.video import encode_frame
-
 __all__ = [
     "make_nv12_frame",
     "make_video_bitstream",
@@ -48,6 +44,8 @@ def make_nv12_frame(height: int, width: int, seed: int = 0) -> np.ndarray:
 def make_video_bitstream(height: int, width: int, n_frames: int = 1,
                          seed: int = 0) -> List[bytes]:
     """Encoded bitstreams for a short clip."""
+    from ..accelerators.video import encode_frame
+
     return [
         encode_frame(make_nv12_frame(height, width, seed + i), height, width)
         for i in range(n_frames)
@@ -128,6 +126,8 @@ def make_pii_document(n_lines: int, pii_density: float = 0.3,
 def encrypt_document(document: bytes, key: bytes = b"dmx-repro-key-16",
                      iv: bytes = b"iv-12-bytes!") -> dict:
     """AES-GCM encrypt a document into the decrypt kernel's payload."""
+    from ..accelerators.crypto import aes_gcm_encrypt
+
     ciphertext, tag = aes_gcm_encrypt(key, iv, document)
     return {"ciphertext": ciphertext, "iv": iv, "tag": tag}
 
@@ -149,4 +149,6 @@ def make_table_rows(n_rows: int, n_cols: int, key_range: int,
 def make_compressed_table(n_rows: int, n_cols: int, key_range: int = 1000,
                           seed: int = 0) -> bytes:
     """LZ77-compressed table image for the decompression kernel."""
+    from ..accelerators.compression import lz77_compress
+
     return lz77_compress(make_table_rows(n_rows, n_cols, key_range, seed).tobytes())

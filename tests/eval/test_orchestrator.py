@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from repro.core import Mode
+from repro.core import Mode, SystemConfig
+from repro.drx import DRXConfig
 from repro.eval.orchestrator import (
     ExperimentStore,
     IncompleteGridError,
@@ -26,8 +27,15 @@ from repro.eval.orchestrator import (
     run_workers,
 )
 from repro.faults import FaultPlan, FaultPolicy
+from repro.interconnect import PCIeGen
 from repro.resilience import ChaosSweepConfig, run_chaos_sweep
 from repro.serve import ShedPolicy, SweepConfig, run_sweep
+from repro.telemetry import (
+    AlertConfig,
+    ObservationConfig,
+    RollupConfig,
+    SamplingConfig,
+)
 
 
 def small_sweep(**overrides):
@@ -42,6 +50,22 @@ def small_sweep(**overrides):
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
+
+
+def observed_sweep():
+    """Two points on a derated Gen 4 system with the observation plane
+    and trace sampling armed, like the telemetry demo's sweeps."""
+    return small_sweep(
+        modes=(Mode.BUMP_IN_WIRE,),
+        system=SystemConfig(
+            pcie_gen=PCIeGen.GEN4, drx=DRXConfig(frequency_hz=0.5e9),
+        ),
+        observation=ObservationConfig(
+            rollup=RollupConfig(window_s=5e-3),
+            alerts=AlertConfig(budget=0.2),
+        ),
+        sampling=SamplingConfig(keep_fraction=0.5, seed=1),
+    )
 
 
 def small_chaos(**overrides):
@@ -64,6 +88,15 @@ def test_config_codec_round_trips_sweep_config():
         shed=ShedPolicy.REJECT,
         faults=FaultPlan(seed=9, drx=FaultPolicy(hang_p=0.2)),
     )
+    kind, decoded = decode_experiment(
+        json.loads(json.dumps(encode_experiment(config)))
+    )
+    assert kind == "sweep"
+    assert decoded == config
+
+
+def test_config_codec_round_trips_system_observation_and_sampling():
+    config = observed_sweep()
     kind, decoded = decode_experiment(
         json.loads(json.dumps(encode_experiment(config)))
     )
@@ -146,6 +179,12 @@ def test_orchestrated_sweep_is_byte_identical_to_run_sweep(tmp_path):
     direct = run_sweep(config).to_json()
     result = run_grid(str(tmp_path / "exp.db"), config, n_workers=2)
     assert result.to_json() == direct
+
+
+def test_orchestrated_observed_sweep_is_byte_identical(tmp_path):
+    config = observed_sweep()
+    result = run_grid(str(tmp_path / "exp.db"), config, n_workers=0)
+    assert result.to_json() == run_sweep(config).to_json()
 
 
 def test_orchestrated_chaos_is_byte_identical_to_run_chaos_sweep(tmp_path):

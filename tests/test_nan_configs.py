@@ -33,6 +33,12 @@ And the experiment configs: a NaN offered load in ``SweepConfig``,
 first arrival with an engine error that named no field, a NaN chaos
 fault intensity died in ``scale_plan`` naming ``fail_p``, and a NaN
 ``slo_s`` got as far as the first point's frontend.
+
+The metric instruments, too: ``Counter.inc(nan)`` made the total NaN,
+``Histogram.observe(nan)`` landed in the overflow bucket and made the
+sum NaN, and a NaN ``Gauge.sample`` time landed and then let a sample
+that moved backwards pass the monotonic check. Each value reached the
+run artifact as a non-standard ``NaN`` token.
 """
 
 import math
@@ -64,7 +70,7 @@ from repro.serve import (
     TenantSpec,
 )
 from repro.serve.slo import ServeResult, TenantStats
-from repro.telemetry import AlertConfig, RollupConfig
+from repro.telemetry import AlertConfig, MetricsRegistry, RollupConfig
 
 NAN = math.nan
 
@@ -185,3 +191,70 @@ def test_what_if_slo_rejects_nan():
     assert result.per_tenant_slo_violations(1e-6) == {"t": 1}
     with pytest.raises(ValueError, match="slo_s.*NaN"):
         result.per_tenant_slo_violations(NAN)
+
+
+def _counter():
+    return MetricsRegistry().counter("retries")
+
+
+def _gauge():
+    return MetricsRegistry().gauge("depth")
+
+
+def _sampled_gauge():
+    """A gauge that already holds one sample, at t=1."""
+    gauge = _gauge()
+    gauge.sample(1.0, 1)
+    return gauge
+
+
+def _histogram():
+    return MetricsRegistry().histogram("latency")
+
+
+def _state(instrument):
+    """Everything an instrument has recorded, as a comparable tuple."""
+    return tuple(
+        repr(getattr(instrument, slot))
+        for slot in ("value", "samples", "counts", "sum", "count")
+        if hasattr(instrument, slot)
+    )
+
+
+#: (instrument, method, args): each call hands the instrument a NaN,
+#: which it must refuse, by name, without recording anything.
+INSTRUMENT_CHECKS = [
+    (_counter, "inc", (NAN,)),
+    (_gauge, "sample", (NAN, 1)),
+    (_sampled_gauge, "sample", (NAN, 2)),
+    (_sampled_gauge, "sample", (2.0, NAN)),
+    (_histogram, "observe", (NAN,)),
+]
+
+
+def _instrument_id(check):
+    make, method, args = check
+    return f"{make.__name__.lstrip('_')}.{method}{args}"
+
+
+@pytest.mark.parametrize(
+    "check", INSTRUMENT_CHECKS,
+    ids=[_instrument_id(c) for c in INSTRUMENT_CHECKS],
+)
+def test_metric_instrument_rejects_nan(check):
+    make, method, args = check
+    instrument = make()
+    kind = type(instrument).__name__.lower()
+    before = _state(instrument)
+    with pytest.raises(ValueError, match=rf"{kind} {instrument.name}: .*NaN"):
+        getattr(instrument, method)(*args)
+    assert _state(instrument) == before
+
+
+def test_gauge_stays_monotonic_past_a_nan_time():
+    gauge = _sampled_gauge()
+    with pytest.raises(ValueError, match="NaN"):
+        gauge.sample(NAN, 2)
+    with pytest.raises(ValueError, match="gauge depth: .*backwards"):
+        gauge.sample(0.5, 3)
+    assert gauge.samples == [(1.0, 1.0)]
