@@ -173,7 +173,7 @@ class RestructureBackend(abc.ABC):
         self,
         leg: LegSpec,
         phases: "PhaseAccumulator",
-        state: Optional["_RequestState"],
+        state: "_RequestState",
         ctx: "SpanContext",
     ) -> Generator:
         """Process: run the leg end to end (movement + restructuring)."""
@@ -197,8 +197,7 @@ class DRXBackend(RestructureBackend):
         return leg.drx.name
 
     def queue_depth(self, leg: LegSpec) -> int:
-        server = leg.drx._server
-        return server.queue_length + server.in_use
+        return leg.drx.queue_depth
 
     def unloaded(self, leg: LegSpec) -> UnloadedCost:
         """``leg``'s price on an idle unit: a function of the leg alone."""

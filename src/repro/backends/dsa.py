@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
+from ..core.system import PHASE_CONTROL, PHASE_MOVEMENT, PHASE_RESTRUCTURE
 from ..profiles import WorkProfile
-from ..sim import Server, Simulator
-from ..telemetry.spans import batch_attrs
+from ..sim import ServerDevice, Simulator
 from .base import BACKEND_DSA, LegSpec, RestructureBackend, UnloadedCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,14 +61,13 @@ class DSAConfig:
     power_w: float = 4.0  # engine power while streaming
 
     def __post_init__(self) -> None:
-        if self.engines <= 0:
-            raise ValueError("engines must be positive")
-        if self.move_bandwidth <= 0 or self.transform_ops_per_s <= 0:
-            raise ValueError("DSA rates must be positive")
+        for name in ("engines", "move_bandwidth", "transform_ops_per_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
         for name in ("portal_submit_s", "descriptor_s", "batch_descriptor_s",
                      "completion_poll_s", "poll_reap_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
 
     def job_time(self, profile: WorkProfile) -> float:
         """One member's engine occupancy: stream-vs-transform roofline."""
@@ -89,7 +88,7 @@ class DSAConfig:
         return self.completion_poll_s + (count - 1) * self.poll_reap_s
 
 
-class DSADevice:
+class DSADevice(ServerDevice):
     """DES occupancy model of the shared-work-queue engine pool.
 
     ``capacity=engines``: submissions from concurrent chains share the
@@ -97,22 +96,16 @@ class DSADevice:
     contention the characterization paper measures.
     """
 
+    category = "dsa"
+
     def __init__(
         self,
         sim: Simulator,
         config: DSAConfig = DSAConfig(),
         name: str = "dsa",
     ):
-        self.sim = sim
+        super().__init__(sim, capacity=config.engines, name=name)
         self.config = config
-        self.name = name
-        self._server = Server(sim, capacity=config.engines, name=name)
-        self.jobs_completed = 0
-        self.busy_seconds = 0.0
-
-    @property
-    def queue_depth(self) -> int:
-        return self._server.queue_length + self._server.in_use
 
     def process(
         self,
@@ -121,31 +114,7 @@ class DSADevice:
         ctx: Optional["SpanContext"] = None,
     ) -> Generator:
         """Process: one (possibly batched) submission's engine occupancy."""
-        duration = count * self.config.job_time(profile)
-        start = self.sim.now
-        span = (
-            ctx.begin(
-                self.name, "dsa", actor=self.name, service_s=duration,
-                **batch_attrs(count),
-            )
-            if ctx is not None
-            else None
-        )
-        try:
-            yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += count
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
-        return elapsed
-
-    def utilization(self) -> float:
-        return self._server.utilization()
+        return self._occupy(count * self.config.job_time(profile), count, ctx)
 
 
 class DSABackend(RestructureBackend):
@@ -185,70 +154,36 @@ class DSABackend(RestructureBackend):
         """Expected wait behind ``depth`` jobs on the shared work queue."""
         return depth / self.config.engines * per_job_s * self.queue_weight
 
-    def _host_work(self, cost: float) -> Generator:
-        """Submission/poll core time: wall time + host CPU energy, no
-        core-pool queueing (like an ISR, the issuing core runs it inline)."""
-        yield self.system.sim.timeout(cost)
-        self.system.cpu.busy_seconds += cost
-
-    def _guarded_process(self, leg: LegSpec, state, ctx) -> Generator:
-        s = self.system
-        op = self.device.process(leg.fused, count=leg.count, ctx=ctx)
-        if s.injector is None:
-            return op
-        return s.injector.guard(
-            "dsa", op, actor=self.device.name,
-            request_id=state.request_id if state is not None else -1,
-        )
-
     def execute(self, leg, phases, state, ctx) -> Generator:
-        from ..core import system as _sys
-
         s = self.system
         n = leg.count
-        span, cctx = s._phase_span(
-            ctx, "movement-in", _sys.PHASE_MOVEMENT, count=n
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_MOVEMENT,
-            s._leg_transfer(
+        name = self.device.name
+        with s._phase(
+            phases, ctx, "movement-in", PHASE_MOVEMENT, count=n
+        ) as cctx:
+            yield from s._leg_transfer(
                 leg.src, "root", leg.stage.input_bytes, n, state, cctx
-            ),
-            span=span,
-        )
+            )
         # ENQCMD portal submission from the issuing core.
-        span, _ = s._phase_span(
-            ctx, "dsa-submit", _sys.PHASE_CONTROL, actor=self.device.name,
+        with s._phase(
+            phases, ctx, "dsa-submit", PHASE_CONTROL, actor=name, count=n
+        ):
+            yield from s.cpu.charge(self.config.submit_time(n))
+        with s._phase(
+            phases, ctx, "restructure", PHASE_RESTRUCTURE, actor=name,
             count=n,
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_CONTROL,
-            self._host_work(self.config.submit_time(n)), span=span,
-        )
-        span, cctx = s._phase_span(
-            ctx, "restructure", _sys.PHASE_RESTRUCTURE,
-            actor=self.device.name, count=n,
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_RESTRUCTURE,
-            self._guarded_process(leg, state, cctx), span=span,
-        )
+        ) as cctx:
+            yield from s._guard(
+                "dsa", self.device.process(leg.fused, n, cctx), name, state
+            )
         # Completion-record polling on-core — the no-interrupt path.
-        span, _ = s._phase_span(
-            ctx, "dsa-poll", _sys.PHASE_CONTROL, actor=self.device.name,
-            count=n,
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_CONTROL,
-            self._host_work(self.config.poll_time(n)), span=span,
-        )
-        span, cctx = s._phase_span(
-            ctx, "movement-out", _sys.PHASE_MOVEMENT, count=n
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_MOVEMENT,
-            s._leg_transfer(
+        with s._phase(
+            phases, ctx, "dsa-poll", PHASE_CONTROL, actor=name, count=n
+        ):
+            yield from s.cpu.charge(self.config.poll_time(n))
+        with s._phase(
+            phases, ctx, "movement-out", PHASE_MOVEMENT, count=n
+        ) as cctx:
+            yield from s._leg_transfer(
                 "root", leg.dst, leg.stage.output_bytes, n, state, cctx
-            ),
-            span=span,
-        )
+            )

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..core.chain import MotionStage
-from ..sim import Server, Simulator
-from ..telemetry.spans import batch_attrs
+from ..core.system import PHASE_CONTROL, PHASE_RESTRUCTURE
+from ..sim import ServerDevice, Simulator
 from .base import BACKEND_XDMA, LegSpec, RestructureBackend, UnloadedCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,14 +53,12 @@ class XDMAConfig:
     max_payload_bytes: int = 16 * 1024 * 1024  # descriptor address reach
 
     def __post_init__(self) -> None:
-        if self.channels <= 0:
-            raise ValueError("channels must be positive")
-        if self.transform_bandwidth <= 0:
-            raise ValueError("transform_bandwidth must be positive")
-        if self.program_s < 0 or self.member_program_s < 0:
-            raise ValueError("programming costs must be non-negative")
-        if self.max_payload_bytes <= 0:
-            raise ValueError("max_payload_bytes must be positive")
+        for name in ("channels", "transform_bandwidth", "max_payload_bytes"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
+        for name in ("program_s", "member_program_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
 
     def descriptor_expressible(self, stage: MotionStage) -> bool:
         """Can one descriptor encode this stage's transform?
@@ -85,8 +83,10 @@ class XDMAConfig:
         return nbytes / self.transform_bandwidth
 
 
-class XDMADevice:
+class XDMADevice(ServerDevice):
     """DES occupancy model of the transforming-DMA channel pool."""
+
+    category = "xdma"
 
     def __init__(
         self,
@@ -94,16 +94,8 @@ class XDMADevice:
         config: XDMAConfig = XDMAConfig(),
         name: str = "xdma",
     ):
-        self.sim = sim
+        super().__init__(sim, capacity=config.channels, name=name)
         self.config = config
-        self.name = name
-        self._server = Server(sim, capacity=config.channels, name=name)
-        self.jobs_completed = 0
-        self.busy_seconds = 0.0
-
-    @property
-    def queue_depth(self) -> int:
-        return self._server.queue_length + self._server.in_use
 
     def transform(
         self,
@@ -113,31 +105,9 @@ class XDMADevice:
     ) -> Generator:
         """Process: hold one channel while ``nbytes`` stream through the
         transform unit."""
-        duration = self.config.transform_time(nbytes)
-        start = self.sim.now
-        span = (
-            ctx.begin(
-                self.name, "xdma", actor=self.name, service_s=duration,
-                bytes=nbytes, **batch_attrs(count),
-            )
-            if ctx is not None
-            else None
+        return self._occupy(
+            self.config.transform_time(nbytes), count, ctx, bytes=nbytes
         )
-        try:
-            yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += count
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
-        return elapsed
-
-    def utilization(self) -> float:
-        return self._server.utilization()
 
 
 class XDMABackend(RestructureBackend):
@@ -179,50 +149,32 @@ class XDMABackend(RestructureBackend):
         """Expected wait behind ``depth`` streams over the channels."""
         return depth / self.config.channels * per_job_s * self.queue_weight
 
-    def _host_work(self, cost: float) -> Generator:
-        yield self.system.sim.timeout(cost)
-        self.system.cpu.busy_seconds += cost
-
-    def _guarded_transform(self, leg: LegSpec, state, ctx) -> Generator:
-        s = self.system
-        op = self.device.transform(
-            leg.count * leg.stage.input_bytes, count=leg.count, ctx=ctx
-        )
-        if s.injector is None:
-            return op
-        return s.injector.guard(
-            "xdma", op, actor=self.device.name,
-            request_id=state.request_id if state is not None else -1,
-        )
-
     def execute(self, leg, phases, state, ctx) -> Generator:
-        from ..core import system as _sys
-
         s = self.system
         n = leg.count
+        device = self.device
         # Descriptor programming on the host (control plane).
-        span, _ = s._phase_span(
-            ctx, "xdma-program", _sys.PHASE_CONTROL, actor=self.device.name,
+        with s._phase(
+            phases, ctx, "xdma-program", PHASE_CONTROL, actor=device.name,
             count=n,
-        )
-        yield from s._timed(
-            phases, _sys.PHASE_CONTROL,
-            self._host_work(self.config.program_time(n)), span=span,
-        )
+        ):
+            yield from s.cpu.charge(self.config.program_time(n))
         # The fused leg: the direct crossing and the in-flight transform
         # overlap — all of it books as restructuring, because there is no
         # separate movement hop to bill (the zero-hop story).
-        pspan, pctx = s._phase_span(
-            ctx, "restructure", _sys.PHASE_RESTRUCTURE,
-            actor=self.device.name, overlapped=True, fused_dma=True,
-            count=n,
-        )
         yield from s._overlapped(
-            phases, pspan,
-            s.dma.transfer(
+            s._phase(
+                phases, ctx, "restructure", PHASE_RESTRUCTURE,
+                actor=device.name, count=n, overlapped=True, fused_dma=True,
+            ),
+            lambda pctx: s.dma.transfer(
                 leg.src, leg.dst, self._wire_bytes(leg),
                 on_retry=s._retry_cb(state, "dma", f"{leg.src}->{leg.dst}"),
                 ctx=pctx, descriptors=n,
             ),
-            self._guarded_transform(leg, state, pctx),
+            lambda pctx: s._guard(
+                "xdma",
+                device.transform(n * leg.stage.input_bytes, n, pctx),
+                device.name, state,
+            ),
         )

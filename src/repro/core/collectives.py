@@ -123,9 +123,7 @@ class CollectiveSystem:
 
     def _host_copy(self, nbytes: int) -> Generator:
         """The driver's host-memory staging copy (baseline only)."""
-        duration = nbytes / HOST_COPY_BYTES_PER_S
-        yield self.sim.timeout(duration)
-        self.cpu.busy_seconds += duration
+        return self.cpu.charge(nbytes / HOST_COPY_BYTES_PER_S)
 
     # -- broadcast ------------------------------------------------------------
 

@@ -305,6 +305,53 @@ class _RequestState:
         self.leg_reasons: List[str] = []
 
 
+class _PhaseStep:
+    """One timed leg step, as ``with system._phase(...) as cctx:``.
+
+    Entering opens the phase span under ``ctx`` (``batch`` when the
+    step is shared by ``count != 1`` coalesced members) and returns its
+    child context. Leaving books ``sim.now - start`` under ``phase``
+    and closes the span at that same instant, so span-derived phase
+    totals reconcile with :meth:`RunResult.phase_totals` to the bit. A
+    block that raised closes the span ``abandoned`` and books nothing:
+    the recovery path re-bills that time to :data:`PHASE_RECOVERY`.
+
+    A context manager rather than a generator, so a step adds no frame
+    to the ``yield from`` chain every resume of its block walks.
+    """
+
+    __slots__ = ("phases", "ctx", "name", "phase", "actor", "attrs", "span")
+
+    def __init__(
+        self, phases: PhaseAccumulator, ctx: SpanContext, name: str,
+        phase: str, actor: str = "", count: int = 1, **attrs: object,
+    ):
+        if count != 1:
+            attrs["batch"] = count
+        self.phases = phases
+        self.ctx = ctx
+        self.name = name
+        self.phase = phase
+        self.actor = actor
+        self.attrs = attrs
+
+    def __enter__(self) -> SpanContext:
+        ctx = self.ctx
+        self.span = ctx.begin(
+            self.name, self.phase, self.actor, self.phase, **self.attrs
+        )
+        return ctx.child(self.span)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        span = self.span
+        telemetry = self.ctx.telemetry
+        if exc_type is not None:
+            telemetry.end(span, abandoned=True)
+            return
+        self.phases.add(self.phase, telemetry.sim.now - span.start)
+        telemetry.end(span)
+
+
 class DMXSystem:
     """One simulated server instance for a set of concurrent chains.
 
@@ -515,44 +562,11 @@ class DMXSystem:
 
     # -- per-request process ----------------------------------------------------
 
-    def _timed(
-        self,
-        phases: PhaseAccumulator,
-        phase: str,
-        proc,
-        span: Optional[ActiveSpan] = None,
-    ) -> Generator:
-        """Run ``proc`` and book its elapsed time under ``phase``.
-
-        ``span`` is the matching telemetry phase span (opened by the
-        caller at the same sim time): it closes exactly at the
-        ``phases.add`` boundary, so span-derived phase totals reconcile
-        with :meth:`RunResult.phase_totals` to the bit. On an exception
-        the span is closed ``abandoned`` and the phase is *not* booked —
-        the recovery path re-bills that time to :data:`PHASE_RECOVERY`.
-        """
-        start = self.sim.now
-        try:
-            result = yield from proc
-        except BaseException:
-            if span is not None:
-                self.telemetry.end(span, abandoned=True)
-            raise
-        phases.add(phase, self.sim.now - start)
-        if span is not None:
-            self.telemetry.end(span)
-        return result
-
-    def _phase_span(
-        self, ctx: SpanContext, name: str, phase: str, actor: str = "",
-        count: int = 1, **attrs: object,
-    ):
-        """Open a phase span under ``ctx``; returns (span, child ctx). A
-        phase shared by ``count`` coalesced members carries ``batch``."""
-        if count != 1:
-            attrs["batch"] = count
-        span = ctx.begin(name, phase, actor=actor, phase=phase, **attrs)
-        return span, ctx.child(span)
+    #: One timed leg step: ``with self._phase(phases, ctx, name, phase,
+    #: actor="", count=1, **attrs) as cctx: yield from op(cctx)``. The
+    #: step class itself, since a step needs nothing of the system (its
+    #: clock comes with the span context).
+    _phase = _PhaseStep
 
     # -- recovery-plane plumbing ---------------------------------------------
 
@@ -574,7 +588,7 @@ class DMXSystem:
             )
 
     def _retry_cb(
-        self, state: Optional[_RequestState], site: str, actor: str
+        self, state: _RequestState, site: str, actor: str
     ) -> Optional[Callable[[int, BaseException, bool], None]]:
         """Per-operation failed-attempt observer: per-request retry count
         plus a fault note. None in fault-free runs (fast path)."""
@@ -582,10 +596,9 @@ class DMXSystem:
             return None
 
         def cb(attempt: int, exc: BaseException, will_retry: bool) -> None:
-            rid = state.request_id if state is not None else -1
+            rid = state.request_id
             if will_retry:
-                if state is not None:
-                    state.retries += 1
+                state.retries += 1
                 self.telemetry.counter("retries", site=site).inc()
                 self._note("retry", actor, site=site, request_id=rid,
                            detail=type(exc).__name__)
@@ -594,6 +607,17 @@ class DMXSystem:
                            detail=type(exc).__name__)
 
         return cb
+
+    def _guard(
+        self, site: str, op: Generator, actor: str, state: _RequestState
+    ) -> Generator:
+        """``op`` under the fault policy of injection ``site`` when a
+        FaultPlan is armed, else ``op`` itself."""
+        if self.injector is None:
+            return op
+        return self.injector.guard(
+            site, op, actor=actor, request_id=state.request_id
+        )
 
     def _leg_race(
         self,
@@ -664,7 +688,7 @@ class DMXSystem:
         span_start: float,
         attempt: ActiveSpan,
         sctx: SpanContext,
-        state: Optional[_RequestState],
+        state: _RequestState,
         phases: PhaseAccumulator,
         probe: bool,
         count: int,
@@ -679,7 +703,7 @@ class DMXSystem:
         :class:`~repro.faults.RescueAbandoned` instead of letting the
         caller resubmit. Returns the burned seconds."""
         manager = self.domains
-        rid = state.request_id if state is not None else -1
+        rid = state.request_id
         burned = self.sim.now - span_start
         if self.control is not None:
             self.control.record(target, False, burned, probe=probe)
@@ -711,8 +735,8 @@ class DMXSystem:
         dst: str,
         nbytes: int,
         count: int,
-        state: Optional[_RequestState],
-        ctx: Optional[SpanContext],
+        state: _RequestState,
+        ctx: SpanContext,
     ) -> Generator:
         """One DMA moving ``count`` member payloads of ``nbytes`` each as
         one chained submission. When an endpoint is host memory ('root')
@@ -729,23 +753,17 @@ class DMXSystem:
         return self._host_staged(dma, nbytes, ctx)
 
     def _host_staged(
-        self, dma: Generator, nbytes: int, ctx: Optional[SpanContext]
+        self, dma: Generator, nbytes: int, ctx: SpanContext
     ) -> Generator:
         """``dma``, then its ``nbytes`` DRAM staging pass in host memory."""
         yield from dma
-        span = (
-            ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
-            if ctx is not None
-            else None
-        )
+        span = ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
         try:
             yield self.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
         except BaseException:
-            if span is not None:
-                ctx.end(span, abandoned=True)
+            ctx.end(span, abandoned=True)
             raise
-        if span is not None:
-            ctx.end(span)
+        ctx.end(span)
 
     def transfer_estimate(self, src: str, dst: str, nbytes: int) -> float:
         """Contention-free estimate of one DMA leg, including the host
@@ -755,25 +773,6 @@ class DMXSystem:
         if src == "root" or dst == "root":
             est += nbytes / HOST_STAGING_BYTES_PER_S
         return est
-
-    def _drx_restructure(
-        self,
-        drx: DRXDevice,
-        fused,
-        count: int,
-        state: Optional[_RequestState],
-        ctx: Optional[SpanContext] = None,
-    ) -> Generator:
-        """One DRX job for ``count`` member payloads (one amortized
-        program load), guarded at the "drx" injection site when
-        faulted."""
-        op = drx.restructure(fused, ctx=ctx, count=count)
-        if self.injector is None:
-            return op
-        return self.injector.guard(
-            "drx", op, actor=drx.name,
-            request_id=state.request_id if state is not None else -1,
-        )
 
     def _cpu_restructure(
         self, profile, threads: int, count: int
@@ -791,41 +790,29 @@ class DMXSystem:
         threads: int,
         count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState],
+        state: _RequestState,
         ctx: SpanContext,
     ) -> Generator:
         """Restructure on the host CPU, staging through host memory —
         the Multi-Axl baseline path, doubling as the degraded path for
         requests whose DRX budget ran out."""
-        span, cctx = self._phase_span(
-            ctx, "movement-in", PHASE_MOVEMENT, count=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._leg_transfer(
+        with self._phase(
+            phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from self._leg_transfer(
                 src, "root", stage.input_bytes, count, state, cctx
-            ),
-            span=span,
-        )
-        span, _ = self._phase_span(
-            ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            threads=threads, count=count,
-        )
-        yield from self._timed(
-            phases, PHASE_RESTRUCTURE,
-            self._cpu_restructure(stage.profile, threads, count),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, count=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._leg_transfer(
+            )
+        with self._phase(
+            phases, ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
+            count=count, threads=threads,
+        ):
+            yield from self._cpu_restructure(stage.profile, threads, count)
+        with self._phase(
+            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from self._leg_transfer(
                 "root", dst, stage.output_bytes, count, state, cctx
-            ),
-            span=span,
-        )
+            )
 
     def _drx_placement(self, mode: Mode, src: str, app_index: int):
         """The DRX unit serving ``src`` and its staging point."""
@@ -916,37 +903,37 @@ class DMXSystem:
 
     def _overlapped(
         self,
-        phases: PhaseAccumulator,
-        pspan: ActiveSpan,
-        move_op: Generator,
-        work_op: Generator,
+        step: _PhaseStep,
+        move: Callable[[SpanContext], Generator],
+        work: Callable[[SpanContext], Generator],
     ) -> Generator:
         """Run a leg's data movement and its restructuring side by side
-        (line-rate processing, no store-and-forward) and book the joint
-        interval to the restructuring phase, closing the phase span
-        ``pspan``. The switch-integrated DRX and the XDMA backend share
-        this leg shape."""
-        if self._faults is not None:
-            # Shield the children: an injected fault must surface here
-            # (for fallback), not trip the engine's strict mode.
-            move_op, work_op = shielded(move_op), shielded(work_op)
-        procs = (self.sim.spawn(move_op), self.sim.spawn(work_op))
-        start = self.sim.now
-        try:
-            yield AllOf(self.sim, procs)
-        except BaseException:
-            self.telemetry.end(pspan, abandoned=True)
-            if self.domains is not None:
-                # A drained leg must not leave orphan children holding
-                # the dead domain's device slot past the crash instant:
-                # cancel them too (their ``finally`` blocks release what
-                # they hold).
-                for proc in procs:
-                    if proc.is_alive:
-                        proc.interrupt("leg cancelled")
-            raise
-        phases.add(PHASE_RESTRUCTURE, self.sim.now - start)
-        self.telemetry.end(pspan)
+        (line-rate processing, no store-and-forward) as one phase
+        ``step``: ``move`` and ``work`` build the two operations under
+        the step's span, and the joint interval books to the step's
+        phase. The switch-integrated DRX and the XDMA backend share this
+        leg shape."""
+        with step as pctx:
+            move_op, work_op = move(pctx), work(pctx)
+            if self._faults is not None:
+                # Shield the children: an injected fault must surface
+                # here (for fallback), not trip the engine's strict mode.
+                move_op, work_op = shielded(move_op), shielded(work_op)
+            procs = (self.sim.spawn(move_op), self.sim.spawn(work_op))
+            try:
+                yield AllOf(self.sim, procs)
+            except BaseException:
+                if self.domains is not None:
+                    # A drained leg must not leave orphan children
+                    # holding the dead domain's device slot past the
+                    # crash instant: cancel them too (their ``finally``
+                    # blocks release what they hold).
+                    for proc in procs:
+                        if proc.is_alive:
+                            proc.interrupt("leg cancelled")
+                raise
+        # A child's fault surfaces only now, after the step booked the
+        # joint interval and closed its span.
         if self._faults is not None:
             for proc in procs:
                 ok, value = proc.value
@@ -964,7 +951,7 @@ class DMXSystem:
         fused,
         count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState],
+        state: _RequestState,
         ctx: SpanContext,
     ) -> Generator:
         """The DRX leg of one motion stage: ingest, restructure, notify,
@@ -975,63 +962,54 @@ class DMXSystem:
             # Switch-integrated DRX processes data *as it streams through
             # the switch* (line-rate processing, no store-and-forward):
             # the inbound transfer and the restructuring overlap.
-            pspan, pctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                overlapped=True, count=count,
-            )
             nbytes = count * stage.input_bytes
             yield from self._overlapped(
-                phases, pspan,
-                self.telemetry.wrap(
-                    self.fabric.transfer(src, staging, nbytes),
-                    "ingest", "ingest", actor=staging, parent=pspan,
-                    request_id=ctx.request_id, bytes=nbytes,
+                self._phase(
+                    phases, ctx, "restructure", PHASE_RESTRUCTURE,
+                    actor=drx.name, count=count, overlapped=True,
                 ),
-                self._drx_restructure(drx, fused, count, state, ctx=pctx),
+                lambda pctx: self.telemetry.wrap(
+                    self.fabric.transfer(src, staging, nbytes),
+                    "ingest", "ingest", actor=staging,
+                    parent=pctx.parent_id, request_id=pctx.request_id,
+                    bytes=nbytes,
+                ),
+                lambda pctx: self._guard(
+                    "drx", drx.restructure(fused, pctx, count), drx.name,
+                    state,
+                ),
             )
         else:
-            span, cctx = self._phase_span(
-                ctx, "movement-in", PHASE_MOVEMENT, count=count
-            )
-            yield from self._timed(
-                phases, PHASE_MOVEMENT,
-                self._leg_transfer(
+            with self._phase(
+                phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
+            ) as cctx:
+                yield from self._leg_transfer(
                     src, staging, stage.input_bytes, count, state, cctx
-                ),
-                span=span,
-            )
-            span, cctx = self._phase_span(
-                ctx, "restructure", PHASE_RESTRUCTURE, actor=drx.name,
-                count=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._drx_restructure(drx, fused, count, state, cctx),
-                span=span,
-            )
+                )
+            with self._phase(
+                phases, ctx, "restructure", PHASE_RESTRUCTURE,
+                actor=drx.name, count=count,
+            ) as cctx:
+                yield from self._guard(
+                    "drx", drx.restructure(fused, cctx, count), drx.name,
+                    state,
+                )
         # Restructure-completion notification + P2P DMA to the consumer
         # (Fig. 10 steps 8-9). A batch raises ONE interrupt; the driver
         # reaps the remaining member completions inside that ISR.
-        span, cctx = self._phase_span(ctx, "control", PHASE_CONTROL, count=count)
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify(
-                drx.name,
-                on_retry=self._retry_cb(state, "notify", drx.name),
+        with self._phase(
+            phases, ctx, "control", PHASE_CONTROL, count=count
+        ) as cctx:
+            yield from self.notifier.notify(
+                drx.name, on_retry=self._retry_cb(state, "notify", drx.name),
                 ctx=cctx, count=count,
-            ),
-            span=span,
-        )
-        span, cctx = self._phase_span(
-            ctx, "movement-out", PHASE_MOVEMENT, count=count
-        )
-        yield from self._timed(
-            phases, PHASE_MOVEMENT,
-            self._leg_transfer(
+            )
+        with self._phase(
+            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from self._leg_transfer(
                 staging, dst, stage.output_bytes, count, state, cctx
-            ),
-            span=span,
-        )
+            )
 
     def _motion(
         self,
@@ -1040,7 +1018,7 @@ class DMXSystem:
         stage: MotionStage,
         count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState],
+        state: _RequestState,
         rctx: SpanContext,
         force_cpu: bool = False,
     ) -> Generator:
@@ -1076,39 +1054,31 @@ class DMXSystem:
         threads: int,
         count: int,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState],
+        state: _RequestState,
         sctx: SpanContext,
         mspan: ActiveSpan,
         force_cpu: bool,
     ) -> Generator:
         if mode == Mode.ALL_CPU:
             # Data already lives in host memory; only the computation.
-            span, _ = self._phase_span(
-                sctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-                threads=threads, count=count,
-            )
-            yield from self._timed(
-                phases, PHASE_RESTRUCTURE,
-                self._cpu_restructure(stage.profile, threads, count),
-                span=span,
-            )
+            with self._phase(
+                phases, sctx, "cpu-restructure", PHASE_RESTRUCTURE,
+                actor="cpu", count=count, threads=threads,
+            ):
+                yield from self._cpu_restructure(stage.profile, threads, count)
             return
 
         # Kernel-completion notification + DMA setup (control plane).
         # ONE notification covers a whole batch: its kernels were
         # submitted as one chain, so the device raises one interrupt with
         # ``count`` completion records behind it.
-        span, cctx = self._phase_span(
-            sctx, "control", PHASE_CONTROL, count=count
-        )
-        yield from self._timed(
-            phases, PHASE_CONTROL,
-            self.notifier.notify(
+        with self._phase(
+            phases, sctx, "control", PHASE_CONTROL, count=count
+        ) as cctx:
+            yield from self.notifier.notify(
                 src, on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
                 count=count,
-            ),
-            span=span,
-        )
+            )
 
         if mode == Mode.MULTI_AXL:
             yield from self._multi_axl_motion(
@@ -1161,7 +1131,7 @@ class DMXSystem:
         leg: "LegSpec",
         probe: bool,
         phases: PhaseAccumulator,
-        state: Optional[_RequestState],
+        state: _RequestState,
         sctx: SpanContext,
     ) -> Generator:
         """Run one accelerator ``leg`` on ``backend`` under the recovery
@@ -1203,7 +1173,7 @@ class DMXSystem:
             **batch_attrs(count),
             **({"breaker_probe": True} if probe else {}),
         )
-        rid = state.request_id if state is not None else -1
+        rid = state.request_id
         try:
             yield from self._leg_race(
                 backend.execute(leg, local, state, sctx.child(attempt)),
@@ -1215,8 +1185,7 @@ class DMXSystem:
                 probe, count,
             )
             yield from self.router.cpu.execute(leg, phases, state, sctx)
-            if state is not None:
-                state.rescued = True
+            state.rescued = True
             self.domains.on_rescue(target, rid, burned, count)
             return "rescued"
         except _RECOVERABLE as exc:
@@ -1224,8 +1193,7 @@ class DMXSystem:
                 self.control.record(
                     target, False, self.sim.now - span_start, probe=probe
                 )
-            if state is not None:
-                state.fell_back = True
+            state.fell_back = True
             self._note(
                 "fallback", target, site=site, request_id=rid,
                 detail=type(exc).__name__,
@@ -1353,37 +1321,27 @@ class DMXSystem:
                                 self.cpu.spec.cores // len(self.chains)),
                         )
                         for _, _, mctx in members:
-                            span, _ = self._phase_span(
-                                mctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                                actor="cpu", threads=threads,
-                            )
-                            yield from self._timed(
-                                phases, PHASE_KERNEL,
-                                self.cpu.run_kernel(
+                            with self._phase(
+                                phases, mctx, f"kernel{kernel_index}",
+                                PHASE_KERNEL, actor="cpu", threads=threads,
+                            ):
+                                yield from self.cpu.run_kernel(
                                     stage.cpu_latency(threads),
                                     threads=threads,
-                                ),
-                                span=span,
-                            )
+                                )
                     else:
                         device = self.accel_devices[
                             self.accel_name(app_index, kernel_index)
                         ]
                         for st, _, mctx in members:
-                            span, _ = self._phase_span(
-                                mctx, f"kernel{kernel_index}", PHASE_KERNEL,
-                                actor=device.name,
-                            )
-                            if self._faults is None:
-                                yield from self._timed(
-                                    phases, PHASE_KERNEL, device.execute(),
-                                    span=span,
-                                )
-                            else:
-                                yield from self._timed(
-                                    phases, PHASE_KERNEL,
-                                    self._recovering_kernel(device, st),
-                                    span=span,
+                            with self._phase(
+                                phases, mctx, f"kernel{kernel_index}",
+                                PHASE_KERNEL, actor=device.name,
+                            ):
+                                yield from (
+                                    device.execute()
+                                    if self._faults is None
+                                    else self._recovering_kernel(device, st)
                                 )
                     kernel_index += 1
                 else:

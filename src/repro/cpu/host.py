@@ -161,6 +161,14 @@ class HostCPU:
         yield AllOf(self.sim, procs)
         return self.sim.now - start
 
+    def charge(self, cost: float) -> Generator:
+        """Process: ``cost`` seconds of inline host work (an ISR, a
+        descriptor write, a completion poll, a driver copy). It takes
+        wall time and bills the cores' busy time, but queues behind no
+        core: like an ISR, the issuing core runs it inline."""
+        yield self.sim.timeout(cost)
+        self.busy_seconds += cost
+
     def service_interrupt(self, duration: float = 2e-6) -> Generator:
         """Process: high-priority interrupt service routine on one core."""
         yield from self._chunk(duration, INTERRUPT_PRIORITY)

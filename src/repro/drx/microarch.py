@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..profiles import WorkProfile
-from ..sim import Server, Simulator
+from ..sim import ServerDevice, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -158,7 +158,7 @@ class DRXTimingModel:
         return "compute" if compute_time >= memory_time else "memory"
 
 
-class DRXDevice:
+class DRXDevice(ServerDevice):
     """DES occupancy model of one DRX unit.
 
     One restructuring kernel executes at a time; concurrent jobs queue —
@@ -166,19 +166,17 @@ class DRXDevice:
     placements from Bump-in-the-Wire.
     """
 
+    category = "drx"
+
     def __init__(
         self,
         sim: Simulator,
         config: DRXConfig = DEFAULT_DRX,
         name: str = "drx",
     ):
-        self.sim = sim
+        super().__init__(sim, capacity=1, name=name)
         self.config = config
-        self.name = name
         self.timing = DRXTimingModel(config)
-        self._server = Server(sim, capacity=1, name=name)
-        self.jobs_completed = 0
-        self.busy_seconds = 0.0
 
     def restructure(
         self,
@@ -201,36 +199,6 @@ class DRXDevice:
         """
         if count == 1:
             duration = self.timing.time_for_profile(profile)
-            span = (
-                ctx.begin(
-                    self.name, "drx", actor=self.name, service_s=duration
-                )
-                if ctx is not None
-                else None
-            )
         else:
             duration = self.timing.time_for_profile_batch([profile] * count)
-            span = (
-                ctx.begin(
-                    self.name, "drx", actor=self.name, service_s=duration,
-                    batch=count,
-                )
-                if ctx is not None
-                else None
-            )
-        start = self.sim.now
-        try:
-            yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += count
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
-        return elapsed
-
-    def utilization(self) -> float:
-        return self._server.utilization()
+        return self._occupy(duration, count, ctx)

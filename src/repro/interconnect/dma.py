@@ -51,10 +51,11 @@ class DMACosts:
     chained_descriptor_s: float = 0.3e-6
 
     def __post_init__(self) -> None:
-        if self.setup_s < 0 or self.completion_interrupt_s < 0:
-            raise ValueError("DMA cost components must be non-negative")
-        if self.chained_descriptor_s < 0:
-            raise ValueError("DMA cost components must be non-negative")
+        for name in (
+            "setup_s", "completion_interrupt_s", "chained_descriptor_s"
+        ):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
 
 
 class DMAEngine:

@@ -150,10 +150,6 @@ class DomainManager:
         what drives the consecutive-failure escalation."""
         return target in self._decommissioned
 
-    def is_crashed(self, target: str) -> bool:
-        """Ground truth: the domain is currently dead."""
-        return target in self._down
-
     # -- failure observations → detection ------------------------------------
 
     def observe_crash_failure(

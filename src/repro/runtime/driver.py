@@ -51,10 +51,12 @@ class NotificationCosts:
     polling_threshold_hz: float = 50_000.0
 
     def __post_init__(self) -> None:
-        if min(self.interrupt_s, self.coalesced_s, self.poll_s) < 0:
-            raise ValueError("notification costs must be non-negative")
-        if self.coalesce_window_s <= 0 or self.polling_threshold_hz <= 0:
-            raise ValueError("window and threshold must be positive")
+        for name in ("interrupt_s", "coalesced_s", "poll_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
+        for name in ("coalesce_window_s", "polling_threshold_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
 
 
 @dataclass
@@ -125,16 +127,11 @@ class NotificationModel:
         elif rate > threshold:
             self._polling[device] = True
 
-    def _charge(self, cost: float) -> Generator:
-        """Occupy the handler path for ``cost`` and bill the host CPU."""
-        yield self.sim.timeout(cost)
-        self.cpu.busy_seconds += cost
-
     def _deliver(self, device: str, cost: float) -> Generator:
         """One armed delivery attempt: charge the handler cost on the
         host under the "notify" site's fault policy."""
-        yield from self.injector.guard(
-            "notify", self._charge(cost), actor=device
+        return self.injector.guard(
+            "notify", self.cpu.charge(cost), actor=device
         )
 
     def notify(
@@ -222,9 +219,7 @@ class NotificationModel:
         # costs wall time and CPU energy but does not queue behind bulk
         # restructuring chunks.
         if self.injector is None:
-            yield self.sim.timeout(cost)
-            self.cpu.busy_seconds += cost
-            return
+            return self.cpu.charge(cost)
 
         def failed(attempt: int, exc: BaseException, will_retry: bool):
             if isinstance(exc, WaitTimeout):
@@ -234,7 +229,7 @@ class NotificationModel:
             if on_retry is not None:
                 on_retry(attempt, exc, will_retry)
 
-        yield from retry(
+        return retry(
             self.sim,
             lambda: self._deliver(device, cost),
             NOTIFY_RETRY,

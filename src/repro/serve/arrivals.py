@@ -60,8 +60,10 @@ class PoissonArrivals(ArrivalProcess):
     rate_rps: float
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
+        if not self.rate_rps > 0:
+            raise ValueError(
+                f"rate_rps must be positive (not NaN), got {self.rate_rps}"
+            )
 
     @property
     def mean_rate_rps(self) -> float:
@@ -82,8 +84,10 @@ class DeterministicArrivals(ArrivalProcess):
     rate_rps: float
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
+        if not self.rate_rps > 0:
+            raise ValueError(
+                f"rate_rps must be positive (not NaN), got {self.rate_rps}"
+            )
 
     @property
     def mean_rate_rps(self) -> float:
@@ -116,12 +120,13 @@ class MMPPArrivals(ArrivalProcess):
     mean_dwell_burst_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.base_rate_rps <= 0:
-            raise ValueError("base_rate_rps must be positive")
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if self.mean_dwell_quiet_s <= 0 or self.mean_dwell_burst_s <= 0:
-            raise ValueError("phase dwell times must be positive")
+        for name in (
+            "base_rate_rps", "mean_dwell_quiet_s", "mean_dwell_burst_s"
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive (not NaN)")
+        if not self.burst_factor >= 1.0:
+            raise ValueError("burst_factor must be >= 1 (not NaN)")
 
     @property
     def mean_rate_rps(self) -> float:
@@ -158,8 +163,8 @@ class MMPPArrivals(ArrivalProcess):
             yield gap
 
     def scaled(self, mean_rate_rps: float) -> "MMPPArrivals":
-        if mean_rate_rps <= 0:
-            raise ValueError("mean_rate_rps must be positive")
+        if not mean_rate_rps > 0:
+            raise ValueError("mean_rate_rps must be positive (not NaN)")
         factor = mean_rate_rps / self.mean_rate_rps
         return replace(self, base_rate_rps=self.base_rate_rps * factor)
 
@@ -184,10 +189,14 @@ class RampArrivals(ArrivalProcess):
         if not self.segments:
             raise ValueError("need at least one (duration_s, rate_rps) leg")
         for duration, rate in self.segments:
-            if duration <= 0:
-                raise ValueError(f"leg duration must be positive: {duration}")
-            if rate <= 0:
-                raise ValueError(f"leg rate must be positive: {rate}")
+            if not duration > 0:
+                raise ValueError(
+                    f"leg duration_s must be positive (not NaN): {duration}"
+                )
+            if not rate > 0:
+                raise ValueError(
+                    f"leg rate_rps must be positive (not NaN): {rate}"
+                )
 
     @property
     def mean_rate_rps(self) -> float:
@@ -224,8 +233,8 @@ class RampArrivals(ArrivalProcess):
             yield gap
 
     def scaled(self, mean_rate_rps: float) -> "RampArrivals":
-        if mean_rate_rps <= 0:
-            raise ValueError("mean_rate_rps must be positive")
+        if not mean_rate_rps > 0:
+            raise ValueError("mean_rate_rps must be positive (not NaN)")
         factor = mean_rate_rps / self.mean_rate_rps
         return replace(
             self,

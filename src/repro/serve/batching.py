@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List
 
 from ..sim import Simulator
 
@@ -140,10 +140,6 @@ class BatchFormer:
 
     def forming_count(self) -> int:
         return len(self._forming)
-
-    def open_batch(self, tenant: str) -> Optional[FormingBatch]:
-        """The tenant's forming batch, if one is open."""
-        return self._forming.get(tenant)
 
     def add(
         self, item: "_Admitted", max_batch: int, window_s: float

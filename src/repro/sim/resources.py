@@ -10,6 +10,11 @@ Three resource flavours cover everything the DMX model needs:
 * :class:`Store` — an unbounded FIFO of items with blocking ``get`` (command
   queues, interrupt queues).
 
+:class:`ServerDevice` is the one occupancy a restructuring device runs
+its jobs through (a DRX unit, a DSA engine pool, an XDMA channel pool):
+a :class:`Server` slot held for the device's service time, one span per
+job, and counters that move only when the job completes.
+
 All acquisitions are events, so processes compose them with timeouts and
 conditions freely.
 
@@ -29,7 +34,10 @@ from typing import Any, Deque, Dict, Generator, List, Optional
 
 from .engine import AnyOf, Event, SimulationError, Simulator, Timeout, WaitTimeout
 
-__all__ = ["Request", "Resource", "Server", "Store", "PriorityResource"]
+__all__ = [
+    "Request", "Resource", "Server", "ServerDevice", "Store",
+    "PriorityResource",
+]
 
 
 class Request(Event):
@@ -326,6 +334,69 @@ class Server:
             self.jobs_served += 1
         finally:
             self._resource.relinquish(req)
+
+
+class ServerDevice:
+    """A device whose every job holds one of ``capacity`` :class:`Server`
+    slots for a service time the device computes on entry.
+
+    A subclass prices its job and hands the service time to
+    :meth:`_occupy`; the slot, the span and the counters are kept here.
+    """
+
+    #: Category of the device's job spans.
+    category = ""
+
+    def __init__(self, sim: Simulator, capacity: int, name: str):
+        self.sim = sim
+        self.name = name
+        self._server = Server(sim, capacity=capacity, name=name)
+        self.jobs_completed = 0
+        self.busy_seconds = 0.0
+
+    @property
+    def queue_depth(self) -> int:
+        """Jobs in service plus jobs waiting for a slot."""
+        server = self._server
+        return server.queue_length + server.in_use
+
+    def utilization(self) -> float:
+        return self._server.utilization()
+
+    def _occupy(
+        self, duration: float, count: int, ctx, **attrs: object
+    ) -> Generator:
+        """Process: hold one slot for ``duration`` on behalf of a
+        ``count``-member job; returns the time from entry to release.
+
+        ``ctx`` (a span context, or None) attaches a span named after
+        the device, carrying ``service_s``, the caller's ``attrs`` and,
+        for a coalesced job, ``batch``. The span closes with
+        ``queued_s`` (the wait behind busy slots), or, when the job is
+        interrupted queued or in service, ``abandoned`` with the error's
+        type name. Only a completed job moves ``jobs_completed`` (by
+        ``count``) and ``busy_seconds``. The context is duck-typed, so
+        the engine needs nothing from the telemetry package.
+        """
+        if count > 1:
+            attrs["batch"] = count
+        span = None if ctx is None else ctx.begin(
+            self.name, self.category, actor=self.name, service_s=duration,
+            **attrs,
+        )
+        start = self.sim.now
+        try:
+            yield from self._server.transfer(duration)
+        except BaseException as exc:
+            if span is not None:
+                ctx.end(span, abandoned=True, error=type(exc).__name__)
+            raise
+        self.jobs_completed += count
+        self.busy_seconds += duration
+        elapsed = self.sim.now - start
+        if span is not None:
+            ctx.end(span, queued_s=elapsed - duration)
+        return elapsed
 
 
 class Store:

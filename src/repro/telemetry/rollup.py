@@ -150,21 +150,6 @@ class RunRollups:
         for window in self.windows:
             yield window.to_row()
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Dict[str, object]],
-        window_s: float,
-        quantiles: Sequence[float],
-        slo_s: Optional[float],
-    ) -> "RunRollups":
-        return cls(
-            window_s=window_s,
-            quantiles=tuple(quantiles),
-            slo_s=slo_s,
-            windows=[RollupWindow.from_row(row) for row in rows],
-        )
-
 
 # -- source access (Telemetry or RunArtifact, duck-typed) ----------------------
 

@@ -9,9 +9,11 @@ two separate copies of the motion code; the one ``count``-parametrized
 path must reproduce every hash byte for byte. The routing rows (breakers
 forced open, a decommissioned home, ``force_cpu``) were captured while
 the static route and the planner were still two separate walks, and pin
-every way a leg can be routed. The fault-mix row arms a
-:class:`~repro.faults.FaultPlan` whose run writes every kind of fault
-note, so the ``fault`` instants are pinned byte for byte. The serving
+every way a leg can be routed. The two single-engine planner rows run
+every leg, clean and unfaulted, on the XDMA or the DSA engine. The
+fault-mix row arms a :class:`~repro.faults.FaultPlan` whose run writes
+every kind of fault note, so the ``fault`` instants are pinned byte for
+byte. The serving
 rows hash one unbatched and one batched
 :class:`~repro.serve.ServingFrontend` run, client and batch
 span trees included. The controller rows hash two runs under the
@@ -93,6 +95,30 @@ def _chain(i):
     )
 
 
+def _affine_chain(i):
+    """``_chain``'s shape with motion legs an XDMA descriptor can encode
+    (strided, gather-free, a few ops per element)."""
+    profile = WorkProfile(
+        name="affine", bytes_in=16 * KB, bytes_out=16 * KB,
+        elements=4096, ops_per_element=2.0, branch_fraction=0.02,
+    )
+    return AppChain(
+        name=f"app{i}",
+        stages=[
+            KernelStage("k1", SPEC, cpu_time_s=30e-6, accel_time_s=2e-6,
+                        output_bytes=16 * KB),
+            MotionStage("m1", profile, input_bytes=16 * KB,
+                        output_bytes=16 * KB, cpu_threads=3),
+            KernelStage("k2", SPEC, cpu_time_s=24e-6, accel_time_s=2e-6,
+                        output_bytes=16 * KB),
+            MotionStage("m2", profile, input_bytes=16 * KB,
+                        output_bytes=16 * KB, cpu_threads=2),
+            KernelStage("k3", SPEC, cpu_time_s=20e-6, accel_time_s=2e-6,
+                        output_bytes=4 * KB),
+        ],
+    )
+
+
 #: drx.s0 dies while a leg is restructuring on it (at count 1 and 4).
 _CRASH = CrashPlan(crashes=(DomainCrash(target="drx.s0", at_s=40e-6),))
 
@@ -161,6 +187,22 @@ SCENARIOS = {
         mode=Mode.STANDALONE, backends=PlannerConfig(), resilience=_ARMED,
         open=("drx.s0",),
     ),
+    # Clean, fault-free legs on the two related-work engines: offered
+    # one engine and the CPU, the planner sends every leg to the engine.
+    "bump-in-the-wire-planned-xdma": dict(
+        mode=Mode.BUMP_IN_WIRE, chain=_affine_chain,
+        backends=PlannerConfig(candidates=("xdma", "cpu")),
+    ),
+    "standalone-planned-dsa": dict(
+        mode=Mode.STANDALONE,
+        backends=PlannerConfig(candidates=("dsa", "cpu")),
+    ),
+}
+
+#: The engine each single-engine planner row runs every leg on.
+ENGINE_ROWS = {
+    "bump-in-the-wire-planned-xdma": "xdma",
+    "standalone-planned-dsa": "dsa",
 }
 
 
@@ -172,8 +214,9 @@ def _run(scenario, count, single=False):
     apps = kwargs.pop("apps", 2)
     opened = kwargs.pop("open", ())
     force_cpu = kwargs.pop("force_cpu", False)
+    chain = kwargs.pop("chain", _chain)
     system = DMXSystem(
-        [_chain(i) for i in range(apps)],
+        [chain(i) for i in range(apps)],
         SystemConfig(mode=kwargs.pop("mode")),
         **kwargs,
     )
@@ -327,6 +370,10 @@ GOLDEN = {
         '0b2a6f3214af9db0c06d1d5c564da305da181561e3c6578d7c6283fdce964d30',
     ('bump-in-the-wire-planned', 4):
         '2b85c0535a421e77336c9b312724550a65df1f21f95e9f13b26a0fdf6e0a7697',
+    ('bump-in-the-wire-planned-xdma', 1):
+        '03d9861a6bf00aa089babed022364cd63e2408675ebb35d0208533fc1b6578be',
+    ('bump-in-the-wire-planned-xdma', 4):
+        '7c01128bd4a9367a3b9edf8f30132ca4cf9becf865d4abfbcf49b31aa484210d',
     ('integrated-drx', 1):
         '2ab8955d4a667e6a964ceb0af43d27b9baef6e27ec108ccbaedc513f33988ff6',
     ('integrated-drx', 4):
@@ -379,6 +426,10 @@ GOLDEN = {
         'b5cca357e87e0f050ba868bda19bf87bae70b75f9ca6afefb420ff473059145c',
     ('standalone-planned-drx-open', 4):
         'f4f8b5359e53c231f1303b0ee266ef2ad9a5b19256bd06bd200d1e2bc97692a4',
+    ('standalone-planned-dsa', 1):
+        'b7918c07f6528991beec94e120f8a9058d6b81d39d10c186155325588e7f7278',
+    ('standalone-planned-dsa', 4):
+        '80d9d5c191f622f81f0bf606f85814377a89cfcfff88df4a7b147d1fa0002ded',
     ('standalone-planned-force-cpu', 1):
         'eefade7bcd942cf8310ca5bb980cf30b9bcefd93fc2b6bcea2f0eabe98fecbad',
     ('standalone-planned-force-cpu', 4):
@@ -467,6 +518,20 @@ def test_routing_rows_take_their_routes(scenario, count):
     assert routed
     assert {s.attrs["rerouted_to"] for s in routed} == ROUTES[scenario]
     assert any(r.rerouted for r in records)
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("scenario", sorted(ENGINE_ROWS))
+def test_engine_rows_run_every_leg_on_their_engine(scenario, count):
+    system, records = _run(scenario, count)
+    engine = ENGINE_ROWS[scenario]
+    assert records and all(r.backend == [engine] * 2 for r in records)
+    assert not any(r.rerouted or r.fell_back for r in records)
+    device = system.planner.backends[engine].device
+    assert device.jobs_completed == len(records) * 2
+    spans = [s for s in system.telemetry.spans if s.category == engine]
+    assert len(spans) == len(records) * 2 // count
+    assert all(s.attrs.get("batch", 1) == count for s in spans)
 
 
 @pytest.mark.parametrize("scenario", [

@@ -22,6 +22,9 @@ legs through batch formation and the all-backend planner) and one tiny
   unit), and the unarmed static route never walks its ranking;
 * an armed static route over healthy units asks each leg's breaker
   once and never builds a leg for a sibling unit;
+* a leg step (phase span plus phase booking) is a context manager, not
+  a generator, so no step adds a frame to the ``yield from`` chain a
+  resume passes through; the resumes and events per run stay pinned;
 * on a small crash-and-revive run's artifact, the writer builds no
   JSON encoder per line, the loader calls ``json.loads`` on no line the
   writer wrote, and neither side holds the whole file: each one's
@@ -63,6 +66,7 @@ from repro.resilience.recovery import (
     RecoveryScenarioConfig,
     run_recovery_scenario,
 )
+from repro.sim.engine import Process
 from repro.serve import (
     BatchingConfig,
     Discipline,
@@ -340,6 +344,61 @@ def test_armed_static_route_asks_each_healthy_home_once():
     assert work["routes"] == 4 * 3
     assert work["admits"] == work["routes"]
     assert work["siblings"] == 0
+
+
+#: (mode, count) -> (resumes, events) of two sound-detection apps, each
+#: submitting two requests of ``count`` members at t=0.
+RESUMES = {
+    (Mode.STANDALONE, 1): (76, 80),
+    (Mode.STANDALONE, 4): (124, 128),
+    (Mode.BUMP_IN_WIRE, 1): (72, 76),
+    (Mode.BUMP_IN_WIRE, 4): (120, 124),
+    (Mode.PCIE_INTEGRATED, 1): (72, 84),
+    (Mode.PCIE_INTEGRATED, 4): (120, 132),
+    (Mode.MULTI_AXL, 1): (112, 128),
+    (Mode.MULTI_AXL, 4): (280, 332),
+}
+
+#: The deepest ``yield from`` chain any of those resumes passes through,
+#: the process's own generator included: ``submit_batch``, ``_request``,
+#: ``_motion``, ``_motion_body``, the leg (``_guarded_leg`` and
+#: ``_drx_motion``, or ``_multi_axl_motion`` and ``_host_staged``), then
+#: the DMA engine's ``transfer``, ``_transfer`` and ``_attempt`` and the
+#: fabric's ``transfer``. A phase step that ran as a generator added one
+#: more (11).
+MAX_RESUME_DEPTH = 10
+
+
+@pytest.mark.parametrize("mode,count", sorted(
+    RESUMES, key=lambda key: (key[0].value, key[1])
+), ids=lambda v: getattr(v, "value", v))
+def test_a_leg_step_adds_no_generator_frame(mode, count):
+    resumes = Counter()
+    resume = Process._resume
+
+    def counted_resume(proc, event):
+        gen, depth = proc._generator, 0
+        while gen is not None:
+            depth += 1
+            gen = gen.gi_yieldfrom
+        resumes["resumes"] += 1
+        resumes["depth"] = max(resumes["depth"], depth)
+        return resume(proc, event)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "_resume", counted_resume)
+        system = DMXSystem(
+            build_benchmark_chains("sound-detection", 2),
+            SystemConfig(mode=mode),
+        )
+        for _ in range(2):
+            for app in range(2):
+                system.sim.spawn(system.submit_batch(app, count))
+        system.sim.run()
+    assert (resumes["resumes"], system.sim.events_processed) == (
+        RESUMES[mode, count]
+    )
+    assert resumes["depth"] == MAX_RESUME_DEPTH
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,12 @@ The metric instruments, too: ``Counter.inc(nan)`` made the total NaN,
 sum NaN, and a NaN ``Gauge.sample`` time landed and then let a sample
 that moved backwards pass the monotonic check. Each value reached the
 run artifact as a non-standard ``NaN`` token.
+
+So did the arrival processes and the device cost models:
+``PoissonArrivals(nan)`` was built and then killed the run at its first
+arrival with an engine error that named no field, and the deterministic,
+MMPP and ramp processes, ``DMACosts``, ``NotificationCosts``,
+``DSAConfig`` and ``XDMAConfig`` took NaN the same way.
 """
 
 import math
@@ -46,6 +52,8 @@ import math
 import pytest
 
 from repro.backends import PlannerConfig
+from repro.backends.dsa import DSAConfig
+from repro.backends.xdma import XDMAConfig
 from repro.control import ControllerConfig
 from repro.faults import (
     CrashPlan,
@@ -61,11 +69,16 @@ from repro.resilience import (
     TokenBucketConfig,
 )
 from repro.resilience.brownout import BrownoutConfig, BrownoutController
+from repro.interconnect import DMACosts
+from repro.runtime.driver import NotificationCosts
 from repro.serve import (
     BatchingConfig,
+    DeterministicArrivals,
     FrontendConfig,
     LatencyTracker,
+    MMPPArrivals,
     PoissonArrivals,
+    RampArrivals,
     SweepConfig,
     TenantSpec,
 )
@@ -111,6 +124,23 @@ def _recovery(**kw):
     return RecoveryScenarioConfig(**{"offered_rps": 1.0, "crashes": (), **kw})
 
 
+def _poisson(**kw):
+    return PoissonArrivals(**{"rate_rps": 1.0, **kw})
+
+
+def _deterministic(**kw):
+    return DeterministicArrivals(**{"rate_rps": 1.0, **kw})
+
+
+def _mmpp(**kw):
+    return MMPPArrivals(**{"base_rate_rps": 1.0, **kw})
+
+
+def _ramp(duration_s=1.0, rate_rps=1.0):
+    """A one-leg ramp."""
+    return RampArrivals(segments=((duration_s, rate_rps),))
+
+
 #: (constructor, field): each call must reject ``field=value``.
 CHECKS = [
     (FrontendConfig, "slo_s"),
@@ -147,6 +177,35 @@ CHECKS = [
     (_chaos, "slo_s"),
     (_recovery, "offered_rps"),
     (_recovery, "slo_s"),
+    (_poisson, "rate_rps"),
+    (_deterministic, "rate_rps"),
+    (_mmpp, "base_rate_rps"),
+    (_mmpp, "burst_factor"),
+    (_mmpp, "mean_dwell_quiet_s"),
+    (_mmpp, "mean_dwell_burst_s"),
+    (_ramp, "duration_s"),
+    (_ramp, "rate_rps"),
+    (DMACosts, "setup_s"),
+    (DMACosts, "completion_interrupt_s"),
+    (DMACosts, "chained_descriptor_s"),
+    (NotificationCosts, "interrupt_s"),
+    (NotificationCosts, "coalesced_s"),
+    (NotificationCosts, "poll_s"),
+    (NotificationCosts, "coalesce_window_s"),
+    (NotificationCosts, "polling_threshold_hz"),
+    (DSAConfig, "engines"),
+    (DSAConfig, "move_bandwidth"),
+    (DSAConfig, "transform_ops_per_s"),
+    (DSAConfig, "portal_submit_s"),
+    (DSAConfig, "descriptor_s"),
+    (DSAConfig, "batch_descriptor_s"),
+    (DSAConfig, "completion_poll_s"),
+    (DSAConfig, "poll_reap_s"),
+    (XDMAConfig, "channels"),
+    (XDMAConfig, "transform_bandwidth"),
+    (XDMAConfig, "max_payload_bytes"),
+    (XDMAConfig, "program_s"),
+    (XDMAConfig, "member_program_s"),
 ]
 
 
@@ -160,6 +219,14 @@ def test_nan_is_rejected(check):
     make, name = check
     with pytest.raises(ValueError, match=rf"{name}.*NaN"):
         make(**{name: NAN})
+
+
+@pytest.mark.parametrize("process", [
+    MMPPArrivals(base_rate_rps=1.0), RampArrivals(segments=((1.0, 1.0),)),
+], ids=["mmpp", "ramp"])
+def test_rescaling_to_a_nan_rate_is_rejected(process):
+    with pytest.raises(ValueError, match="mean_rate_rps.*NaN"):
+        process.scaled(NAN)
 
 
 def test_brownout_controller_rejects_nan_slo():
