@@ -97,8 +97,8 @@ class ControllerConfig:
     standby_cards: int = 0
 
     def __post_init__(self) -> None:
-        if self.standby_cards < 0:
-            raise ValueError("standby_cards must be >= 0")
+        if not self.standby_cards >= 0:
+            raise ValueError("standby_cards must be >= 0 (not NaN)")
         if not 0.0 < self.deescalate_fraction <= TARGET_FRACTION:
             raise ValueError(
                 "deescalate_fraction must be in (0, TARGET_FRACTION] "

@@ -37,7 +37,7 @@ from ..faults.recovery import shielded
 from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
-from ..sim import AllOf, AnyOf, PhaseAccumulator, Simulator, WaitTimeout
+from ..sim import AllOf, PhaseAccumulator, Simulator, WaitTimeout
 from ..telemetry import ActiveSpan, SpanContext, Telemetry
 from ..telemetry.spans import batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
@@ -413,7 +413,11 @@ class DMXSystem:
         self.sim = Simulator()
         self.telemetry = Telemetry(self.sim)
         self._metrics_recorded = False
-        self._faults = faults
+        #: One motion leg's DRX deadline budget (per member); None
+        #: without a FaultPlan.
+        self._drx_deadline_s = (
+            faults.drx_deadline_s if faults is not None else None
+        )
         self._request_ids = itertools.count()
         self.injector: Optional[FaultInjector] = (
             FaultInjector(
@@ -581,7 +585,7 @@ class DMXSystem:
         """Record one fault-plane event (an injection, retry, fallback,
         drain or give-up) as a ``fault`` telemetry instant, the only
         record of it; runs without a FaultPlan record none."""
-        if self._faults is not None:
+        if self.injector is not None:
             self.telemetry.instant(
                 kind, "fault", actor=actor, request_id=request_id,
                 site=site, detail=detail,
@@ -592,7 +596,7 @@ class DMXSystem:
     ) -> Optional[Callable[[int, BaseException, bool], None]]:
         """Per-operation failed-attempt observer: per-request retry count
         plus a fault note. None in fault-free runs (fast path)."""
-        if self._faults is None:
+        if self.injector is None:
             return None
 
         def cb(attempt: int, exc: BaseException, will_retry: bool) -> None:
@@ -618,116 +622,6 @@ class DMXSystem:
         return self.injector.guard(
             site, op, actor=actor, request_id=state.request_id
         )
-
-    def _leg_race(
-        self,
-        op: Generator,
-        deadline_s: Optional[float],
-        crash_ev,
-        target: str,
-        what: str,
-    ) -> Generator:
-        """Run one motion leg racing its deadline *and* its failure
-        domain's crash broadcast.
-
-        With ``crash_ev=None`` (no crash scheduled on the target) this
-        is exactly :func:`~repro.faults.with_timeout` — the legacy
-        deadline race, byte for byte. With a crash event armed, three
-        outcomes race: the leg completes (even exactly at the crash
-        instant — completed work is completed), the deadline fires
-        (``WaitTimeout``, the transient-fallback path), or the domain
-        dies — the in-flight child is cancelled via the engine's
-        interrupt machinery (its ``finally`` blocks release every held
-        slot) and a typed :class:`~repro.faults.DomainCrashed` surfaces
-        for rescue. A leg dispatched to an *already*-crashed,
-        not-yet-detected domain fails fast at zero cost: the surprise
-        link-down is observed before any deadline budget burns.
-        """
-        if crash_ev is None:
-            result = yield from with_timeout(self.sim, op, deadline_s,
-                                             what=what)
-            return result
-        if crash_ev.triggered:
-            op.close()
-            exc = DomainCrashed(target, self.domains.crashed_at[target])
-            exc.inflight = False
-            raise exc
-        proc = self.sim.spawn(shielded(op), name=f"leg:{what}")
-        waiters = [proc]
-        deadline = None
-        if deadline_s is not None:
-            deadline = self.sim.timeout(deadline_s)
-            waiters.append(deadline)
-        waiters.append(crash_ev)
-        yield AnyOf(self.sim, waiters)
-        if proc.triggered:
-            if deadline is not None:
-                deadline.cancel()
-            ok, value = proc.value
-            if not ok:
-                raise value
-            return value
-        if crash_ev.triggered:
-            if deadline is not None:
-                deadline.cancel()
-            if proc.is_alive:
-                proc.interrupt(f"domain {target} crashed")
-            exc = DomainCrashed(target, self.domains.crashed_at[target])
-            exc.inflight = True
-            raise exc
-        if proc.is_alive:
-            proc.interrupt(f"deadline {deadline_s} s exceeded")
-        raise WaitTimeout(
-            f"{what or 'operation'} exceeded its {deadline_s} s deadline"
-        )
-
-    def _rescue_accounting(
-        self,
-        exc: DomainCrashed,
-        target: str,
-        span_start: float,
-        attempt: ActiveSpan,
-        sctx: SpanContext,
-        state: _RequestState,
-        phases: PhaseAccumulator,
-        probe: bool,
-        count: int,
-    ) -> float:
-        """Book one drained (or failed-fast) leg and gate the rescue.
-
-        Abandons the attempt subtree, re-bills the burned interval to
-        the recovery phase (carrying the already-burned latency, exactly
-        like the deadline-fallback path), feeds the crash observation to
-        the domain manager's detection escalation, and — when the leg is
-        past the plan's rescue deadline — raises
-        :class:`~repro.faults.RescueAbandoned` instead of letting the
-        caller resubmit. Returns the burned seconds."""
-        manager = self.domains
-        rid = state.request_id
-        burned = self.sim.now - span_start
-        if self.control is not None:
-            self.control.record(target, False, burned, probe=probe)
-        manager.observe_crash_failure(
-            target, rid, count, getattr(exc, "inflight", True)
-        )
-        self._note(
-            "drain", target, site="domain", request_id=rid,
-            detail=type(exc).__name__,
-        )
-        self.telemetry.end(attempt, error=type(exc).__name__)
-        self.telemetry.mark_abandoned(attempt)
-        if burned:
-            phases.add(PHASE_RECOVERY, burned)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=target, parent=sctx.parent_id,
-                request_id=sctx.request_id, phase=PHASE_RECOVERY,
-                cause=type(exc).__name__,
-            )
-        if manager.past_rescue_deadline(burned):
-            manager.on_rescue_abandoned(target, rid, burned, count)
-            raise RescueAbandoned(target, burned)
-        return burned
 
     def _leg_transfer(
         self,
@@ -915,7 +809,7 @@ class DMXSystem:
         leg shape."""
         with step as pctx:
             move_op, work_op = move(pctx), work(pctx)
-            if self._faults is not None:
+            if self.injector is not None:
                 # Shield the children: an injected fault must surface
                 # here (for fallback), not trip the engine's strict mode.
                 move_op, work_op = shielded(move_op), shielded(work_op)
@@ -934,7 +828,7 @@ class DMXSystem:
                 raise
         # A child's fault surfaces only now, after the step booked the
         # joint interval and closed its span.
-        if self._faults is not None:
+        if self.injector is not None:
             for proc in procs:
                 ok, value = proc.value
                 if not ok:
@@ -1138,21 +1032,22 @@ class DMXSystem:
         plane; returns ``"done"``, ``"fell_back"`` or ``"rescued"``.
 
         Fault-free, crash-free runs execute the leg directly. Otherwise
-        it runs under the request's deadline budget (one per member) and,
-        when the target's failure domain has a crash scheduled, races the
-        crash broadcast too. Past the deadline, or on any recoverable
-        failure, the leg falls back to the router's CPU backend (host
-        restructuring via host memory); a crashed domain's leg is drained
-        and rescued there exactly once, carrying the burned latency. A
-        batch degrades as a unit — no member is lost.
+        one :func:`~repro.faults.with_timeout` race runs it under the
+        request's deadline budget (one per member) and, when the
+        target's failure domain has a crash scheduled, against the crash
+        broadcast too. One handler degrades a failed leg: past the
+        deadline, or on any recoverable failure, the leg falls back to
+        the router's CPU backend (host restructuring via host memory); a
+        crashed domain's leg is drained and rescued there exactly once,
+        carrying the burned latency, unless it is past the plan's rescue
+        deadline. A batch degrades as a unit — no member is lost.
         """
         target = backend.target(leg)
         site = backend.kind
         count = leg.count
-        crash_ev = (
-            self.domains.watch(target) if self.domains is not None else None
-        )
-        if self._faults is None and crash_ev is None:
+        domains = self.domains
+        crash_ev = domains.watch(target) if domains is not None else None
+        if self.injector is None and crash_ev is None:
             leg_start = self.sim.now
             yield from backend.execute(leg, phases, state, sctx)
             if self.control is not None:
@@ -1164,8 +1059,8 @@ class DMXSystem:
         local = PhaseAccumulator(ALL_PHASES)
         span_start = self.sim.now
         deadline_s = (
-            self._faults.drx_deadline_s * count
-            if self._faults is not None
+            self._drx_deadline_s * count
+            if self._drx_deadline_s is not None
             else None
         )
         attempt = sctx.begin(
@@ -1174,45 +1069,67 @@ class DMXSystem:
             **({"breaker_probe": True} if probe else {}),
         )
         rid = state.request_id
+        abort = None
+        if crash_ev is not None:
+            # A dead domain drains the leg in flight (or fails it fast
+            # at dispatch, before any deadline budget burns).
+            abort = (crash_ev, lambda inflight: DomainCrashed(
+                target, domains.crashed_at[target], inflight
+            ))
         try:
-            yield from self._leg_race(
+            yield from with_timeout(
+                self.sim,
                 backend.execute(leg, local, state, sctx.child(attempt)),
-                deadline_s, crash_ev, target, what=f"{site}:{target}",
+                deadline_s, what=f"{site}:{target}", abort=abort,
             )
-        except DomainCrashed as exc:
-            burned = self._rescue_accounting(
-                exc, target, span_start, attempt, sctx, state, phases,
-                probe, count,
-            )
-            yield from self.router.cpu.execute(leg, phases, state, sctx)
-            state.rescued = True
-            self.domains.on_rescue(target, rid, burned, count)
-            return "rescued"
-        except _RECOVERABLE as exc:
+        except _RECOVERABLE + (DomainCrashed,) as exc:
+            cause = type(exc).__name__
+            crashed = isinstance(exc, DomainCrashed)
+            burned = self.sim.now - span_start
             if self.control is not None:
-                self.control.record(
-                    target, False, self.sim.now - span_start, probe=probe
+                self.control.record(target, False, burned, probe=probe)
+            if crashed:
+                domains.observe_crash_failure(
+                    target, rid, count, exc.inflight
                 )
-            state.fell_back = True
-            self._note(
-                "fallback", target, site=site, request_id=rid,
-                detail=type(exc).__name__,
-            )
+                self._note(
+                    "drain", target, site="domain", request_id=rid,
+                    detail=cause,
+                )
+            else:
+                state.fell_back = True
+                self._note(
+                    "fallback", target, site=site, request_id=rid,
+                    detail=cause,
+                )
             # The whole attempt subtree is dead time: abandon it (phase
             # spans under it stop counting toward phase totals) and
-            # re-bill the interval to the recovery phase, exactly as the
-            # accumulator does.
-            self.telemetry.end(attempt, error=type(exc).__name__)
+            # re-bill the interval to the recovery phase. A fallback
+            # always burns time first (DMA setup, the overlapped ingest,
+            # XDMA programming or a positive deadline); a leg failed
+            # fast at dispatch burns none and books nothing.
+            self.telemetry.end(attempt, error=cause)
             self.telemetry.mark_abandoned(attempt)
-            phases.add(PHASE_RECOVERY, self.sim.now - span_start)
-            self.telemetry.add(
-                "recovery", PHASE_RECOVERY, start=span_start,
-                end=self.sim.now, actor=target,
-                parent=sctx.parent_id, request_id=sctx.request_id,
-                phase=PHASE_RECOVERY, cause=type(exc).__name__,
-            )
+            if burned:
+                phases.add(PHASE_RECOVERY, burned)
+                self.telemetry.add(
+                    "recovery", PHASE_RECOVERY, start=span_start,
+                    end=self.sim.now, actor=target,
+                    parent=sctx.parent_id, request_id=sctx.request_id,
+                    phase=PHASE_RECOVERY, cause=cause,
+                )
+            if crashed and domains.past_rescue_deadline(burned):
+                domains.on_rescue_abandoned(target, rid, burned, count)
+                raise RescueAbandoned(target, burned)
+            # Finish the leg on the host (the Multi-Axl path): a crashed
+            # domain's leg is rescued there exactly once, carrying the
+            # burned latency.
             yield from self.router.cpu.execute(leg, phases, state, sctx)
-            return "fell_back"
+            if not crashed:
+                return "fell_back"
+            state.rescued = True
+            domains.on_rescue(target, rid, burned, count)
+            return "rescued"
         if self.control is not None:
             self.control.record(
                 target, True, self.sim.now - span_start, probe=probe
@@ -1231,9 +1148,8 @@ class DMXSystem:
         and re-issued with bounded backoff."""
         yield from retry(
             self.sim,
-            lambda: self.injector.guard(
-                "kernel", device.execute(),
-                actor=device.name, request_id=state.request_id,
+            lambda: self._guard(
+                "kernel", device.execute(), device.name, state
             ),
             KERNEL_RETRY,
             timeout_s=KERNEL_TIMEOUT_S,
@@ -1340,7 +1256,7 @@ class DMXSystem:
                             ):
                                 yield from (
                                     device.execute()
-                                    if self._faults is None
+                                    if self.injector is None
                                     else self._recovering_kernel(device, st)
                                 )
                     kernel_index += 1

@@ -4,7 +4,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cache": ("CacheBehaviour", "CacheModel"),
-    "host": ("BULK_PRIORITY", "INTERRUPT_PRIORITY", "HostCPU"),
+    "host": ("HostCPU",),
     "specs": ("XEON_8260L", "CacheLevel", "CPUSpec"),
     "topdown": ("TopDownBreakdown", "TopDownModel"),
 })

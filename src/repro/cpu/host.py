@@ -2,8 +2,8 @@
 
 The host plays three roles in the modeled system:
 
-* **control plane** — fielding interrupts and configuring DMAs (short,
-  high-priority core occupancy);
+* **control plane** — fielding interrupts and configuring DMAs (short
+  inline work that queues behind no core, :meth:`HostCPU.charge`);
 * **data restructuring** (baseline / Integrated-DRX-less configs) — the
   MKL-style parallel restructuring the paper profiles: a job fans out
   over up to ``max_threads`` cores and contends with every other
@@ -21,14 +21,11 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from ..profiles import WorkProfile
-from ..sim import AllOf, PriorityResource, Simulator
+from ..sim import AllOf, Resource, Simulator
 from .specs import CPUSpec, XEON_8260L
 from .topdown import TopDownModel
 
-__all__ = ["HostCPU", "INTERRUPT_PRIORITY", "BULK_PRIORITY"]
-
-INTERRUPT_PRIORITY = 0
-BULK_PRIORITY = 10
+__all__ = ["HostCPU"]
 
 
 class HostCPU:
@@ -67,7 +64,7 @@ class HostCPU:
             raise ValueError("negative spawn_overhead_s")
         self.sim = sim
         self.spec = spec
-        self.cores = PriorityResource(sim, capacity=spec.cores, name="cpu-cores")
+        self.cores = Resource(sim, capacity=spec.cores, name="cpu-cores")
         self.topdown = TopDownModel(spec)
         self.max_threads = max_threads or spec.cores
         self.parallel_overhead = parallel_overhead
@@ -114,8 +111,8 @@ class HostCPU:
 
     # -- DES processes -----------------------------------------------------------
 
-    def _chunk(self, duration: float, priority: int) -> Generator:
-        request = self.cores.request(priority=priority)
+    def _chunk(self, duration: float) -> Generator:
+        request = self.cores.request()
         yield request
         try:
             yield self.sim.timeout(duration)
@@ -140,12 +137,12 @@ class HostCPU:
         )
         if threads > 1:
             procs = [
-                self.sim.spawn(self._chunk(chunk_time, BULK_PRIORITY))
+                self.sim.spawn(self._chunk(chunk_time))
                 for _ in range(threads)
             ]
             yield AllOf(self.sim, procs)
         else:
-            yield from self._chunk(chunk_time, BULK_PRIORITY)
+            yield from self._chunk(chunk_time)
         self.restructure_jobs += 1
         return self.sim.now - start
 
@@ -155,7 +152,7 @@ class HostCPU:
             raise ValueError(f"negative kernel duration: {duration}")
         start = self.sim.now
         procs = [
-            self.sim.spawn(self._chunk(duration, BULK_PRIORITY))
+            self.sim.spawn(self._chunk(duration))
             for _ in range(max(1, threads))
         ]
         yield AllOf(self.sim, procs)
@@ -168,11 +165,6 @@ class HostCPU:
         core: like an ISR, the issuing core runs it inline."""
         yield self.sim.timeout(cost)
         self.busy_seconds += cost
-
-    def service_interrupt(self, duration: float = 2e-6) -> Generator:
-        """Process: high-priority interrupt service routine on one core."""
-        yield from self._chunk(duration, INTERRUPT_PRIORITY)
-        return duration
 
     def utilization(self) -> float:
         """Average busy fraction of the core pool so far."""

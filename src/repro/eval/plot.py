@@ -13,10 +13,9 @@ already emit — no simulation rerun:
   records (the shape ``benchmarks/test_backend_planner.py`` sweeps).
 
 Figures are written to **deterministic output paths** under
-``--out-dir``: always a self-contained SVG rendered by the in-tree
-writer (byte-identical across runs for identical inputs), plus a PNG
-when matplotlib is importable. matplotlib is strictly optional — the
-module, the CLI, and the smoke tests run without it.
+``--out-dir``: a self-contained SVG rendered by the in-tree writer
+(byte-identical across runs for identical inputs), with no plotting
+dependency.
 """
 
 from __future__ import annotations
@@ -298,41 +297,6 @@ def compose_svg(
     return path
 
 
-def _maybe_png(
-    series: Sequence[Series],
-    path: str,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    log_x: bool = False,
-) -> Optional[str]:
-    """Additionally render via matplotlib when it is importable; the
-    SVG path is the contract, the PNG is a convenience."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except Exception:
-        return None
-    fig, ax = plt.subplots(figsize=(6.4, 4.2))
-    for index, s in enumerate(sorted(series, key=lambda x: x.label)):
-        xs = [x for x, _ in s.points]
-        ys = [y for _, y in s.points]
-        ax.plot(xs, ys, marker="o", label=s.label,
-                color=_PALETTE[index % len(_PALETTE)])
-    if log_x:
-        ax.set_xscale("log")
-    ax.set_title(title)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel(ylabel)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path)
-    plt.close(fig)
-    return path
-
-
 # -- figure families -----------------------------------------------------------
 
 
@@ -353,18 +317,10 @@ def knee_figure(
     series = [Series(mode, pts) for mode, pts in by_mode.items()]
     os.makedirs(out_dir, exist_ok=True)
     svg = os.path.join(out_dir, f"{stem}.svg")
-    written = [render_svg(
+    return [render_svg(
         series, svg, title=f"latency-vs-load knee ({metric})",
         xlabel="offered load (req/s)", ylabel=f"{metric} (ms)",
     )]
-    png = _maybe_png(
-        series, os.path.join(out_dir, f"{stem}.png"),
-        title=f"latency-vs-load knee ({metric})",
-        xlabel="offered load (req/s)", ylabel=f"{metric} (ms)",
-    )
-    if png:
-        written.append(png)
-    return written
 
 
 def crossover_figure(
@@ -384,19 +340,11 @@ def crossover_figure(
     series = [Series(backend, pts) for backend, pts in by_backend.items()]
     os.makedirs(out_dir, exist_ok=True)
     svg = os.path.join(out_dir, f"{stem}.svg")
-    written = [render_svg(
+    return [render_svg(
         series, svg, title="restructuring-backend crossover",
         xlabel="payload (bytes, log10 ticks)", ylabel="mean leg (us)",
         log_x=True,
     )]
-    png = _maybe_png(
-        series, os.path.join(out_dir, f"{stem}.png"),
-        title="restructuring-backend crossover",
-        xlabel="payload (bytes)", ylabel="mean leg (us)", log_x=True,
-    )
-    if png:
-        written.append(png)
-    return written
 
 
 # -- CLI -----------------------------------------------------------------------

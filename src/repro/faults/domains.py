@@ -74,8 +74,8 @@ class CrashPlan:
     rescue_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.detect_after_failures < 1:
-            raise ValueError("detect_after_failures must be >= 1")
+        if not self.detect_after_failures >= 1:
+            raise ValueError("detect_after_failures must be >= 1 (not NaN)")
         if self.rescue_deadline_s is not None and not (
             self.rescue_deadline_s >= 0
         ):
@@ -90,17 +90,18 @@ class CrashPlan:
 class DomainCrashed(Exception):
     """An in-flight (or just-dispatched) leg's failure domain is dead.
 
-    Raised by the leg race when the domain's crash event fires (the
-    in-flight drain) or has already fired (fail-fast at dispatch). The
-    recovery layer catches it to rescue the leg onto a surviving
-    backend; it is deliberately *not* in the transient
-    ``_RECOVERABLE`` set — a crash is not a timeout.
+    Raised by the leg race when the domain's crash event fires
+    (``inflight=True``, the in-flight drain) or has already fired
+    (``inflight=False``, fail-fast at dispatch). The recovery layer
+    catches it to rescue the leg onto a surviving backend; it is not a
+    timeout, so nothing retries it in place.
     """
 
-    def __init__(self, target: str, crashed_at: float):
+    def __init__(self, target: str, crashed_at: float, inflight: bool):
         super().__init__(f"failure domain {target!r} crashed at {crashed_at}")
         self.target = target
         self.crashed_at = crashed_at
+        self.inflight = inflight
 
 
 class RescueAbandoned(Exception):

@@ -7,7 +7,9 @@ threads through the stack:
   against a deadline with ``AnyOf(op, timeout)``; on deadline it
   *interrupts* the child — whose ``finally`` blocks release held slots
   and cancel queued requests — and raises
-  :class:`~repro.sim.WaitTimeout`.
+  :class:`~repro.sim.WaitTimeout`. An optional abort event races too
+  (a failure domain's crash broadcast): it interrupts the child the
+  same way and raises the caller's exception instead.
 * :func:`retry` wraps ``with_timeout`` in a bounded
   exponential-backoff loop, re-running an operation factory until it
   succeeds, the attempts are exhausted (:class:`RetryExhausted`), or a
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional, Tuple
 
-from ..sim import AnyOf, Interrupt, Simulator, WaitTimeout
+from ..sim import AnyOf, Event, Interrupt, Simulator, WaitTimeout
 from .injector import InjectedFault
 
 __all__ = ["RetryPolicy", "RetryExhausted", "shielded", "with_timeout", "retry"]
@@ -62,8 +64,8 @@ class RetryPolicy:
     backoff_cap_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        if not self.max_attempts >= 1:
+            raise ValueError("max_attempts must be at least 1 (not NaN)")
         for name in ("backoff_base_s", "backoff_cap_s"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative (not NaN)")
@@ -100,32 +102,58 @@ def with_timeout(
     op: Generator,
     timeout_s: Optional[float],
     what: str = "",
+    abort: Optional[Tuple[Event, Callable[[bool], BaseException]]] = None,
 ) -> Generator:
     """Process helper: run ``op`` as a child process under a deadline.
 
     On deadline the child is interrupted — its ``finally`` blocks
     release/cancel whatever it holds — and :class:`WaitTimeout` is
     raised here. If ``op`` itself raises, that exception re-raises here.
-    A ``timeout_s`` of None (or +inf) runs ``op`` inline with no race.
+    A ``timeout_s`` of None (or +inf) is no deadline.
+
+    ``abort=(event, make_exc)`` races ``event`` too. If it has already
+    fired, ``op`` never starts and ``make_exc(False)`` is raised at
+    once; if it fires first, the child is interrupted, the deadline
+    cancelled and ``make_exc(True)`` raised. The racers are checked in
+    the order op, abort, deadline, so an op that finishes at the abort's
+    instant still wins. With no deadline and no abort, ``op`` runs
+    inline with no race.
     """
+    if abort is not None:
+        event, make_exc = abort
+        if event.triggered:
+            op.close()
+            raise make_exc(False)
     if timeout_s is None or math.isinf(timeout_s):
-        return (yield from op)
-    if timeout_s < 0:
-        raise ValueError(f"negative timeout: {timeout_s}")
+        if abort is None:
+            return (yield from op)
+        timeout_s = None
+    elif not timeout_s >= 0:
+        raise ValueError(f"negative or NaN timeout: {timeout_s}")
     proc = sim.spawn(shielded(op), name=f"deadline:{what or 'op'}")
-    deadline = sim.timeout(timeout_s)
-    yield AnyOf(sim, [proc, deadline])
-    if proc.triggered:
-        # The op won: cancel the deadline so the unfired timeout does
+    racers = [proc]
+    deadline = None
+    if timeout_s is not None:
+        deadline = sim.timeout(timeout_s)
+        racers.append(deadline)
+    if abort is not None:
+        racers.append(event)
+    yield AnyOf(sim, racers)
+    if deadline is not None:
+        # A deadline that lost is cancelled, so the unfired timeout does
         # not drag final ``sim.now`` (and every utilization denominator)
-        # out to a deadline nothing is waiting on anymore.
+        # out to a deadline nothing is waiting on anymore; one that
+        # fired is left as it is.
         deadline.cancel()
+    if proc.triggered:
         ok, value = proc.value
         if not ok:
             raise value
         return value
-    if proc.is_alive:
-        proc.interrupt(f"deadline {timeout_s} s exceeded")
+    if abort is not None and event.triggered:
+        proc.interrupt(f"{what or 'operation'} aborted")
+        raise make_exc(True)
+    proc.interrupt(f"deadline {timeout_s} s exceeded")
     raise WaitTimeout(
         f"{what or 'operation'} exceeded its {timeout_s} s deadline"
     )

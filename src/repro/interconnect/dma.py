@@ -47,7 +47,6 @@ class DMACosts:
 
     setup_s: float = 3e-6
     completion_interrupt_s: float = 2e-6
-    descriptor_bytes: int = 64
     chained_descriptor_s: float = 0.3e-6
 
     def __post_init__(self) -> None:

@@ -84,8 +84,8 @@ class BreakerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.failure_threshold <= 1.0:
             raise ValueError("failure_threshold must be in (0, 1]")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
+        if not self.min_observations >= 1:
+            raise ValueError("min_observations must be >= 1 (not NaN)")
         if not self.cooldown_s > 0:
             raise ValueError("cooldown_s must be positive (not NaN)")
         if not self.cooldown_multiplier >= 1.0:
@@ -94,8 +94,8 @@ class BreakerConfig:
             raise ValueError(
                 "cooldown_cap_s must be >= cooldown_s (not NaN)"
             )
-        if self.probe_successes < 1:
-            raise ValueError("probe_successes must be >= 1")
+        if not self.probe_successes >= 1:
+            raise ValueError("probe_successes must be >= 1 (not NaN)")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 

@@ -70,14 +70,14 @@ class BrownoutConfig:
     max_tier: BrownoutTier = BrownoutTier.FORCE_CPU
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not self.window >= 1:
+            raise ValueError("window must be >= 1 (not NaN)")
         if not 1 <= self.min_samples <= self.window:
             raise ValueError("min_samples must be in [1, window]")
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
-        if self.escalate_at <= 0:
-            raise ValueError("escalate_at must be positive")
+        if not self.escalate_at > 0:
+            raise ValueError("escalate_at must be positive (not NaN)")
         if not 0.0 <= self.deescalate_at < self.escalate_at:
             raise ValueError("deescalate_at must be in [0, escalate_at)")
         if not self.min_dwell_s >= 0:

@@ -39,8 +39,8 @@ class HealthConfig:
     window: int = 8
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not self.window >= 1:
+            raise ValueError("window must be >= 1 (not NaN)")
 
 
 class HealthMonitor:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, Optional
 from ..cpu import HostCPU
 from ..faults.injector import FaultInjector
 from ..faults.recovery import RetryPolicy, retry
-from ..sim import Simulator, WaitTimeout
+from ..sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -66,10 +66,6 @@ class DriverStats:
     interrupts: int = 0
     coalesced: int = 0
     polled: int = 0
-    # Recovery plane: notifications whose delivery missed the watchdog
-    # deadline, and the re-deliveries the driver issued for them.
-    timeouts: int = 0
-    retries: int = 0
 
     @property
     def total(self) -> int:
@@ -220,20 +216,11 @@ class NotificationModel:
         # restructuring chunks.
         if self.injector is None:
             return self.cpu.charge(cost)
-
-        def failed(attempt: int, exc: BaseException, will_retry: bool):
-            if isinstance(exc, WaitTimeout):
-                self.stats.timeouts += 1
-            if will_retry:
-                self.stats.retries += 1
-            if on_retry is not None:
-                on_retry(attempt, exc, will_retry)
-
         return retry(
             self.sim,
             lambda: self._deliver(device, cost),
             NOTIFY_RETRY,
             timeout_s=NOTIFY_TIMEOUT_S,
-            on_attempt_failed=failed,
+            on_attempt_failed=on_retry,
             what=f"notify:{device}",
         )

@@ -72,15 +72,16 @@ class BatchingConfig:
     rate_window: int = 8
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        if not self.max_batch >= 1:
+            raise ValueError("max_batch must be >= 1 (not NaN)")
         if not self.window_s >= 0:
             raise ValueError("window_s must be non-negative (not NaN)")
         if not self.coalesce_window_factor >= 1:
             raise ValueError("coalesce_window_factor must be >= 1 (not NaN)")
-        if self.rate_window < 2:
+        if not self.rate_window >= 2:
             raise ValueError(
-                "rate_window must be >= 2 (a rate needs two samples)"
+                "rate_window must be >= 2 (a rate needs two samples; "
+                "not NaN)"
             )
 
 

@@ -126,14 +126,18 @@ class TenantSpec:
     rate_limit: Optional[TokenBucketConfig] = None
 
     def __post_init__(self) -> None:
-        if self.n_requests <= 0:
-            raise ValueError(f"{self.name}: n_requests must be positive")
-        if self.weight < 1:
-            raise ValueError(f"{self.name}: weight must be >= 1")
-        if self.queue_capacity < 1:
-            raise ValueError(f"{self.name}: queue_capacity must be >= 1")
-        if self.priority < 0:
-            raise ValueError(f"{self.name}: priority must be >= 0")
+        if not self.n_requests > 0:
+            raise ValueError(
+                f"{self.name}: n_requests must be positive (not NaN)"
+            )
+        if not self.weight >= 1:
+            raise ValueError(f"{self.name}: weight must be >= 1 (not NaN)")
+        if not self.queue_capacity >= 1:
+            raise ValueError(
+                f"{self.name}: queue_capacity must be >= 1 (not NaN)"
+            )
+        if not self.priority >= 0:
+            raise ValueError(f"{self.name}: priority must be >= 0 (not NaN)")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(
                 f"{self.name}: deadline_s must be positive (not NaN)"
@@ -187,16 +191,18 @@ class FrontendConfig:
     observation: Optional["ObservationConfig"] = None
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+        if not self.max_inflight >= 1:
+            raise ValueError("max_inflight must be >= 1 (not NaN)")
         for name in ("slo_s", "sample_period_s"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive (not NaN)")
         if self.brownout is not None and self.slo_s is None:
             raise ValueError("brownout control requires slo_s")
-        if self.max_affinity_run is not None and self.max_affinity_run < 1:
-            raise ValueError("max_affinity_run must be >= 1")
+        if self.max_affinity_run is not None and not (
+            self.max_affinity_run >= 1
+        ):
+            raise ValueError("max_affinity_run must be >= 1 (not NaN)")
         if self.controller is not None and self.slo_s is None:
             raise ValueError("the closed-loop controller requires slo_s")
 
@@ -346,8 +352,10 @@ class ServingFrontend:
         """
         if tenant not in self._weights:
             raise KeyError(f"unknown tenant {tenant!r}")
-        if weight < 1:
-            raise ValueError(f"{tenant}: weight must be >= 1, got {weight}")
+        if not weight >= 1:
+            raise ValueError(
+                f"{tenant}: weight must be >= 1 (not NaN), got {weight}"
+            )
         self._weights[tenant] = weight
 
     # -- wakeup plumbing -----------------------------------------------------

@@ -13,7 +13,10 @@ every way a leg can be routed. The two single-engine planner rows run
 every leg, clean and unfaulted, on the XDMA or the DSA engine. The
 fault-mix row arms a :class:`~repro.faults.FaultPlan` whose run writes
 every kind of fault note, so the ``fault`` instants are pinned byte for
-byte. The serving
+byte. Two crash rows pin the degrade paths of a failing leg: one arms a
+FaultPlan and a CrashPlan together, so legs both fall back and are
+rescued, and one abandons every rescue past a zero rescue deadline. The
+serving
 rows hash one unbatched and one batched
 :class:`~repro.serve.ServingFrontend` run, client and batch
 span trees included. The controller rows hash two runs under the
@@ -122,6 +125,11 @@ def _affine_chain(i):
 #: drx.s0 dies while a leg is restructuring on it (at count 1 and 4).
 _CRASH = CrashPlan(crashes=(DomainCrash(target="drx.s0", at_s=40e-6),))
 
+#: DRX legs that hang or fail often enough to fall back at counts 1 and 4.
+_CRASH_FAULTS = FaultPlan(
+    seed=2, drx=FaultPolicy(hang_p=0.3, fail_p=0.2), drx_deadline_s=5e-3,
+)
+
 #: The control plane with a cooldown longer than any run here, so a
 #: breaker forced open stays open.
 _ARMED = ResilienceConfig(
@@ -157,6 +165,19 @@ SCENARIOS = {
         ),
     ),
     "standalone-crash": dict(mode=Mode.STANDALONE, domains=_CRASH),
+    # Both recovery planes at once: DRX legs hang or fail under the
+    # deadline race while drx.s0 dies under them, so one run both falls
+    # back and rescues.
+    "standalone-crash-faults": dict(
+        mode=Mode.STANDALONE, apps=4, faults=_CRASH_FAULTS, domains=_CRASH,
+    ),
+    # The same crash with a zero rescue deadline: a leg drained in
+    # flight has already burned time, so its rescue is abandoned and its
+    # request fails.
+    "standalone-crash-rescue-deadline": dict(
+        mode=Mode.STANDALONE,
+        domains=dataclasses.replace(_CRASH, rescue_deadline_s=0.0),
+    ),
     # Routing rows: ``apps`` chains (four give STANDALONE two cards and
     # PCIE_INTEGRATED two switches), the breakers in ``open`` forced
     # open before the first request, and ``force_cpu`` on every submit.
@@ -402,6 +423,14 @@ GOLDEN = {
         '449d5df07b756a2192882664c3d1a2a5209fa24ea9108d2c62e1713526674256',
     ('standalone-crash-armed', 4):
         '22a38da5426104d25b73f15e142b23dce220228666e446e1eb1231a2e58223a3',
+    ('standalone-crash-faults', 1):
+        '8ed144da405de66b9a70446958d35736446cf5f0529e3bae5d698ded9e99caa4',
+    ('standalone-crash-faults', 4):
+        '03d99e3dbae9158de337584881491a6f58b97b0aeff756971dd450d92c6780ea',
+    ('standalone-crash-rescue-deadline', 1):
+        'a9a4b3da5e88ac2865b3eb035e2e464bb9c556d90ae42277e6c455a16df0f385',
+    ('standalone-crash-rescue-deadline', 4):
+        'a70bc7086eacb655e495dda38076a7b0baebb20d7ebbe5ac6bea452b170ffa6a',
     ('standalone-drx', 1):
         '90278cd13b2efe37d1942f757b5569606b622b4a922b7bb0218b03f8a3e47764',
     ('standalone-drx', 4):
@@ -484,13 +513,20 @@ FAULT_KINDS = {
 
 @pytest.mark.parametrize("count", [1, 4])
 def test_scenarios_exercise_their_recovery_paths(count):
-    """The fault row must fall back, the crash row must rescue, and the
-    fault-mix row must note every fault kind."""
+    """The fault row must fall back, the crash rows must rescue (or,
+    past the rescue deadline, fail), and the fault-mix row must note
+    every fault kind."""
     _, hung = _run("standalone-drx-hang", count)
     assert all(r.fell_back for r in hung)
     _, crashed = _run("standalone-crash", count)
     assert any(r.rescued for r in crashed)
     assert not any(r.failed for r in crashed)
+    _, both = _run("standalone-crash-faults", count)
+    assert any(r.fell_back for r in both) and any(r.rescued for r in both)
+    assert not any(r.failed for r in both)
+    _, abandoned = _run("standalone-crash-rescue-deadline", count)
+    assert any(r.failed for r in abandoned)
+    assert not any(r.rescued for r in abandoned)
     mixed, _ = _run("standalone-fault-mix", count)
     kinds = {
         i.name for i in mixed.telemetry.instants if i.category == "fault"

@@ -121,31 +121,28 @@ def test_run_kernel_rejects_negative_duration():
         sim.run()
 
 
-def test_interrupt_service_preempts_queue_order():
-    """An interrupt arriving while bulk work is queued is served first."""
+def test_queued_core_work_is_granted_in_arrival_order():
+    """The core pool is FIFO: with every core busy, the job that queued
+    first runs first."""
     sim = Simulator()
     cpu = HostCPU(sim, spec=XEON_8260L)
     order = []
 
     def hog(sim):
-        # Fill all 16 cores for a long time, then queue one more bulk job.
+        # Fill all 16 cores for a long time, then queue two more jobs.
         yield from cpu.run_kernel(1.0, threads=16)
 
-    def bulk(sim):
-        yield sim.timeout(0.1)
+    def job(sim, name, at_s):
+        yield sim.timeout(at_s)
         yield from cpu.run_kernel(0.5, threads=1)
-        order.append(("bulk", sim.now))
-
-    def irq(sim):
-        yield sim.timeout(0.2)
-        yield from cpu.service_interrupt(1e-6)
-        order.append(("irq", sim.now))
+        order.append((name, sim.now))
 
     sim.spawn(hog(sim))
-    sim.spawn(bulk(sim))
-    sim.spawn(irq(sim))
+    sim.spawn(job(sim, "first", 0.1))
+    sim.spawn(job(sim, "second", 0.2))
     sim.run()
-    assert order[0][0] == "irq"
+    assert order == [("first", 1.5), ("second", 1.5)]
+    assert cpu.cores.queue_length == 0
 
 
 def test_utilization_reflects_busy_cores():

@@ -102,6 +102,82 @@ def test_with_timeout_none_runs_inline():
     assert value == 42 and sim.now == 3.0
 
 
+class Aborted(Exception):
+    """The abort exception of the tests below; records ``inflight``."""
+
+    def __init__(self, inflight):
+        super().__init__(f"aborted (inflight={inflight})")
+        self.inflight = inflight
+
+
+@pytest.mark.parametrize("case", [
+    "fired-before", "abort-first", "abort-first-no-deadline",
+    "same-instant", "deadline-first",
+])
+def test_with_timeout_abort_races_the_op_and_the_deadline(case):
+    """``abort=(event, make_exc)`` adds a third racer. An event that has
+    already fired fails the call at once with ``make_exc(False)`` and
+    never starts the op; one that fires first interrupts the op (its
+    held slot is released), cancels the deadline and raises
+    ``make_exc(True)``; an op that finishes at the abort's instant still
+    wins; and a deadline that comes first still raises WaitTimeout."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    abort = sim.event()
+    started = []
+
+    def op(sim, wait):
+        started.append(sim.now)
+        req = res.request()
+        try:
+            yield req
+            yield wait
+        finally:
+            res.relinquish(req)
+        return "done"
+
+    hang = sim.event()  # never fires
+    timeout_s = 5.0
+    if case == "fired-before":
+        abort.succeed()
+        wait = hang
+    elif case in ("abort-first", "abort-first-no-deadline"):
+        sim.schedule(1.0, abort.succeed)
+        wait = hang
+        if case == "abort-first-no-deadline":
+            timeout_s = None
+    elif case == "same-instant":
+        # Scheduled before the op's own timer, so the abort event fires
+        # first at t=1 and is triggered when the race resumes.
+        sim.schedule(1.0, abort.succeed)
+        wait = sim.timeout(1.0)
+    else:
+        sim.schedule(8.0, abort.succeed)
+        wait = hang
+        timeout_s = 2.0
+
+    value, error = drive(sim, with_timeout(
+        sim, op(sim, wait), timeout_s, what="leg", abort=(abort, Aborted),
+    ))
+    assert res.in_use == 0 and res.queue_length == 0
+    if case == "fired-before":
+        assert isinstance(error, Aborted) and error.inflight is False
+        assert started == [] and drive.outcome["at"] == 0.0
+        assert sim.now == 0.0
+    elif case in ("abort-first", "abort-first-no-deadline"):
+        assert isinstance(error, Aborted) and error.inflight is True
+        assert drive.outcome["at"] == 1.0
+        # The cancelled deadline does not drag the clock out to 5 s.
+        assert sim.now == 1.0
+    elif case == "same-instant":
+        assert (value, error) == ("done", None)
+        assert abort.triggered and drive.outcome["at"] == 1.0
+        assert sim.now == 1.0
+    else:
+        assert isinstance(error, WaitTimeout) and "leg" in str(error)
+        assert drive.outcome["at"] == 2.0
+
+
 # -- retry --------------------------------------------------------------------
 
 

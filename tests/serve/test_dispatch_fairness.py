@@ -320,5 +320,8 @@ def test_set_weight_validates():
         frontend.set_weight("ghost", 2)
     with pytest.raises(ValueError):
         frontend.set_weight("app0", 0)
+    # NaN used to pass ``weight < 1`` and starve the tenant.
+    with pytest.raises(ValueError, match="weight.*NaN"):
+        frontend.set_weight("app0", float("nan"))
     frontend.set_weight("app0", 4)
     assert frontend.weight("app0") == 4

@@ -45,6 +45,20 @@ So did the arrival processes and the device cost models:
 arrival with an engine error that named no field, and the deterministic,
 MMPP and ramp processes, ``DMACosts``, ``NotificationCosts``,
 ``DSAConfig`` and ``XDMAConfig`` took NaN the same way.
+
+The count checks were spelled ``x < 1`` or ``x <= 0`` as well.
+``FrontendConfig(max_inflight=nan)`` let ``run()`` spin forever under
+the default sampler (with it off, no admitted request completed),
+``TenantSpec(weight=nan)`` starved WRR dispatch,
+``TenantSpec(queue_capacity=nan)`` admitted every arrival under
+REJECT, ``CrashPlan(detect_after_failures=nan)`` never decommissioned
+a crashed card, and ``RetryPolicy(max_attempts=nan)`` died with a
+``TypeError`` from ``range``. The other count fields below (batch
+sizes, windows, breaker thresholds, standby cards, tenant priority)
+took NaN the same way, except ``BrownoutConfig``'s ``window`` and
+``escalate_at``, which a later check rejected under another field's
+name. (A NaN ``ServingFrontend.set_weight`` is checked with the other
+live-weight cases in ``tests/serve/test_dispatch_fairness.py``.)
 """
 
 import math
@@ -65,6 +79,7 @@ from repro.faults import (
 from repro.resilience import (
     BreakerConfig,
     ChaosSweepConfig,
+    HealthConfig,
     RecoveryScenarioConfig,
     TokenBucketConfig,
 )
@@ -89,9 +104,10 @@ NAN = math.nan
 
 
 def _tenant(**kw):
-    return TenantSpec(
-        name="t", arrivals=PoissonArrivals(100.0), n_requests=1, **kw
-    )
+    return TenantSpec(**{
+        "name": "t", "arrivals": PoissonArrivals(100.0), "n_requests": 1,
+        **kw,
+    })
 
 
 def _token_bucket(**kw):
@@ -145,12 +161,24 @@ def _ramp(duration_s=1.0, rate_rps=1.0):
 CHECKS = [
     (FrontendConfig, "slo_s"),
     (FrontendConfig, "sample_period_s"),
+    (FrontendConfig, "max_inflight"),
+    (FrontendConfig, "max_affinity_run"),
     (_tenant, "deadline_s"),
+    (_tenant, "n_requests"),
+    (_tenant, "weight"),
+    (_tenant, "queue_capacity"),
+    (_tenant, "priority"),
     (BatchingConfig, "window_s"),
     (BatchingConfig, "coalesce_window_factor"),
+    (BatchingConfig, "max_batch"),
+    (BatchingConfig, "rate_window"),
     (BrownoutConfig, "min_dwell_s"),
     (BrownoutConfig, "update_period_s"),
+    (BrownoutConfig, "window"),
+    (BrownoutConfig, "escalate_at"),
+    (HealthConfig, "window"),
     (ControllerConfig, "deescalate_fraction"),
+    (ControllerConfig, "standby_cards"),
     (PlannerConfig, "queue_weight"),
     (AlertConfig, "fast_burn"),
     (AlertConfig, "slow_burn"),
@@ -160,6 +188,9 @@ CHECKS = [
     (BreakerConfig, "cooldown_s"),
     (BreakerConfig, "cooldown_multiplier"),
     (BreakerConfig, "cooldown_cap_s"),
+    (BreakerConfig, "min_observations"),
+    (BreakerConfig, "probe_successes"),
+    (RetryPolicy, "max_attempts"),
     (RetryPolicy, "backoff_base_s"),
     (RetryPolicy, "backoff_multiplier"),
     (RetryPolicy, "backoff_cap_s"),
@@ -168,6 +199,7 @@ CHECKS = [
     (FaultPlan, "dma_timeout_s"),
     (FaultPlan, "drx_deadline_s"),
     (CrashPlan, "rescue_deadline_s"),
+    (CrashPlan, "detect_after_failures"),
     (_crash, "at_s"),
     (_crash, "revive_at_s"),
     (_sweep, "offered_loads_rps"),
