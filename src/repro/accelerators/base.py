@@ -56,14 +56,14 @@ class AcceleratorSpec:
     power_w: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.speedup_vs_cpu <= 0:
-            raise ValueError(f"{self.name}: speedup must be positive")
         if self.implementation not in ("hls", "rtl", "hard-ip"):
             raise ValueError(f"{self.name}: unknown implementation kind")
-        if self.fpga_clock_hz <= 0 or self.asic_clock_hz <= 0:
-            raise ValueError(f"{self.name}: clocks must be positive")
-        if self.power_w <= 0:
-            raise ValueError(f"{self.name}: power must be positive")
+        for field_name in ("speedup_vs_cpu", "fpga_clock_hz",
+                           "asic_clock_hz", "power_w"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be positive (not NaN)"
+                )
 
     @property
     def asic_scaling(self) -> float:
@@ -108,8 +108,8 @@ class AcceleratorDevice:
         kernel_time_s: float,
         name: Optional[str] = None,
     ):
-        if kernel_time_s < 0:
-            raise ValueError("negative kernel time")
+        if not kernel_time_s >= 0:
+            raise ValueError("kernel_time_s must be non-negative (not NaN)")
         self.sim = sim
         self.spec = spec
         self.kernel_time_s = kernel_time_s

@@ -273,9 +273,10 @@ class ClosedLoopController:
         self._drive_weight(now)
         tail = self.global_tail()
         if tail is not None:
-            # The tails are often np.float64; the arithmetic below gives
-            # the same values on a Python float, at a fraction of the
-            # cost per operation.
+            # A chain from a ``chain_factory`` may still carry numpy
+            # scalars into the tails; the arithmetic below gives the same
+            # values on a Python float, at a fraction of the cost per
+            # operation.
             tail = float(tail)
             if self._tier_model is not None:
                 self._drive_tier(now, tail)

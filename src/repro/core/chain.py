@@ -6,7 +6,9 @@ application (Table I): an alternating sequence of :class:`KernelStage`
 restructuring + movement between two kernels). Workload builders in
 :mod:`repro.workloads` derive these from *functional* runs — the byte
 counts and work profiles come from real data flowing through the real
-kernels — then scale them to the paper's batch sizes.
+kernels — then scale them to the paper's batch sizes; the benchmark
+chains a run builds are read back from the table
+``python -m repro.workloads.calibrate`` writes from those builders.
 """
 
 from __future__ import annotations
@@ -79,19 +81,21 @@ class KernelStage:
     cpu_serial_time_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cpu_time_s <= 0 or self.accel_time_s <= 0:
-            raise ValueError(f"{self.name}: stage times must be positive")
-        if self.output_bytes <= 0:
-            raise ValueError(f"{self.name}: output_bytes must be positive")
+        for field_name in ("cpu_time_s", "accel_time_s", "output_bytes"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be positive (not NaN)"
+                )
         if self.accel_time_s > self.cpu_time_s:
             raise ValueError(
                 f"{self.name}: accelerator slower than CPU — check speedup"
             )
         if self.cpu_serial_time_s is None:
             object.__setattr__(self, "cpu_serial_time_s", self.cpu_time_s * 3.0)
-        elif self.cpu_serial_time_s < self.cpu_time_s:
+        elif not self.cpu_serial_time_s >= self.cpu_time_s:
             raise ValueError(
-                f"{self.name}: serial time below multi-threaded time"
+                f"{self.name}: cpu_serial_time_s must be >= cpu_time_s "
+                "(not NaN)"
             )
 
     def cpu_latency(self, threads: int) -> float:
@@ -119,11 +123,14 @@ class MotionStage:
     cpu_threads: int = 8
 
     def __post_init__(self) -> None:
-        if self.input_bytes <= 0 or self.output_bytes <= 0:
-            raise ValueError(f"{self.name}: byte counts must be positive")
-        if self.cpu_threads < 1:
+        for field_name in ("input_bytes", "output_bytes"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be positive (not NaN)"
+                )
+        if not self.cpu_threads >= 1:
             raise ValueError(
-                f"{self.name}: cpu_threads must be at least 1, "
+                f"{self.name}: cpu_threads must be at least 1 (not NaN), "
                 f"got {self.cpu_threads}"
             )
 
@@ -170,8 +177,8 @@ class AppChain:
         """Uniformly scale all data volumes (sensitivity studies)."""
         from ..profiles import scale_profile
 
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not factor > 0:
+            raise ValueError("factor must be positive (not NaN)")
         stages: List[Stage] = []
         for stage in self.stages:
             if isinstance(stage, KernelStage):

@@ -68,8 +68,10 @@ class SystemConfig:
     standalone_derate: float = 0.85
 
     def __post_init__(self) -> None:
-        if self.accelerators_per_switch <= 0:
-            raise ValueError("accelerators_per_switch must be positive")
+        if not self.accelerators_per_switch > 0:
+            raise ValueError(
+                "accelerators_per_switch must be positive (not NaN)"
+            )
         if not 0 < self.standalone_derate <= 1:
             raise ValueError("standalone_derate must be in (0, 1]")
 

@@ -23,10 +23,15 @@ class CacheLevel:
     latency_cycles: float
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.line_bytes <= 0:
-            raise ValueError(f"{self.name}: sizes must be positive")
-        if self.latency_cycles < 0:
-            raise ValueError(f"{self.name}: negative latency")
+        for field_name in ("size_bytes", "line_bytes"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be positive (not NaN)"
+                )
+        if not self.latency_cycles >= 0:
+            raise ValueError(
+                f"{self.name}: latency_cycles must be non-negative (not NaN)"
+            )
 
 
 @dataclass(frozen=True)
@@ -48,19 +53,17 @@ class CPUSpec:
     mispredict_penalty_cycles: float = 17.0
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ValueError("cores must be positive")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        for field_name in ("cores", "frequency_hz", "core_stream_bandwidth",
+                           "socket_stream_bandwidth"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(f"{field_name} must be positive (not NaN)")
         if self.vector_width_bits not in (128, 256, 512):
             raise ValueError(f"unsupported vector width: {self.vector_width_bits}")
-        if self.core_stream_bandwidth <= 0 or self.socket_stream_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
 
     def vector_lanes(self, element_size: int) -> int:
         """SIMD lanes per vector instruction for ``element_size``-byte data."""
-        if element_size <= 0:
-            raise ValueError("element_size must be positive")
+        if not element_size > 0:
+            raise ValueError("element_size must be positive (not NaN)")
         return max(1, self.vector_width_bits // 8 // element_size)
 
     @property

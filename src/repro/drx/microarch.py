@@ -59,14 +59,12 @@ class DRXConfig:
     power_w: float = 12.0  # DRX card power while restructuring
 
     def __post_init__(self) -> None:
-        if self.lanes <= 0 or self.frequency_hz <= 0:
-            raise ValueError("lanes and frequency must be positive")
+        for field_name in ("lanes", "frequency_hz", "dram_bandwidth",
+                           "power_w"):
+            if not getattr(self, field_name) > 0:
+                raise ValueError(f"{field_name} must be positive (not NaN)")
         if not 0 < self.compute_efficiency <= 1:
             raise ValueError("compute_efficiency must be in (0, 1]")
-        if self.dram_bandwidth <= 0:
-            raise ValueError("dram_bandwidth must be positive")
-        if self.power_w <= 0:
-            raise ValueError("power must be positive")
 
     @property
     def effective_lane_rate(self) -> float:

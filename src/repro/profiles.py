@@ -62,14 +62,17 @@ class WorkProfile:
     gather_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bytes_in < 0 or self.bytes_out < 0:
-            raise ValueError(f"{self.name}: negative byte counts")
-        if self.elements < 0:
-            raise ValueError(f"{self.name}: negative element count")
-        if self.ops_per_element < 0:
-            raise ValueError(f"{self.name}: negative ops_per_element")
-        if self.element_size <= 0:
-            raise ValueError(f"{self.name}: element_size must be positive")
+        for field_name in ("bytes_in", "bytes_out", "elements",
+                           "ops_per_element"):
+            if not getattr(self, field_name) >= 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be non-negative "
+                    "(not NaN)"
+                )
+        if not self.element_size > 0:
+            raise ValueError(
+                f"{self.name}: element_size must be positive (not NaN)"
+            )
         for field_name in (
             "branch_fraction",
             "mispredict_rate",
@@ -104,8 +107,8 @@ def scale_profile(profile: WorkProfile, factor: float) -> WorkProfile:
     Character fields (branchiness, vectorizability) are volume-independent
     and kept as-is. Used to derive per-batch profiles from per-unit ones.
     """
-    if factor < 0:
-        raise ValueError(f"negative scale factor: {factor}")
+    if not factor >= 0:
+        raise ValueError(f"factor must be non-negative (not NaN): {factor}")
     return replace(
         profile,
         bytes_in=int(round(profile.bytes_in * factor)),

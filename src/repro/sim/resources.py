@@ -83,8 +83,10 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if not capacity >= 1:
+            raise ValueError(
+                f"capacity must be >= 1 (not NaN), got {capacity}"
+            )
         self.sim = sim
         self.capacity = capacity
         self.name = name
@@ -324,8 +326,10 @@ class Server:
         Interruption-safe: an interrupt delivered while the job is still
         queued withdraws the request instead of releasing an unheld slot.
         """
-        if duration < 0:
-            raise ValueError(f"negative service time: {duration}")
+        if not duration >= 0:
+            raise ValueError(
+                f"duration must be non-negative (not NaN), got {duration}"
+            )
         req = self._resource.request()
         try:
             yield req

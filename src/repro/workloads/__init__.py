@@ -1,10 +1,11 @@
 """The five end-to-end benchmark applications (+ the NER extension).
 
-Chain construction runs the functional kernels on small samples and is
-therefore moderately expensive (~seconds);
-:func:`~repro.workloads.registry.build_benchmark_chains` caches built
-chains and stamps per-instance names for concurrent runs. An app's
-module (and numpy with it) is imported when its chain is first built.
+:func:`~repro.workloads.registry.build_benchmark_chains` builds each
+chain from the calibrated table (``calibrated.py``) without numpy and
+stamps per-instance names for concurrent runs. Each app module's
+functional builder runs the real kernels on a small sample to derive
+that table (``python -m repro.workloads.calibrate``); an app module,
+and numpy with it, is imported only when a builder or demo is used.
 """
 
 from .._lazy import lazy_exports

@@ -1,4 +1,11 @@
-"""Benchmark names -> chain builders, importing each app on first use."""
+"""Benchmark names -> chains: built from the calibrated table, numpy-free.
+
+:func:`build_benchmark_chains` reads only ``calibrated.py``, the table
+``python -m repro.workloads.calibrate`` writes from the functional
+builders. :data:`BENCHMARKS` maps each Table I name to its functional
+builder (the calibration source), which imports its app module, and
+numpy with it, on first call.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,9 @@ import importlib
 from functools import lru_cache, partial
 from typing import Callable, Dict, List
 
-from ..core.chain import AppChain
+from ..accelerators.base import AcceleratorSpec
+from ..core.chain import AppChain, KernelStage, MotionStage, Stage
+from ..profiles import WorkProfile
 
 __all__ = ["BENCHMARKS", "benchmark_names", "build_benchmark_chains"]
 
@@ -31,13 +40,25 @@ def benchmark_names() -> List[str]:
     return list(BENCHMARKS)
 
 
+def _stage(row: dict) -> Stage:
+    """One table row as its stage: a kernel carries a spec, a motion step
+    a work profile."""
+    if "spec" in row:
+        return KernelStage(**{**row, "spec": AcceleratorSpec(**row["spec"])})
+    return MotionStage(**{**row, "profile": WorkProfile(**row["profile"])})
+
+
 @lru_cache(maxsize=None)
 def _template(name: str) -> AppChain:
-    if name == "pii-ner":
-        return _build("ner_extension")
-    if name not in BENCHMARKS:
+    # Imported on first build: a run that builds no Table I chain (the
+    # RPC chains of the batching demo) does not load the table.
+    from .calibrated import CHAINS
+
+    if name not in CHAINS:
         raise KeyError(f"unknown benchmark {name!r}")
-    return BENCHMARKS[name](0)
+    row = CHAINS[name]
+    return AppChain(name=row["name"],
+                    stages=[_stage(stage) for stage in row["stages"]])
 
 
 def build_benchmark_chains(name: str, n_instances: int) -> List[AppChain]:

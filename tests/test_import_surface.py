@@ -6,8 +6,10 @@ the first time the name is read. So the timing core (DESIGN.md §5)
 starts without numpy and without the functional layer (the kernels, the
 restructuring ops, the DRX ISA, assembler, functional simulator and
 compiler, the six app modules) or the offline telemetry tools (report,
-diff, dashboard, export). These tests pin that, and that every exported
-name still resolves to the object its defining submodule holds.
+diff, dashboard, export). A benchmark chain comes from the calibrated
+table, so building all six and running one loads none of that either.
+These tests pin that, and that every exported name still resolves to
+the object its defining submodule holds.
 """
 
 import importlib
@@ -41,6 +43,29 @@ from repro.workloads import BENCHMARKS, benchmark_names, build_benchmark_chains
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: A fresh interpreter builds all six template chains from the
+#: calibrated table and runs a sound-detection latency run, then prints
+#: what it loaded and the type names of the clock and of every span's
+#: start and end.
+TABLE_RUN = """
+import json, sys
+from repro.core import DMXSystem, Mode, SystemConfig
+from repro.workloads import benchmark_names, build_benchmark_chains
+for name in benchmark_names() + ["pii-ner"]:
+    build_benchmark_chains(name, 1)
+system = DMXSystem(build_benchmark_chains("sound-detection", 2),
+                   SystemConfig(mode=Mode.BUMP_IN_WIRE))
+system.run_latency(2)
+spans = system.telemetry.spans
+print(json.dumps({
+    "modules": sorted(sys.modules),
+    "now": type(system.sim.now).__name__,
+    "spans": len(spans),
+    "times": sorted({type(t).__name__
+                     for span in spans for t in (span.start, span.end)}),
+}))
+"""
+
 #: Modules the timing core must not load.
 FUNCTIONAL_LAYER = re.compile(r"""
     numpy(\..+)?
@@ -66,6 +91,23 @@ def test_timing_core_loads_neither_numpy_nor_the_functional_layer():
     loaded = json.loads(out)
     assert "repro.core.system" in loaded and "repro.serve.sweep" in loaded
     assert [m for m in loaded if FUNCTIONAL_LAYER.fullmatch(m)] == []
+
+
+def test_a_table_chain_run_loads_no_numpy_and_keeps_builtin_times():
+    """The functional FFT stages price in ``np.float64``, which used to
+    make the clock and every span time of a sound-detection run numpy
+    scalars; the table's stages are builtin floats."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", TABLE_RUN],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    run = json.loads(out)
+    assert "repro.workloads.calibrated" in run["modules"]
+    assert [m for m in run["modules"] if FUNCTIONAL_LAYER.fullmatch(m)] == []
+    assert run["spans"] > 0
+    assert run["now"] == "float"
+    assert run["times"] == ["float"]
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -59,16 +59,30 @@ took NaN the same way, except ``BrownoutConfig``'s ``window`` and
 ``escalate_at``, which a later check rejected under another field's
 name. (A NaN ``ServingFrontend.set_weight`` is checked with the other
 live-weight cases in ``tests/serve/test_dispatch_fairness.py``.)
+
+Last, the core model every chain and system is built from.
+``SystemConfig(mode=PCIE_INTEGRATED, accelerators_per_switch=nan)``
+built one switch for any number of apps (its ``slots_left == 0`` never
+held), and NaN stage times, byte counts, thread counts, work-profile
+volumes, accelerator speedups, resource capacities, service times and
+CPU and DRX spec fields were all accepted; a NaN scale factor for a
+profile or a chain died converting NaN to an integer, naming no field.
+Every chain the calibrated table holds goes through these constructors.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.accelerators.base import AcceleratorDevice, AcceleratorSpec
 from repro.backends import PlannerConfig
 from repro.backends.dsa import DSAConfig
 from repro.backends.xdma import XDMAConfig
 from repro.control import ControllerConfig
+from repro.core import AppChain, KernelStage, Mode, MotionStage, SystemConfig
+from repro.cpu import XEON_8260L
+from repro.drx.microarch import DRXConfig
 from repro.faults import (
     CrashPlan,
     DomainCrash,
@@ -76,6 +90,7 @@ from repro.faults import (
     FaultPolicy,
     RetryPolicy,
 )
+from repro.profiles import WorkProfile, scale_profile
 from repro.resilience import (
     BreakerConfig,
     ChaosSweepConfig,
@@ -98,6 +113,7 @@ from repro.serve import (
     TenantSpec,
 )
 from repro.serve.slo import ServeResult, TenantStats
+from repro.sim import Resource, Server, Simulator
 from repro.telemetry import AlertConfig, MetricsRegistry, RollupConfig
 
 NAN = math.nan
@@ -155,6 +171,75 @@ def _mmpp(**kw):
 def _ramp(duration_s=1.0, rate_rps=1.0):
     """A one-leg ramp."""
     return RampArrivals(segments=((duration_s, rate_rps),))
+
+
+def _system(**kw):
+    return SystemConfig(**{"mode": Mode.PCIE_INTEGRATED, **kw})
+
+
+def _spec(**kw):
+    return AcceleratorSpec(**{"name": "a", "domain": "d",
+                              "speedup_vs_cpu": 5.0, **kw})
+
+
+def _kernel(**kw):
+    return KernelStage(**{
+        "name": "k", "spec": _spec(), "cpu_time_s": 1e-3,
+        "accel_time_s": 2e-4, "output_bytes": 1, **kw,
+    })
+
+
+def _profile(**kw):
+    return WorkProfile(**{
+        "name": "p", "bytes_in": 1, "bytes_out": 1, "elements": 1,
+        "ops_per_element": 1.0, **kw,
+    })
+
+
+def _motion(**kw):
+    return MotionStage(**{
+        "name": "m", "profile": _profile(), "input_bytes": 1,
+        "output_bytes": 1, **kw,
+    })
+
+
+def _device(kernel_time_s=1e-3):
+    return AcceleratorDevice(Simulator(), _spec(), kernel_time_s)
+
+
+def _resource(capacity=1):
+    return Resource(Simulator(), capacity=capacity)
+
+
+def _transfer(duration=1.0):
+    """The first step of one ``Server.transfer``."""
+    job = Server(Simulator()).transfer(duration)
+    try:
+        next(job)
+    finally:
+        job.close()
+
+
+def _cache(**kw):
+    return dataclasses.replace(XEON_8260L.l1d, **kw)
+
+
+def _cpu(**kw):
+    return dataclasses.replace(XEON_8260L, **kw)
+
+
+def _vector_lanes(element_size=4):
+    return XEON_8260L.vector_lanes(element_size)
+
+
+def _scale_profile(factor=2.0):
+    return scale_profile(_profile(), factor)
+
+
+def _scale_batches(factor=2.0):
+    chain = AppChain("app", [_kernel(name="k1"), _motion(),
+                             _kernel(name="k2")])
+    return chain.scale_batches(factor)
 
 
 #: (constructor, field): each call must reject ``field=value``.
@@ -238,6 +323,40 @@ CHECKS = [
     (XDMAConfig, "max_payload_bytes"),
     (XDMAConfig, "program_s"),
     (XDMAConfig, "member_program_s"),
+    (_system, "accelerators_per_switch"),
+    (_kernel, "cpu_time_s"),
+    (_kernel, "accel_time_s"),
+    (_kernel, "output_bytes"),
+    (_kernel, "cpu_serial_time_s"),
+    (_motion, "input_bytes"),
+    (_motion, "output_bytes"),
+    (_motion, "cpu_threads"),
+    (_profile, "bytes_in"),
+    (_profile, "bytes_out"),
+    (_profile, "elements"),
+    (_profile, "ops_per_element"),
+    (_profile, "element_size"),
+    (_spec, "speedup_vs_cpu"),
+    (_spec, "fpga_clock_hz"),
+    (_spec, "asic_clock_hz"),
+    (_spec, "power_w"),
+    (_device, "kernel_time_s"),
+    (_resource, "capacity"),
+    (_transfer, "duration"),
+    (_cache, "size_bytes"),
+    (_cache, "line_bytes"),
+    (_cache, "latency_cycles"),
+    (_cpu, "cores"),
+    (_cpu, "frequency_hz"),
+    (_cpu, "core_stream_bandwidth"),
+    (_cpu, "socket_stream_bandwidth"),
+    (_vector_lanes, "element_size"),
+    (_scale_profile, "factor"),
+    (_scale_batches, "factor"),
+    (DRXConfig, "lanes"),
+    (DRXConfig, "frequency_hz"),
+    (DRXConfig, "dram_bandwidth"),
+    (DRXConfig, "power_w"),
 ]
 
 
