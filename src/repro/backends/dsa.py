@@ -23,7 +23,7 @@ the Multi-Axl staging path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from ..core.system import PHASE_CONTROL, PHASE_MOVEMENT, PHASE_RESTRUCTURE
 from ..profiles import WorkProfile
@@ -110,8 +110,8 @@ class DSADevice(ServerDevice):
     def process(
         self,
         profile: WorkProfile,
+        ctx: "SpanContext",
         count: int = 1,
-        ctx: Optional["SpanContext"] = None,
     ) -> Generator:
         """Process: one (possibly batched) submission's engine occupancy."""
         return self._occupy(count * self.config.job_time(profile), count, ctx)
@@ -174,7 +174,7 @@ class DSABackend(RestructureBackend):
             count=n,
         ) as cctx:
             yield from s._guard(
-                "dsa", self.device.process(leg.fused, n, cctx), name, state
+                "dsa", self.device.process(leg.fused, cctx, n), name, state
             )
         # Completion-record polling on-core — the no-interrupt path.
         with s._phase(

@@ -22,7 +22,7 @@ onto the DRX.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from ..core.chain import MotionStage
 from ..core.system import PHASE_CONTROL, PHASE_RESTRUCTURE
@@ -100,8 +100,8 @@ class XDMADevice(ServerDevice):
     def transform(
         self,
         nbytes: int,
+        ctx: "SpanContext",
         count: int = 1,
-        ctx: Optional["SpanContext"] = None,
     ) -> Generator:
         """Process: hold one channel while ``nbytes`` stream through the
         transform unit."""
@@ -174,7 +174,7 @@ class XDMABackend(RestructureBackend):
             ),
             lambda pctx: s._guard(
                 "xdma",
-                device.transform(n * leg.stage.input_bytes, n, pctx),
+                device.transform(n * leg.stage.input_bytes, pctx, n),
                 device.name, state,
             ),
         )

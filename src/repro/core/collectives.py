@@ -30,6 +30,7 @@ from ..interconnect import DMAEngine, Fabric, LinkConfig
 from ..profiles import WorkProfile
 from ..runtime.driver import NotificationModel
 from ..sim import AllOf, Simulator
+from ..telemetry import Telemetry
 from .placement import Mode, SystemConfig, drx_config_for
 
 __all__ = ["CollectiveSystem", "CollectiveResult", "collective_profile",
@@ -80,7 +81,12 @@ class CollectiveResult:
 
 
 class CollectiveSystem:
-    """A fan-out of N accelerators for collective experiments."""
+    """A fan-out of N accelerators for collective experiments.
+
+    Like :class:`~repro.core.system.DMXSystem`, it owns a
+    :class:`~repro.telemetry.Telemetry`: every DMA, notification and DRX
+    job records its span under the run's root context.
+    """
 
     def __init__(self, n_accelerators: int, config: SystemConfig):
         if n_accelerators < 2:
@@ -90,6 +96,8 @@ class CollectiveSystem:
         self.config = config
         self.n = n_accelerators
         self.sim = Simulator()
+        self.telemetry = Telemetry(self.sim)
+        self.ctx = self.telemetry.context()
         self.cpu = HostCPU(self.sim, max_threads=16, parallel_overhead=0.35)
         self.fabric = Fabric(
             self.sim, link_config=LinkConfig(gen=config.pcie_gen, lanes=8)
@@ -129,20 +137,20 @@ class CollectiveSystem:
 
     def _broadcast_baseline(self, nbytes: int) -> Generator:
         src = self.accels[0]
-        yield from self.notifier.notify(src)
-        yield from self.dma.transfer(src, "root", nbytes)
+        yield from self.notifier.notify(src, self.ctx)
+        yield from self.dma.transfer(src, "root", nbytes, self.ctx)
         yield from self.cpu.restructure(collective_profile(nbytes), threads=3)
         # Per destination: staging copy, then a sequential DMA (Sec. VII-C).
         for dst in self.accels[1:]:
             yield from self._host_copy(nbytes)
-            yield from self.dma.transfer("root", dst, nbytes)
+            yield from self.dma.transfer("root", dst, nbytes, self.ctx)
 
     def _broadcast_dmx(self, nbytes: int) -> Generator:
         src = self.accels[0]
         src_drx = self._drx(src)
-        yield from self.notifier.notify(src)
-        yield from self.dma.transfer(src, src_drx.name, nbytes)
-        yield from src_drx.restructure(collective_profile(nbytes))
+        yield from self.notifier.notify(src, self.ctx)
+        yield from self.dma.transfer(src, src_drx.name, nbytes, self.ctx)
+        yield from src_drx.restructure(collective_profile(nbytes), self.ctx)
 
         def relay(group: List[str], is_source_group: bool) -> Generator:
             members = [a for a in group if a != src]
@@ -153,14 +161,14 @@ class CollectiveSystem:
             else:
                 leader = members[0]
                 yield from self.dma.transfer(
-                    src_drx.name, self._drx(leader).name, nbytes,
+                    src_drx.name, self._drx(leader).name, nbytes, self.ctx,
                     charge_setup=False, charge_completion=False,
                 )
                 relay_drx = self._drx(leader)
                 members = members[1:]
             for dst in members:
                 yield from self.dma.transfer(
-                    relay_drx.name, dst, nbytes,
+                    relay_drx.name, dst, nbytes, self.ctx,
                     charge_setup=False, charge_completion=False,
                 )
 
@@ -177,8 +185,8 @@ class CollectiveSystem:
         # which restructures and sums all N; all-gather: a staging copy
         # plus a sequential DMA per destination.
         for src in self.accels:
-            yield from self.notifier.notify(src)
-            yield from self.dma.transfer(src, "root", nbytes)
+            yield from self.notifier.notify(src, self.ctx)
+            yield from self.dma.transfer(src, "root", nbytes, self.ctx)
         yield from self.cpu.restructure(
             collective_profile(nbytes * self.n), threads=3
         )
@@ -187,7 +195,7 @@ class CollectiveSystem:
         )
         for dst in self.accels:
             yield from self._host_copy(nbytes)
-            yield from self.dma.transfer("root", dst, nbytes)
+            yield from self.dma.transfer("root", dst, nbytes, self.ctx)
 
     def _allreduce_dmx(self, nbytes: int) -> Generator:
         root = self.accels[0]
@@ -198,23 +206,25 @@ class CollectiveSystem:
             leader_drx = self._drx(group[0])
             for index, member in enumerate(group):
                 yield from self.dma.transfer(
-                    member, leader_drx.name, nbytes,
+                    member, leader_drx.name, nbytes, self.ctx,
                     charge_setup=(index == 0), charge_completion=False,
                 )
-                yield from leader_drx.restructure(collective_profile(nbytes))
+                yield from leader_drx.restructure(
+                    collective_profile(nbytes), self.ctx
+                )
             yield from leader_drx.restructure(
-                reduction_profile(nbytes, len(group))
+                reduction_profile(nbytes, len(group)), self.ctx
             )
             if group[0] != root:
                 yield from self.dma.transfer(
-                    leader_drx.name, root_drx.name, nbytes,
+                    leader_drx.name, root_drx.name, nbytes, self.ctx,
                     charge_setup=False, charge_completion=False,
                 )
 
         reduces = [self.sim.spawn(group_reduce(g)) for g in self.groups]
         yield AllOf(self.sim, reduces)
         yield from root_drx.restructure(
-            reduction_profile(nbytes, len(self.groups))
+            reduction_profile(nbytes, len(self.groups)), self.ctx
         )
 
         # All-gather: the same two-level distribution tree as broadcast.
@@ -225,14 +235,14 @@ class CollectiveSystem:
             else:
                 leader = group[0]
                 yield from self.dma.transfer(
-                    root_drx.name, self._drx(leader).name, nbytes,
+                    root_drx.name, self._drx(leader).name, nbytes, self.ctx,
                     charge_setup=False, charge_completion=False,
                 )
                 relay_drx = self._drx(leader)
                 members = group
             for dst in members:
                 yield from self.dma.transfer(
-                    relay_drx.name, dst, nbytes,
+                    relay_drx.name, dst, nbytes, self.ctx,
                     charge_setup=False, charge_completion=False,
                 )
 

@@ -38,12 +38,13 @@ from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
 from ..sim import AllOf, PhaseAccumulator, Simulator, WaitTimeout
-from ..telemetry import ActiveSpan, SpanContext, Telemetry
+from ..telemetry import SpanContext, SpanStep, Telemetry
 from ..telemetry.spans import batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..accelerators.base import AcceleratorDevice
     from ..backends.base import LegSpec, RestructureBackend
     from ..backends.planner import FixedRanking, LegPlanner, PlannerConfig
 
@@ -221,46 +222,36 @@ class RunResult:
 
     # -- recovery-plane aggregates -------------------------------------------
 
+    def _count(self, attr: str, app: Optional[str]) -> int:
+        """Sum of ``attr`` (a count or a flag) over the records of
+        ``app`` (every record when None)."""
+        return sum(
+            getattr(r, attr) for r in self.records
+            if app is None or r.app == app
+        )
+
     def total_retries(self, app: Optional[str] = None) -> int:
         """Operations re-issued across all matching requests."""
-        return sum(
-            r.retries for r in self.records if app is None or r.app == app
-        )
+        return self._count("retries", app)
 
     def fallback_count(self, app: Optional[str] = None) -> int:
         """Requests that degraded from the DRX path to CPU restructuring."""
-        return sum(
-            1
-            for r in self.records
-            if r.fell_back and (app is None or r.app == app)
-        )
+        return self._count("fell_back", app)
 
     def rerouted_count(self, app: Optional[str] = None) -> int:
         """Requests the control plane steered around an open breaker
         (proactive — no timeout burned), distinct from fallbacks."""
-        return sum(
-            1
-            for r in self.records
-            if r.rerouted and (app is None or r.app == app)
-        )
+        return self._count("rerouted", app)
 
     def failure_count(self, app: Optional[str] = None) -> int:
         """Requests whose recovery was exhausted."""
-        return sum(
-            1
-            for r in self.records
-            if r.failed and (app is None or r.app == app)
-        )
+        return self._count("failed", app)
 
     def rescued_count(self, app: Optional[str] = None) -> int:
         """Requests drained off a crashed failure domain and resubmitted
         to completion on a surviving backend — distinct from
         ``fallback_count`` (retried in place after a burned timeout)."""
-        return sum(
-            1
-            for r in self.records
-            if r.rescued and (app is None or r.app == app)
-        )
+        return self._count("rescued", app)
 
     def recovery_summary(self) -> Dict[str, object]:
         """Run-wide recovery counters for reporting.
@@ -305,22 +296,21 @@ class _RequestState:
         self.leg_reasons: List[str] = []
 
 
-class _PhaseStep:
+class _PhaseStep(SpanStep):
     """One timed leg step, as ``with system._phase(...) as cctx:``.
 
-    Entering opens the phase span under ``ctx`` (``batch`` when the
-    step is shared by ``count != 1`` coalesced members) and returns its
-    child context. Leaving books ``sim.now - start`` under ``phase``
-    and closes the span at that same instant, so span-derived phase
-    totals reconcile with :meth:`RunResult.phase_totals` to the bit. A
-    block that raised closes the span ``abandoned`` and books nothing:
-    the recovery path re-bills that time to :data:`PHASE_RECOVERY`.
-
-    A context manager rather than a generator, so a step adds no frame
-    to the ``yield from`` chain every resume of its block walks.
+    Making the step opens the phase span under ``ctx`` (``batch`` when
+    the step is shared by ``count != 1`` coalesced members); entering
+    returns its child context. A clean exit books ``sim.now - start``
+    under ``phase`` and then closes the span at that same instant, so
+    span-derived phase totals reconcile with
+    :meth:`RunResult.phase_totals` to the bit. A block that raised
+    closes the span ``abandoned`` (with no ``error``) and books
+    nothing: the recovery path re-bills that time to
+    :data:`PHASE_RECOVERY`.
     """
 
-    __slots__ = ("phases", "ctx", "name", "phase", "actor", "attrs", "span")
+    __slots__ = ("phases", "ctx", "phase")
 
     def __init__(
         self, phases: PhaseAccumulator, ctx: SpanContext, name: str,
@@ -328,28 +318,24 @@ class _PhaseStep:
     ):
         if count != 1:
             attrs["batch"] = count
+        telemetry = ctx.telemetry
+        SpanStep.__init__(self, telemetry, telemetry.begin(
+            name, phase, actor, ctx.parent_id, ctx.request_id, phase, None,
+            **attrs,
+        ), errors=False)
         self.phases = phases
         self.ctx = ctx
-        self.name = name
         self.phase = phase
-        self.actor = actor
-        self.attrs = attrs
 
     def __enter__(self) -> SpanContext:
-        ctx = self.ctx
-        self.span = ctx.begin(
-            self.name, self.phase, self.actor, self.phase, **self.attrs
-        )
-        return ctx.child(self.span)
+        return self.ctx.child(self.span)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        span = self.span
-        telemetry = self.ctx.telemetry
-        if exc_type is not None:
-            telemetry.end(span, abandoned=True)
-            return
-        self.phases.add(self.phase, telemetry.sim.now - span.start)
-        telemetry.end(span)
+        if exc_type is None:
+            self.phases.add(
+                self.phase, self.telemetry.sim.now - self.span.start
+            )
+        SpanStep.__exit__(self, exc_type, exc, tb)
 
 
 class DMXSystem:
@@ -452,7 +438,7 @@ class DMXSystem:
         self.notifier = NotificationModel(
             self.sim, self.cpu, injector=self.injector
         )
-        self.accel_devices: Dict[str, "AcceleratorDeviceProxy"] = {}
+        self.accel_devices: Dict[str, "AcceleratorDevice"] = {}
         self.drx_devices: Dict[str, DRXDevice] = {}
         self._accel_names: Dict[tuple, str] = {}  # (app_idx, stage_idx) -> name
         self._switch_of: Dict[str, str] = {}
@@ -651,13 +637,10 @@ class DMXSystem:
     ) -> Generator:
         """``dma``, then its ``nbytes`` DRAM staging pass in host memory."""
         yield from dma
-        span = ctx.begin("host-staging", "staging", actor="root", bytes=nbytes)
-        try:
+        with ctx.step(
+            "host-staging", "staging", "root", errors=False, bytes=nbytes
+        ):
             yield self.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
-        except BaseException:
-            ctx.end(span, abandoned=True)
-            raise
-        ctx.end(span)
 
     def transfer_estimate(self, src: str, dst: str, nbytes: int) -> float:
         """Contention-free estimate of one DMA leg, including the host
@@ -803,10 +786,10 @@ class DMXSystem:
     ) -> Generator:
         """Run a leg's data movement and its restructuring side by side
         (line-rate processing, no store-and-forward) as one phase
-        ``step``: ``move`` and ``work`` build the two operations under
-        the step's span, and the joint interval books to the step's
-        phase. The switch-integrated DRX and the XDMA backend share this
-        leg shape."""
+        ``step`` (made, so opened, by the caller): ``move`` and ``work``
+        build the two operations under the step's span, and the joint
+        interval books to the step's phase. The switch-integrated DRX
+        and the XDMA backend share this leg shape."""
         with step as pctx:
             move_op, work_op = move(pctx), work(pctx)
             if self.injector is not None:
@@ -923,77 +906,56 @@ class DMXSystem:
         src = self.accel_name(app_index, kernel_index)
         dst = self.accel_name(app_index, kernel_index + 1)
         threads = stage.cpu_threads
-        mspan = rctx.begin(
-            f"motion{kernel_index}", "stage", src=src, dst=dst,
+        with rctx.step(
+            f"motion{kernel_index}", "stage", errors=False, src=src, dst=dst,
             **batch_attrs(count),
-        )
-        sctx = rctx.child(mspan)
-        try:
-            yield from self._motion_body(
-                mode, app_index, src, dst, stage, threads, count, phases,
-                state, sctx, mspan, force_cpu,
-            )
-        except BaseException:
-            self.telemetry.end(mspan, abandoned=True)
-            raise
-        self.telemetry.end(mspan)
+        ) as step:
+            sctx = rctx.child(step.span)
+            if mode == Mode.ALL_CPU:
+                # Data already lives in host memory; only the computation.
+                with self._phase(
+                    phases, sctx, "cpu-restructure", PHASE_RESTRUCTURE,
+                    actor="cpu", count=count, threads=threads,
+                ):
+                    yield from self._cpu_restructure(
+                        stage.profile, threads, count
+                    )
+                return
 
-    def _motion_body(
-        self,
-        mode: Mode,
-        app_index: int,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: _RequestState,
-        sctx: SpanContext,
-        mspan: ActiveSpan,
-        force_cpu: bool,
-    ) -> Generator:
-        if mode == Mode.ALL_CPU:
-            # Data already lives in host memory; only the computation.
+            # Kernel-completion notification + DMA setup (control plane).
+            # ONE notification covers a whole batch: its kernels were
+            # submitted as one chain, so the device raises one interrupt
+            # with ``count`` completion records behind it.
             with self._phase(
-                phases, sctx, "cpu-restructure", PHASE_RESTRUCTURE,
-                actor="cpu", count=count, threads=threads,
-            ):
-                yield from self._cpu_restructure(stage.profile, threads, count)
-            return
+                phases, sctx, "control", PHASE_CONTROL, count=count
+            ) as cctx:
+                yield from self.notifier.notify(
+                    src, on_retry=self._retry_cb(state, "notify", src),
+                    ctx=cctx, count=count,
+                )
 
-        # Kernel-completion notification + DMA setup (control plane).
-        # ONE notification covers a whole batch: its kernels were
-        # submitted as one chain, so the device raises one interrupt with
-        # ``count`` completion records behind it.
-        with self._phase(
-            phases, sctx, "control", PHASE_CONTROL, count=count
-        ) as cctx:
-            yield from self.notifier.notify(
-                src, on_retry=self._retry_cb(state, "notify", src), ctx=cctx,
-                count=count,
-            )
+            if mode == Mode.MULTI_AXL:
+                yield from self._multi_axl_motion(
+                    src, dst, stage, threads, count, phases, state, sctx
+                )
+                return
 
-        if mode == Mode.MULTI_AXL:
-            yield from self._multi_axl_motion(
-                src, dst, stage, threads, count, phases, state, sctx
+            router = self.router
+            backend, leg, probe = router.route(
+                app_index, src, dst, stage, count, state, step.span,
+                force_cpu,
             )
-            return
-
-        router = self.router
-        backend, leg, probe = router.route(
-            app_index, src, dst, stage, count, state, mspan, force_cpu
-        )
-        if backend is router.cpu:
-            # The CPU path is never breaker-gated or deadline-raced: it
-            # IS the fallback. A leg routed here burns no DRX deadline.
-            yield from backend.execute(leg, phases, state, sctx)
-            outcome = "done"
-        else:
-            outcome = yield from self._guarded_leg(
-                backend, leg, probe, phases, state, sctx
-            )
-        router.executed(backend.kind, outcome)
+            if backend is router.cpu:
+                # The CPU path is never breaker-gated or deadline-raced:
+                # it IS the fallback. A leg routed here burns no DRX
+                # deadline.
+                yield from backend.execute(leg, phases, state, sctx)
+                outcome = "done"
+            else:
+                outcome = yield from self._guarded_leg(
+                    backend, leg, probe, phases, state, sctx
+                )
+            router.executed(backend.kind, outcome)
 
     def _fused(self, stage: MotionStage):
         """The profile an accelerator executes for ``stage``.
@@ -1405,16 +1367,7 @@ class DMXSystem:
         for app_index, chain in enumerate(self.chains):
             self.sim.spawn(app_loop(app_index, chain))
         self.sim.run()
-        self.telemetry.finalize()
-        self._record_run_metrics()
-        return RunResult(
-            mode=self.config.mode,
-            records=records,
-            elapsed=self.sim.now,
-            requests_per_app=requests_per_app,
-            telemetry=self.telemetry,
-            backend_legs=self._backend_legs_snapshot(),
-        )
+        return self._finish_run(records, requests_per_app)
 
     def run_throughput(self, requests_per_app: int = 12) -> RunResult:
         """Batch-issue pipelined: every request is issued at t=0; stages
@@ -1435,6 +1388,14 @@ class DMXSystem:
                     self.sim.spawn(self._request(app_index, chain, records))
                 )
         self.sim.run()
+        return self._finish_run(records, requests_per_app)
+
+    def _finish_run(
+        self, records: List[RequestRecord], requests_per_app: int
+    ) -> RunResult:
+        """The tail both run modes share once the DES drains: close
+        straggling spans, fold the device counters into the metrics,
+        and wrap up the result."""
         self.telemetry.finalize()
         self._record_run_metrics()
         return RunResult(

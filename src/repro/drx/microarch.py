@@ -179,7 +179,7 @@ class DRXDevice(ServerDevice):
     def restructure(
         self,
         profile: WorkProfile,
-        ctx: Optional["SpanContext"] = None,
+        ctx: "SpanContext",
         count: int = 1,
     ) -> Generator:
         """Process: run one restructuring job on this DRX unit.
@@ -191,9 +191,9 @@ class DRXDevice(ServerDevice):
         in ``jobs_completed``. A single job is priced by
         :meth:`DRXTimingModel.time_for_profile` itself.
 
-        ``ctx`` attaches a "drx" span; its ``queued_s`` attribute is the
-        time the job waited behind other jobs on this unit (the shared-DRX
-        contention signal).
+        The job records a "drx" span in ``ctx``; its ``queued_s``
+        attribute is the time the job waited behind other jobs on this
+        unit (the shared-DRX contention signal).
         """
         if count == 1:
             duration = self.timing.time_for_profile(profile)

@@ -99,8 +99,6 @@ class DMAEngine:
         self.transfers_completed = 0
         self.bytes_transferred = 0
         self.descriptors_submitted = 0
-        self.retries = 0
-        self.failed_transfers = 0
 
     @property
     def _recovering(self) -> bool:
@@ -117,7 +115,7 @@ class DMAEngine:
         nbytes: int,
         charge_setup: bool,
         charge_completion: bool,
-        descriptors: int = 1,
+        descriptors: int,
     ) -> Generator:
         """One DMA issue: driver setup, fabric crossing, completion IRQ.
 
@@ -145,13 +143,14 @@ class DMAEngine:
         src: str,
         dst: str,
         nbytes: int,
+        ctx: "SpanContext",
         charge_setup: bool = True,
         charge_completion: bool = True,
         on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
-        ctx: Optional["SpanContext"] = None,
         descriptors: int = 1,
     ) -> Generator:
-        """Process: one DMA from ``src`` to ``dst``.
+        """Process: one DMA from ``src`` to ``dst``, under a "dma" span
+        (covering every retry of this transfer) in ``ctx``.
 
         ``charge_setup`` / ``charge_completion`` let callers batch multiple
         back-to-back DMAs under a single driver invocation (used by the
@@ -163,8 +162,6 @@ class DMAEngine:
         interrupt. A single transfer is the one-descriptor chain.
         ``on_retry`` (recovery mode only) observes each failed attempt;
         the chain retries *as a unit*, so no member payload is lost.
-        ``ctx`` attaches a "dma" telemetry span (covering every retry of
-        this transfer) under the caller's span tree.
         Returns the elapsed time; raises
         :class:`~repro.faults.RetryExhausted` when recovery gives up.
         """
@@ -172,71 +169,35 @@ class DMAEngine:
             raise ValueError(f"negative DMA size: {nbytes}")
         if descriptors < 1:
             raise ValueError(f"DMA needs descriptors >= 1: {descriptors}")
-        if ctx is None:
-            span = None
-        elif descriptors == 1:
-            span = ctx.begin(
-                f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes
-            )
+        if descriptors == 1:
+            step = ctx.step(f"{src}->{dst}", "dma", self.name, bytes=nbytes)
         else:
-            span = ctx.begin(
-                f"{src}->{dst}", "dma", actor=self.name, bytes=nbytes,
+            step = ctx.step(
+                f"{src}->{dst}", "dma", self.name, bytes=nbytes,
                 descriptors=descriptors,
             )
-        try:
-            elapsed = yield from self._transfer(
-                src, dst, nbytes, charge_setup, charge_completion, on_retry,
-                descriptors,
-            )
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        if span is not None:
-            ctx.end(span)
-        return elapsed
-
-    def _transfer(
-        self,
-        src: str,
-        dst: str,
-        nbytes: int,
-        charge_setup: bool,
-        charge_completion: bool,
-        on_retry: Optional[Callable[[int, BaseException, bool], None]],
-        descriptors: int,
-    ) -> Generator:
-        start = self.sim.now
-        if not self._recovering:
-            yield from self._attempt(
-                src, dst, nbytes, charge_setup, charge_completion,
-                descriptors=descriptors,
-            )
-        else:
-            def failed(attempt: int, exc: BaseException, will_retry: bool):
-                if will_retry:
-                    self.retries += 1
-                if on_retry is not None:
-                    on_retry(attempt, exc, will_retry)
-
-            try:
+        with step:
+            start = self.sim.now
+            if not self._recovering:
+                yield from self._attempt(
+                    src, dst, nbytes, charge_setup, charge_completion,
+                    descriptors,
+                )
+            else:
                 yield from retry(
                     self.sim,
                     lambda: self._attempt(
                         src, dst, nbytes, charge_setup, charge_completion,
-                        descriptors=descriptors,
+                        descriptors,
                     ),
                     self.retry_policy or RetryPolicy(),
                     timeout_s=self.timeout_s,
-                    on_attempt_failed=failed,
+                    on_attempt_failed=on_retry,
                     what=f"{self.name}:{src}->{dst}",
                 )
-            except Exception:
-                self.failed_transfers += 1
-                raise
-        self.transfers_completed += 1
-        self.bytes_transferred += nbytes
-        self.descriptors_submitted += descriptors
+            self.transfers_completed += 1
+            self.bytes_transferred += nbytes
+            self.descriptors_submitted += descriptors
         return self.sim.now - start
 
     def unloaded_latency(self, src: str, dst: str, nbytes: int) -> float:

@@ -1,6 +1,6 @@
 """PCIe link model.
 
-Models a point-to-point PCIe link as a serialized transfer server with
+Models a point-to-point PCIe link as one exclusive slot with
 generation- and lane-dependent bandwidth. Bandwidth numbers follow the
 standard signaling rates:
 
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator
 
-from ..sim import Server, Simulator
+from ..sim import Resource, Simulator
 
 __all__ = ["PCIeGen", "LinkConfig", "PCIeLink", "GB", "MB", "KB"]
 
@@ -77,19 +76,21 @@ class LinkConfig:
 
 
 class PCIeLink:
-    """A contended, serialized PCIe link.
+    """One PCIe link: its bandwidth, and the one slot a cut-through
+    transfer holds.
 
-    Transfers queue FCFS; each occupies the link for
-    ``bytes / bandwidth + propagation latency``. This store-and-forward
-    approximation reproduces the oversubscription effects the paper relies
-    on (shared upstream links saturating as concurrency grows).
+    :meth:`~repro.interconnect.topology.Fabric.transfer` acquires every
+    link on a route (FCFS per link) for the route's cut-through
+    duration, then adds the bytes to :attr:`bytes_moved`; a transfer
+    waiting on a held link is the oversubscription the paper relies on
+    (shared upstream links saturating as concurrency grows).
     """
 
     def __init__(self, sim: Simulator, config: LinkConfig, name: str = "pcie"):
         self.sim = sim
         self.config = config
         self.name = name
-        self._server = Server(sim, capacity=1, name=name)
+        self._slot = Resource(sim, capacity=1, name=name)
         self.bytes_moved = 0
 
     @property
@@ -103,19 +104,13 @@ class PCIeLink:
             raise ValueError(f"negative transfer size: {nbytes}")
         return nbytes / self.bandwidth + self.config.propagation_latency_s
 
-    def transfer(self, nbytes: int) -> Generator:
-        """Process helper: move ``nbytes``, queueing behind other traffic."""
-        duration = self.transfer_time(nbytes)
-        yield from self._server.transfer(duration)
-        self.bytes_moved += nbytes
-
     def acquire(self):
         """Request exclusive occupancy (multi-link cut-through transfers)."""
-        return self._server._resource.request()
+        return self._slot.request()
 
     def release(self, request) -> None:
         """Release occupancy taken with :meth:`acquire`."""
-        self._server._resource.release(request)
+        self._slot.release(request)
 
     def relinquish(self, request) -> None:
         """Release a granted occupancy or withdraw a still-queued one.
@@ -123,21 +118,17 @@ class PCIeLink:
         Cleanup path for interrupted transfers, which cannot know whether
         their acquisition was granted before the interrupt landed.
         """
-        self._server._resource.relinquish(request)
-
-    def account(self, nbytes: int, duration: float) -> None:
-        """Record traffic moved under an externally-managed occupancy."""
-        self.bytes_moved += nbytes
-        self._server.total_service_time += duration
-        self._server.jobs_served += 1
+        self._slot.relinquish(request)
 
     def utilization(self) -> float:
         """Busy fraction of the link so far."""
-        return self._server.utilization()
+        if self.sim.now == 0:
+            return 0.0
+        return self._slot.busy_time() / self.sim.now
 
     @property
     def queue_length(self) -> int:
-        return self._server.queue_length
+        return self._slot.queue_length
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

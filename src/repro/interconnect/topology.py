@@ -4,10 +4,11 @@ The fabric is a tree (standard PCIe): the root complex (CPU socket) at the
 top, switches below it, endpoints (accelerators, DRXs, standalone DRX
 cards) at the leaves. Every edge is a :class:`~repro.interconnect.pcie.PCIeLink`.
 
-Routing is the unique tree path. A transfer crosses each link on the path
-in sequence (store-and-forward) and pays the switch port-to-port latency
-(110 ns per the PEX switch datasheet figure the paper cites) at every
-switch it traverses. Peer-to-peer transfers between two endpoints under
+Routing is the unique tree path. A transfer is cut-through: it holds
+every link on the path at once, pays serialization once at the
+narrowest link, and pays the switch port-to-port latency (110 ns per
+the PEX switch datasheet figure the paper cites) at every switch it
+traverses. Peer-to-peer transfers between two endpoints under
 the same switch therefore never touch the shared upstream link — the
 mechanism behind Bump-in-the-Wire DRX's scaling advantage.
 
@@ -294,7 +295,7 @@ class Fabric:
             raise
         for link, request in held:
             link.release(request)
-            link.account(nbytes, duration)
+            link.bytes_moved += nbytes
         return self.sim.now - start
 
     def unloaded_latency(self, src: str, dst: str, nbytes: int) -> float:

@@ -133,8 +133,8 @@ class NotificationModel:
     def notify(
         self,
         device: str,
+        ctx: "SpanContext",
         on_retry: Optional[Callable[[int, BaseException, bool], None]] = None,
-        ctx: Optional["SpanContext"] = None,
         count: int = 1,
     ) -> Generator:
         """Process: deliver one completion notification to the host.
@@ -149,9 +149,9 @@ class NotificationModel:
         Returns the CPU cost charged per delivery. With an injector, a
         lost or hung delivery is retried (whole) under the watchdog
         (``on_retry`` observes each failed attempt);
-        exhaustion raises :class:`~repro.faults.RetryExhausted`. ``ctx``
-        attaches a "notify" span recording the delivery mode and billed
-        cost.
+        exhaustion raises :class:`~repro.faults.RetryExhausted`. The
+        delivery runs under a "notify" span in ``ctx`` recording the
+        delivery mode and billed cost.
         """
         if count < 1:
             raise ValueError(f"notification needs count >= 1: {count}")
@@ -184,25 +184,15 @@ class NotificationModel:
                 self.stats.coalesced += count - 1
             cost = base + (count - 1) * self.costs.coalesced_s
             self._last_isr[device] = now
-        if ctx is None:
-            span = None
-        elif count == 1:
-            span = ctx.begin(
-                "notify", "notify", actor=device, mode=mode, cost_s=cost
-            )
+        if count == 1:
+            step = ctx.step("notify", "notify", device, mode=mode, cost_s=cost)
         else:
-            span = ctx.begin(
-                "notify", "notify", actor=device, mode=mode, cost_s=cost,
+            step = ctx.step(
+                "notify", "notify", device, mode=mode, cost_s=cost,
                 batch=count,
             )
-        try:
+        with step:
             yield from self._notify_timed(device, cost, on_retry)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        if span is not None:
-            ctx.end(span)
         return cost
 
     def _notify_timed(

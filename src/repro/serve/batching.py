@@ -130,17 +130,11 @@ class BatchFormer:
         self._launch = launch
         self._forming: Dict[str, FormingBatch] = {}
         self._seq = itertools.count()
-        self.batches_sealed = 0
-        self.sealed_by_size = 0
-        self.sealed_by_window = 0
 
     def is_forming(self, tenant: str) -> bool:
         """True when ``add(item)`` for this tenant joins an open batch
         (False means it will open a new one — and a new dispatch slot)."""
         return tenant in self._forming
-
-    def forming_count(self) -> int:
-        return len(self._forming)
 
     def add(
         self, item: "_Admitted", max_batch: int, window_s: float
@@ -186,9 +180,4 @@ class BatchFormer:
         batch.sealed_by = cause
         if self._forming.get(batch.tenant) is batch:
             del self._forming[batch.tenant]
-        self.batches_sealed += 1
-        if cause == "size":
-            self.sealed_by_size += 1
-        else:
-            self.sealed_by_window += 1
         self._launch(batch)

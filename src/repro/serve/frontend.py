@@ -44,6 +44,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Deque, Dict, Generator, List, Optional, \
     Sequence, Tuple
 
@@ -222,6 +223,17 @@ class _Admitted:
         self.deadline = deadline
 
 
+#: Per ranked discipline, the rank of a queue head: a ranked pick pops
+#: the head of least rank, ties going to the earlier tenant. Per-tenant
+#: queues are FIFO and a tenant's deadline offset is constant, so the
+#: heads are the only candidates and EDF is exact, not approximate.
+_RANKS = {
+    Discipline.FCFS: attrgetter("arrival"),
+    Discipline.EDF: attrgetter("deadline", "arrival"),
+    Discipline.PRIORITY: lambda item: (-item.spec.priority, item.arrival),
+}
+
+
 class ServingFrontend:
     """Drive one :class:`DMXSystem` with online multi-tenant traffic.
 
@@ -296,9 +308,8 @@ class ServingFrontend:
         # other tenants while the tier holds.
         self._last_tenant: Optional[str] = None
         self._affinity_run = 0
-        self._tenant_spec: Dict[str, TenantSpec] = {
-            t.name: t for t in self.tenants
-        }
+        # The rank a ranked discipline picks by (None under WRR).
+        self._rank = _RANKS.get(config.discipline)
         # Batch formation (None = per-request dispatch, the exact
         # pre-batching code path).
         self._former: Optional[BatchFormer] = (
@@ -457,12 +468,18 @@ class ServingFrontend:
     def _queued_total(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def _next_fcfs(self) -> Optional[_Admitted]:
+    def _next_ranked(self) -> Optional[_Admitted]:
+        """Pop the queue head of least ``_rank`` (FCFS, EDF, PRIORITY);
+        a tie goes to the earlier tenant."""
+        rank = self._rank
         best: Optional[Deque[_Admitted]] = None
+        best_rank = None
         for spec in self.tenants:
             queue = self._queues[spec.name]
-            if queue and (best is None or queue[0].arrival < best[0].arrival):
-                best = queue
+            if queue:
+                head_rank = rank(queue[0])
+                if best is None or head_rank < best_rank:
+                    best, best_rank = queue, head_rank
         return best.popleft() if best is not None else None
 
     def _next_wrr(self) -> Optional[_Admitted]:
@@ -479,33 +496,6 @@ class ServingFrontend:
             # the cursor reaches the tenant, with no stale-credit skew.
             self._wrr_credit = self._weights[self.tenants[self._wrr_index].name]
         return None
-
-    def _next_edf(self) -> Optional[_Admitted]:
-        # Per-tenant queues are FIFO and each tenant's deadline offset is
-        # constant, so queue heads are the only EDF candidates — this is
-        # exact earliest-deadline-first, not an approximation.
-        best: Optional[Deque[_Admitted]] = None
-        for spec in self.tenants:
-            queue = self._queues[spec.name]
-            if queue and (
-                best is None
-                or (queue[0].deadline, queue[0].arrival)
-                < (best[0].deadline, best[0].arrival)
-            ):
-                best = queue
-        return best.popleft() if best is not None else None
-
-    def _next_priority(self) -> Optional[_Admitted]:
-        best: Optional[Deque[_Admitted]] = None
-        best_key = None
-        for spec in self.tenants:
-            queue = self._queues[spec.name]
-            if not queue:
-                continue
-            key = (-spec.priority, queue[0].arrival)
-            if best is None or key < best_key:
-                best, best_key = queue, key
-        return best.popleft() if best is not None else None
 
     def _affinity_cap(self, tenant: str) -> int:
         """Longest same-tenant run the COALESCE fast path may extend."""
@@ -555,13 +545,9 @@ class ServingFrontend:
             item = self._next_affinity()
             if item is not None:
                 return item
-        if self.config.discipline is Discipline.FCFS:
-            return self._next_fcfs()
-        if self.config.discipline is Discipline.WRR:
+        if self._rank is None:
             return self._next_wrr()
-        if self.config.discipline is Discipline.EDF:
-            return self._next_edf()
-        return self._next_priority()
+        return self._next_ranked()
 
     def _dispatch_loop(self) -> Generator:
         while True:

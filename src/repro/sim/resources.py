@@ -12,8 +12,8 @@ Three resource flavours cover everything the DMX model needs:
 
 :class:`ServerDevice` is the one occupancy a restructuring device runs
 its jobs through (a DRX unit, a DSA engine pool, an XDMA channel pool):
-a :class:`Server` slot held for the device's service time, one span per
-job, and counters that move only when the job completes.
+a :class:`Server` slot held for the device's service time, one span
+step per job, and counters that move only when the job completes.
 
 All acquisitions are events, so processes compose them with timeouts and
 conditions freely.
@@ -373,33 +373,27 @@ class ServerDevice:
         """Process: hold one slot for ``duration`` on behalf of a
         ``count``-member job; returns the time from entry to release.
 
-        ``ctx`` (a span context, or None) attaches a span named after
-        the device, carrying ``service_s``, the caller's ``attrs`` and,
-        for a coalesced job, ``batch``. The span closes with
-        ``queued_s`` (the wait behind busy slots), or, when the job is
-        interrupted queued or in service, ``abandoned`` with the error's
-        type name. Only a completed job moves ``jobs_completed`` (by
-        ``count``) and ``busy_seconds``. The context is duck-typed, so
-        the engine needs nothing from the telemetry package.
+        The job runs under a span step of ``ctx`` (a span context),
+        named after the device and carrying ``service_s``, the caller's
+        ``attrs`` and, for a coalesced job, ``batch``. The span closes
+        with ``queued_s`` (the wait behind busy slots), or, when the job
+        is interrupted queued or in service, ``abandoned`` with the
+        error's type name. Only a completed job moves
+        ``jobs_completed`` (by ``count``) and ``busy_seconds``. The
+        context is duck-typed, so the engine needs nothing from the
+        telemetry package.
         """
         if count > 1:
             attrs["batch"] = count
-        span = None if ctx is None else ctx.begin(
-            self.name, self.category, actor=self.name, service_s=duration,
-            **attrs,
-        )
-        start = self.sim.now
-        try:
+        with ctx.step(
+            self.name, self.category, self.name, service_s=duration, **attrs
+        ) as step:
+            start = self.sim.now
             yield from self._server.transfer(duration)
-        except BaseException as exc:
-            if span is not None:
-                ctx.end(span, abandoned=True, error=type(exc).__name__)
-            raise
-        self.jobs_completed += count
-        self.busy_seconds += duration
-        elapsed = self.sim.now - start
-        if span is not None:
-            ctx.end(span, queued_s=elapsed - duration)
+            self.jobs_completed += count
+            self.busy_seconds += duration
+            elapsed = self.sim.now - start
+            step.end_attrs = {"queued_s": elapsed - duration}
         return elapsed
 
 

@@ -57,6 +57,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "sampling": ("SamplingConfig", "SamplePlan", "plan_sampling"),
     "diff": ("diff_runs", "render_diff"),
     "dashboard": ("render_dashboard",),
-    "runtime": ("SpanContext", "Telemetry"),
+    "runtime": ("SpanContext", "SpanStep", "Telemetry"),
     "spans": ("ROOT_PARENT", "ActiveSpan", "Instant", "Span", "SpanTracker"),
 })

@@ -2,12 +2,15 @@
 
 One :class:`Telemetry` instance rides on each
 :class:`~repro.core.system.DMXSystem` (and is shared by the serving
-frontend driving it). It bundles the span tracker and the metrics
-registry behind one object that model components accept, and adds the
-:class:`SpanContext` value that call chains thread downward so leaf
-components (DMA engine, notification model, DRX device) can attach
-their spans under the right parent without knowing about the system.
-Recording is always on: there is no off switch.
+frontend driving it) and on each
+:class:`~repro.core.collectives.CollectiveSystem`. It bundles the span
+tracker and the metrics registry behind one object that model
+components accept, and adds the :class:`SpanContext` value that call
+chains thread downward so leaf components (DMA engine, notification
+model, device jobs) can attach their spans under the right parent
+without knowing about the system. Every span opened around a modeled
+operation opens and closes through one :class:`SpanStep`. Recording is
+always on: there is no off switch.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Generator, List, Optional, Union
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import ActiveSpan, Instant, Span, SpanTracker, _parent_id
 
-__all__ = ["Telemetry", "SpanContext"]
+__all__ = ["Telemetry", "SpanContext", "SpanStep"]
 
 
 class Telemetry:
@@ -57,17 +60,12 @@ class Telemetry:
         phase: str = "",
         **attrs: object,
     ) -> Generator:
-        """Run process ``op`` under a span (closed even on interrupt)."""
-        span = self.begin(
-            name, category, actor=actor, parent=parent,
-            request_id=request_id, phase=phase, **attrs,
-        )
-        try:
+        """Run process ``op`` under a span (closed ``abandoned``, with no
+        ``error``, on interrupt)."""
+        with SpanStep(self, self.begin(
+            name, category, actor, parent, request_id, phase, None, **attrs
+        ), errors=False):
             result = yield from op
-        except BaseException:
-            self.end(span, abandoned=True)
-            raise
-        self.end(span)
         return result
 
     # -- metrics API -----------------------------------------------------------
@@ -123,9 +121,61 @@ class SpanContext:
     def end(self, span: ActiveSpan, **attrs: object) -> Optional[Span]:
         return self.telemetry.end(span, **attrs)
 
+    def step(
+        self, name: str, category: str, actor: str = "",
+        errors: bool = True, **attrs: object,
+    ) -> "SpanStep":
+        """Open a span here now and return the :class:`SpanStep` that
+        closes it: ``with ctx.step(name, category, actor) as step:``."""
+        telemetry = self.telemetry
+        return SpanStep(telemetry, telemetry.begin(
+            name, category, actor, self.parent_id, self.request_id, "",
+            None, **attrs,
+        ), errors)
+
     def child(self, span: Union[int, ActiveSpan, Span]) -> "SpanContext":
         return SpanContext(
             self.telemetry,
             span if type(span) is int else span.span_id,
             self.request_id,
         )
+
+
+class SpanStep:
+    """One timed operation under an open span, as ``with step:``.
+
+    :meth:`SpanContext.step` opens the span and makes the step. Leaving
+    the block closes the span with :attr:`end_attrs` (none unless the
+    block set some). A block that raised closes it ``abandoned`` (plus
+    ``error``, the exception's type name, when ``errors`` is set) and
+    the exception propagates. A context manager rather than a
+    generator, so a step adds no frame to the ``yield from`` chain
+    every resume of its block walks.
+    """
+
+    __slots__ = ("telemetry", "span", "errors", "end_attrs")
+
+    def __init__(
+        self, telemetry: Telemetry, span: ActiveSpan, errors: bool
+    ) -> None:
+        self.telemetry = telemetry
+        self.span = span
+        self.errors = errors
+        #: Attributes the span closes with on a clean exit.
+        self.end_attrs: Optional[dict] = None
+
+    def __enter__(self) -> "SpanStep":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            if self.end_attrs is None:
+                self.telemetry.end(self.span)
+            else:
+                self.telemetry.end(self.span, **self.end_attrs)
+        elif self.errors:
+            self.telemetry.end(
+                self.span, abandoned=True, error=exc_type.__name__
+            )
+        else:
+            self.telemetry.end(self.span, abandoned=True)

@@ -14,6 +14,7 @@ from repro.backends import (
 from repro.core.chain import MotionStage
 from repro.profiles import WorkProfile
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 KB = 1024
 MB = 1024 * 1024
@@ -70,11 +71,12 @@ def test_dsa_device_serializes_on_the_shared_work_queue():
     sim = Simulator()
     cfg = DSAConfig(engines=1)
     dev = DSADevice(sim, cfg)
+    ctx = Telemetry(sim).context()
     profile = _profile()
     done = []
 
     def job():
-        yield from dev.process(profile)
+        yield from dev.process(profile, ctx)
         done.append(sim.now)
 
     sim.spawn(job())
@@ -134,11 +136,12 @@ def test_xdma_device_overlaps_across_channels():
     sim = Simulator()
     cfg = XDMAConfig(channels=2)
     dev = XDMADevice(sim, cfg)
+    ctx = Telemetry(sim).context()
     nbytes = 1 * MB
     done = []
 
     def job():
-        yield from dev.transform(nbytes)
+        yield from dev.transform(nbytes, ctx)
         done.append(sim.now)
 
     for _ in range(2):

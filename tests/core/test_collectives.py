@@ -88,3 +88,40 @@ def test_result_metadata():
     assert result.operation == "allreduce"
     assert result.mode == Mode.MULTI_AXL
     assert result.n_accelerators == 4
+
+
+#: (operation, mode, accelerators) -> latency of a 4 MB collective, as
+#: the model computed it before the collectives recorded spans.
+PINNED_LATENCY_S = {
+    ("broadcast", Mode.MULTI_AXL, 4): 0.007830038690618563,
+    ("broadcast", Mode.MULTI_AXL, 16): 0.027997635396500898,
+    ("broadcast", Mode.BUMP_IN_WIRE, 4): 0.0028524125552941175,
+    ("broadcast", Mode.BUMP_IN_WIRE, 16): 0.0066153649082352954,
+    ("allreduce", Mode.MULTI_AXL, 4): 0.019753829847441562,
+    ("allreduce", Mode.MULTI_AXL, 16): 0.1502530470950816,
+    ("allreduce", Mode.BUMP_IN_WIRE, 4): 0.006920621811764707,
+    ("allreduce", Mode.BUMP_IN_WIRE, 16): 0.01663520459764706,
+}
+
+
+@pytest.mark.parametrize(
+    "operation,mode,n", sorted(
+        PINNED_LATENCY_S, key=lambda key: (key[0], key[1].value, key[2])
+    ), ids=lambda v: getattr(v, "value", v),
+)
+def test_a_collective_records_every_operation_and_closes_every_span(
+    operation, mode, n
+):
+    system = CollectiveSystem(n, SystemConfig(mode=mode))
+    result = system.run(operation, 4 * MB)
+    assert result.latency_s == PINNED_LATENCY_S[operation, mode, n]
+    telemetry = system.telemetry
+    assert telemetry.tracker.open_count == 0
+    categories = {span.category for span in telemetry.spans}
+    assert "dma" in categories
+    assert ("drx" in categories) == (mode is Mode.BUMP_IN_WIRE)
+    assert all(span.end <= result.latency_s for span in telemetry.spans)
+    assert not any(
+        "abandoned" in span.attrs or "truncated" in span.attrs
+        for span in telemetry.spans
+    )

@@ -21,6 +21,7 @@ from repro.drx import (
 )
 from repro.profiles import WorkProfile
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 MB = 1024 * 1024
 
@@ -111,11 +112,12 @@ def test_time_from_stats_consistent_with_functional_run():
 def test_drx_device_serializes_jobs():
     sim = Simulator()
     device = DRXDevice(sim)
+    ctx = Telemetry(sim).context()
     p = profile()
     done = []
 
     def job(sim):
-        t = yield from device.restructure(p)
+        t = yield from device.restructure(p, ctx)
         done.append(sim.now)
 
     sim.spawn(job(sim))

@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro.interconnect import DMACosts, DMAEngine, Fabric
 from repro.sim import Resource, Simulator, WaitTimeout
+from repro.telemetry import Telemetry
 
 
 def drive(sim, gen):
@@ -282,16 +283,25 @@ def test_dma_engine_retries_injected_failures():
     )
     engine = DMAEngine(sim, fabric, DMACosts(), injector=injector,
                        timeout_s=1.0, retry_policy=RetryPolicy(max_attempts=8))
+    telemetry = Telemetry(sim)
+    will_retry = []
 
     def workload(sim):
         for _ in range(20):
-            yield from engine.transfer("a", "b", 4096)
+            yield from engine.transfer(
+                "a", "b", 4096, telemetry.context(),
+                on_retry=lambda attempt, exc, again: will_retry.append(again),
+            )
 
     sim.spawn(workload(sim))
     sim.run()
     assert engine.transfers_completed == 20
-    assert engine.failed_transfers == 0
-    assert engine.retries == injector.injected_count("dma") > 0
+    # No transfer failed: every DMA span closed clean.
+    assert [span.category for span in telemetry.spans] == ["dma"] * 20
+    assert not any("abandoned" in span.attrs for span in telemetry.spans)
+    # Every injected failure was retried; none exhausted its policy.
+    assert will_retry == [True] * injector.injected_count("dma")
+    assert len(will_retry) > 0
 
 
 def test_dma_engine_hang_reclaimed_by_watchdog_without_leaking_links():
@@ -302,22 +312,27 @@ def test_dma_engine_hang_reclaimed_by_watchdog_without_leaking_links():
     )
     engine = DMAEngine(sim, fabric, DMACosts(), injector=injector,
                        timeout_s=1e-3, retry_policy=RetryPolicy(max_attempts=2))
+    telemetry = Telemetry(sim)
     errors = []
 
     def workload(sim):
         try:
-            yield from engine.transfer("a", "b", 4096)
+            yield from engine.transfer("a", "b", 4096, telemetry.context())
         except RetryExhausted as exc:
             errors.append(exc)
 
     sim.spawn(workload(sim))
     sim.run()
     assert len(errors) == 1
-    assert engine.failed_transfers == 1
+    # The one transfer failed: its span closed abandoned, nothing counted.
+    (span,) = telemetry.spans
+    assert span.attrs["abandoned"] is True
+    assert span.attrs["error"] == "RetryExhausted"
+    assert engine.transfers_completed == 0
     # Hung attempts never acquired fabric links, so nothing is stuck.
     for link in fabric.path("a", "b")[0]:
         assert link.queue_length == 0
-        assert link._server.in_use == 0
+        assert link._slot.in_use == 0
 
 
 def test_dma_recovery_plumbing_costs_no_simulated_time_when_quiet():
@@ -328,10 +343,11 @@ def test_dma_recovery_plumbing_costs_no_simulated_time_when_quiet():
             engine_kwargs = dict(engine_kwargs)
             engine_kwargs["injector"] = engine_kwargs.pop("make_injector")(sim)
         engine = DMAEngine(sim, fabric, DMACosts(), **engine_kwargs)
+        ctx = Telemetry(sim).context()
         times = []
 
         def workload(sim):
-            t = yield from engine.transfer("a", "b", 1 << 20)
+            t = yield from engine.transfer("a", "b", 1 << 20, ctx)
             times.append(t)
 
         sim.spawn(workload(sim))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.interconnect import DMACosts, DMAEngine, Fabric, MB
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 
 def make_fabric(sim):
@@ -14,15 +15,21 @@ def make_fabric(sim):
     return fabric
 
 
+def root_ctx(sim):
+    """A run's root span context: every DMA records a span in one."""
+    return Telemetry(sim).context()
+
+
 def test_dma_charges_setup_and_completion():
     sim = Simulator()
     fabric = make_fabric(sim)
     costs = DMACosts(setup_s=5e-6, completion_interrupt_s=3e-6)
     dma = DMAEngine(sim, fabric, costs)
+    ctx = root_ctx(sim)
     elapsed = []
 
     def proc(sim):
-        t = yield from dma.transfer("a", "b", MB)
+        t = yield from dma.transfer("a", "b", MB, ctx)
         elapsed.append(t)
 
     sim.spawn(proc(sim))
@@ -36,11 +43,12 @@ def test_dma_overheads_can_be_waived_for_chained_descriptors():
     fabric = make_fabric(sim)
     costs = DMACosts(setup_s=5e-6, completion_interrupt_s=3e-6)
     dma = DMAEngine(sim, fabric, costs)
+    ctx = root_ctx(sim)
     elapsed = []
 
     def proc(sim):
         t = yield from dma.transfer(
-            "a", "b", MB, charge_setup=False, charge_completion=False
+            "a", "b", MB, ctx, charge_setup=False, charge_completion=False
         )
         elapsed.append(t)
 
@@ -53,10 +61,11 @@ def test_dma_statistics_accumulate():
     sim = Simulator()
     fabric = make_fabric(sim)
     dma = DMAEngine(sim, fabric)
+    ctx = root_ctx(sim)
 
     def proc(sim):
-        yield from dma.transfer("a", "b", MB)
-        yield from dma.transfer("b", "a", 2 * MB)
+        yield from dma.transfer("a", "b", MB, ctx)
+        yield from dma.transfer("b", "a", 2 * MB, ctx)
 
     sim.spawn(proc(sim))
     sim.run()
@@ -68,9 +77,10 @@ def test_negative_dma_size_rejected():
     sim = Simulator()
     fabric = make_fabric(sim)
     dma = DMAEngine(sim, fabric)
+    ctx = root_ctx(sim)
 
     def proc(sim):
-        yield from dma.transfer("a", "b", -1)
+        yield from dma.transfer("a", "b", -1, ctx)
 
     sim.spawn(proc(sim))
     with pytest.raises(ValueError):
@@ -86,10 +96,11 @@ def test_unloaded_latency_estimate_matches_simulation():
     sim = Simulator()
     fabric = make_fabric(sim)
     dma = DMAEngine(sim, fabric)
+    ctx = root_ctx(sim)
     got = []
 
     def proc(sim):
-        t = yield from dma.transfer("a", "b", 4 * MB)
+        t = yield from dma.transfer("a", "b", 4 * MB, ctx)
         got.append(t)
 
     sim.spawn(proc(sim))

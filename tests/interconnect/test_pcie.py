@@ -59,24 +59,6 @@ def test_negative_transfer_size_rejected():
         link.transfer_time(-1)
 
 
-def test_concurrent_transfers_queue_on_the_link():
-    sim = Simulator()
-    link = PCIeLink(sim, LinkConfig(propagation_latency_s=0.0))
-    ends = []
-
-    def mover(sim):
-        yield from link.transfer(8 * MB)
-        ends.append(sim.now)
-
-    sim.spawn(mover(sim))
-    sim.spawn(mover(sim))
-    sim.run()
-    single = link.transfer_time(8 * MB)
-    assert ends[0] == pytest.approx(single)
-    assert ends[1] == pytest.approx(2 * single)
-    assert link.bytes_moved == 16 * MB
-
-
 def test_wider_link_is_proportionally_faster():
     sim = Simulator()
     narrow = PCIeLink(sim, LinkConfig(lanes=4, propagation_latency_s=0.0))

@@ -152,6 +152,28 @@ def test_switch_latency_charged_per_hop():
     assert cross - same == pytest.approx(2 * link_prop + SWITCH_PORT_LATENCY_S)
 
 
+def test_concurrent_transfers_queue_on_the_link():
+    """Two transfers over one link: the second waits for the first."""
+    sim = Simulator()
+    fabric = Fabric(sim, LinkConfig(propagation_latency_s=0.0))
+    fabric.add_endpoint("a", fabric.root)
+    link = fabric.nodes["a"].uplink
+    ends = []
+
+    def mover(sim):
+        yield from fabric.transfer("a", "root", 8 * MB)
+        ends.append(sim.now)
+
+    sim.spawn(mover(sim))
+    sim.spawn(mover(sim))
+    sim.run()
+    single = link.transfer_time(8 * MB)
+    assert ends == [pytest.approx(single), pytest.approx(2 * single)]
+    assert link.bytes_moved == 16 * MB
+    assert link.queue_length == 0
+    assert link.utilization() == pytest.approx(1.0)
+
+
 def test_shared_upstream_link_contends():
     """Two cross-switch transfers serialize on the shared sw0 upstream."""
     sim = Simulator()

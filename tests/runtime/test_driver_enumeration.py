@@ -10,13 +10,16 @@ from repro.runtime import (
     enumerate_fabric,
 )
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 
 def make_model(sim=None, **cost_overrides):
+    """A notification model and the root span context its deliveries
+    record under."""
     sim = sim or Simulator()
     cpu = HostCPU(sim)
     costs = NotificationCosts(**cost_overrides)
-    return sim, NotificationModel(sim, cpu, costs)
+    return sim, NotificationModel(sim, cpu, costs), Telemetry(sim).context()
 
 
 def test_costs_validation():
@@ -27,12 +30,12 @@ def test_costs_validation():
 
 
 def test_sparse_notifications_take_full_interrupt_cost():
-    sim, model = make_model()
+    sim, model, ctx = make_model()
     charged = []
 
     def proc(sim):
         for _ in range(3):
-            cost = yield from model.notify("accel0")
+            cost = yield from model.notify("accel0", ctx)
             charged.append(cost)
             yield sim.timeout(1.0)  # slow arrival: no coalescing
 
@@ -44,12 +47,12 @@ def test_sparse_notifications_take_full_interrupt_cost():
 
 
 def test_burst_notifications_coalesce():
-    sim, model = make_model()
+    sim, model, ctx = make_model()
     charged = []
 
     def proc(sim):
         for _ in range(4):
-            cost = yield from model.notify("accel0")
+            cost = yield from model.notify("accel0", ctx)
             charged.append(cost)
             yield sim.timeout(1e-6)  # inside the coalescing window
 
@@ -60,11 +63,11 @@ def test_burst_notifications_coalesce():
 
 
 def test_sustained_high_rate_switches_to_polling():
-    sim, model = make_model()
+    sim, model, ctx = make_model()
 
     def proc(sim):
         for _ in range(64):
-            yield from model.notify("accel0")
+            yield from model.notify("accel0", ctx)
             yield sim.timeout(2e-6)  # 500 kHz >> 50 kHz threshold
 
     sim.spawn(proc(sim))
@@ -74,15 +77,15 @@ def test_sustained_high_rate_switches_to_polling():
 
 
 def test_polling_mode_exits_with_hysteresis():
-    sim, model = make_model()
+    sim, model, ctx = make_model()
 
     def proc(sim):
         for _ in range(64):
-            yield from model.notify("accel0")
+            yield from model.notify("accel0", ctx)
             yield sim.timeout(2e-6)
         # Rate collapses far below threshold/2.
         for _ in range(40):
-            yield from model.notify("accel0")
+            yield from model.notify("accel0", ctx)
             yield sim.timeout(0.01)
 
     sim.spawn(proc(sim))
@@ -91,16 +94,16 @@ def test_polling_mode_exits_with_hysteresis():
 
 
 def test_per_device_rate_tracking_is_independent():
-    sim, model = make_model()
+    sim, model, ctx = make_model()
 
     def fast(sim):
         for _ in range(64):
-            yield from model.notify("hot")
+            yield from model.notify("hot", ctx)
             yield sim.timeout(2e-6)
 
     def slow(sim):
         for _ in range(5):
-            yield from model.notify("cold")
+            yield from model.notify("cold", ctx)
             yield sim.timeout(0.5)
 
     sim.spawn(fast(sim))

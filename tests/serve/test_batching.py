@@ -117,7 +117,6 @@ def test_former_seals_on_size():
     batch = h.launched[0]
     assert batch.sealed_by == "size"
     assert [m.seq for m in batch.members] == [0, 1, 2]
-    assert h.former.sealed_by_size == 1
     assert not h.former.is_forming("app0")
 
 
@@ -128,9 +127,8 @@ def test_former_seals_on_window():
     assert not h.launched
     h.sim.run()
     assert h.sim.now == pytest.approx(5e-3)
-    assert len(h.launched) == 1
-    assert h.launched[0].sealed_by == "window"
-    assert h.former.sealed_by_window == 1
+    assert [batch.sealed_by for batch in h.launched] == ["window"]
+    assert not h.former.is_forming("app0")
 
 
 def test_former_terms_frozen_at_open():
@@ -148,7 +146,8 @@ def test_former_tracks_tenants_independently():
     h = FormerHarness()
     h.former.add(h.admitted(0, "app0"), max_batch=2, window_s=1.0)
     h.former.add(h.admitted(0, "app1"), max_batch=2, window_s=1.0)
-    assert h.former.forming_count() == 2
+    assert h.former.is_forming("app0") and h.former.is_forming("app1")
+    assert not h.launched
     h.former.add(h.admitted(1, "app0"), max_batch=2, window_s=1.0)
     assert len(h.launched) == 1
     assert h.launched[0].tenant == "app0"

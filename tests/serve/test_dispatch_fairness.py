@@ -89,7 +89,7 @@ def spec(name, **kwargs):
 
 
 def enqueue(frontend, tenant, n, start_seq=0):
-    tenant_spec = frontend._tenant_spec[tenant]
+    (tenant_spec,) = [t for t in frontend.tenants if t.name == tenant]
     for seq in range(start_seq, start_seq + n):
         frontend._queues[tenant].append(
             _Admitted(tenant_spec, frontend.sim.now, seq)

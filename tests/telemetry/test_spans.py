@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.telemetry import ROOT_PARENT, SpanContext, Telemetry
+from repro.telemetry import ROOT_PARENT, SpanContext, SpanStep, Telemetry
 from repro.telemetry.spans import Span, SpanTracker
 
 
@@ -134,6 +134,77 @@ def test_wrap_closes_span_on_interrupt():
     assert telemetry.tracker.open_count == 0
     (span,) = telemetry.spans
     assert span.abandoned and span.end == 1.0
+
+
+# -- SpanStep: one open/close lifecycle for every timed operation -----------
+
+
+def _step_run(body, **step_kwargs):
+    """Run ``body(step)`` under one ``ctx.step("op", "dma", "eng",
+    bytes=8)`` in a process; returns (telemetry, the step, the error
+    the block raised or None)."""
+    sim = Simulator()
+    telemetry = Telemetry(sim)
+    ctx = telemetry.context(telemetry.begin("root", "request"), 5)
+    seen = {"error": None}
+
+    def proc():
+        step = seen["step"] = ctx.step("op", "dma", "eng", **step_kwargs)
+        try:
+            with step as entered:
+                assert entered is step
+                yield from body(step)
+        except KeyError as exc:
+            seen["error"] = exc
+
+    sim.spawn(proc())
+    sim.run()
+    return telemetry, seen["step"], seen["error"]
+
+
+def test_step_opens_its_span_at_once_under_the_context():
+    sim = Simulator()
+    telemetry = Telemetry(sim)
+    root = telemetry.begin("root", "request")
+    step = telemetry.context(root, 5).step("op", "dma", "eng", bytes=8)
+    assert isinstance(step, SpanStep)
+    span = step.span
+    assert (span.name, span.category, span.actor, span.phase) == (
+        "op", "dma", "eng", ""
+    )
+    assert (span.parent_id, span.request_id) == (root.span_id, 5)
+    assert span.attrs == {"bytes": 8}
+    assert telemetry.tracker.open_count == 2
+
+
+@pytest.mark.parametrize("end_attrs", [None, {"queued_s": 0.5}])
+def test_a_clean_block_closes_the_span_with_its_end_attrs(end_attrs):
+    def body(step):
+        yield step.telemetry.sim.timeout(1.0)
+        step.end_attrs = end_attrs
+
+    telemetry, step, error = _step_run(body, bytes=8)
+    assert error is None
+    assert step.span.end == 1.0
+    assert step.span.attrs == {"bytes": 8, **(end_attrs or {})}
+    assert telemetry.tracker.open_count == 1  # the root only
+
+
+@pytest.mark.parametrize("errors", [True, False])
+def test_a_raising_block_closes_the_span_abandoned_and_reraises(errors):
+    def body(step):
+        yield step.telemetry.sim.timeout(2.0)
+        step.end_attrs = {"queued_s": 0.5}  # not used on a raise
+        raise KeyError("lost")
+
+    telemetry, step, error = _step_run(body, errors=errors, bytes=8)
+    assert isinstance(error, KeyError)
+    assert step.span.end == 2.0
+    expected = {"bytes": 8, "abandoned": True}
+    if errors:
+        expected["error"] = "KeyError"
+    assert list(step.span.attrs.items()) == list(expected.items())
+    assert telemetry.tracker.open_count == 1
 
 
 # -- mark_abandoned: differential oracle against the child-index walk ----------

@@ -22,9 +22,10 @@ legs through batch formation and the all-backend planner) and one tiny
   unit), and the unarmed static route never walks its ranking;
 * an armed static route over healthy units asks each leg's breaker
   once and never builds a leg for a sibling unit;
-* a leg step (phase span plus phase booking) is a context manager, not
-  a generator, so no step adds a frame to the ``yield from`` chain a
-  resume passes through; the resumes and events per run stay pinned;
+* a leg step (phase span plus phase booking) and the span step around
+  a motion stage or a DMA are context managers, not generators, so no
+  step adds a frame to the ``yield from`` chain a resume passes
+  through; the resumes and events per run stay pinned;
 * on a small crash-and-revive run's artifact, the writer builds no
   JSON encoder per line, the loader calls ``json.loads`` on no line the
   writer wrote, and neither side holds the whole file: each one's
@@ -361,12 +362,11 @@ RESUMES = {
 
 #: The deepest ``yield from`` chain any of those resumes passes through,
 #: the process's own generator included: ``submit_batch``, ``_request``,
-#: ``_motion``, ``_motion_body``, the leg (``_guarded_leg`` and
-#: ``_drx_motion``, or ``_multi_axl_motion`` and ``_host_staged``), then
-#: the DMA engine's ``transfer``, ``_transfer`` and ``_attempt`` and the
-#: fabric's ``transfer``. A phase step that ran as a generator added one
-#: more (11).
-MAX_RESUME_DEPTH = 10
+#: ``_motion``, the leg (``_guarded_leg`` and ``_drx_motion``, or
+#: ``_multi_axl_motion`` and ``_host_staged``), then the DMA engine's
+#: ``transfer`` and ``_attempt`` and the fabric's ``transfer``. Span
+#: steps and phase steps are context managers and add no frame.
+MAX_RESUME_DEPTH = 8
 
 
 @pytest.mark.parametrize("mode,count", sorted(
