@@ -89,8 +89,10 @@ class CollectiveSystem:
     """
 
     def __init__(self, n_accelerators: int, config: SystemConfig):
-        if n_accelerators < 2:
-            raise ValueError("collectives need at least two accelerators")
+        if not n_accelerators >= 2:
+            raise ValueError(
+                f"n_accelerators must be >= 2 (not NaN), got {n_accelerators}"
+            )
         if config.mode not in (Mode.MULTI_AXL, Mode.BUMP_IN_WIRE):
             raise ValueError("collectives are modeled for Multi-Axl and BITW")
         self.config = config
@@ -255,7 +257,8 @@ class CollectiveSystem:
     # -- entry point ------------------------------------------------------------
 
     def run(self, operation: str, nbytes: int) -> CollectiveResult:
-        """Execute one collective; returns its latency."""
+        """Execute one collective; returns its latency, from the instant
+        this run starts (a system may run several, one after another)."""
         table = {
             ("broadcast", Mode.MULTI_AXL): self._broadcast_baseline,
             ("broadcast", Mode.BUMP_IN_WIRE): self._broadcast_dmx,
@@ -265,11 +268,12 @@ class CollectiveSystem:
         key = (operation, self.config.mode)
         if key not in table:
             raise ValueError(f"unsupported collective {operation!r}")
+        start = self.sim.now
         self.sim.spawn(table[key](nbytes))
         self.sim.run()
         return CollectiveResult(
             operation=operation,
             mode=self.config.mode,
             n_accelerators=self.n,
-            latency_s=self.sim.now,
+            latency_s=self.sim.now - start,
         )

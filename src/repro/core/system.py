@@ -35,11 +35,12 @@ from ..faults import (
 )
 from ..faults.recovery import shielded
 from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
+from ..interconnect.dma import ROUTE_NAMES
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
 from ..sim import AllOf, PhaseAccumulator, Simulator, WaitTimeout
 from ..telemetry import SpanContext, SpanStep, Telemetry
-from ..telemetry.spans import batch_attrs
+from ..telemetry.spans import SpanNames, batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
 from .placement import Mode, SystemConfig, drx_config_for
 
@@ -100,6 +101,11 @@ HOST_STAGING_BYTES_PER_S = 25e9
 # through the on-chip scratchpads so only the stage's real input/output
 # touch DRAM. Toggled off by the fusion ablation study.
 SCRATCHPAD_FUSION = True
+
+
+_KERNEL_NAMES = SpanNames("kernel{}")
+_MOTION_NAMES = SpanNames("motion{}")
+_ATTEMPT_NAMES = SpanNames("{}-attempt")
 
 
 @dataclass
@@ -625,7 +631,7 @@ class DMXSystem:
         nbytes *= count
         dma = self.dma.transfer(
             src, dst, nbytes,
-            on_retry=self._retry_cb(state, "dma", f"{src}->{dst}"),
+            on_retry=self._retry_cb(state, "dma", ROUTE_NAMES[src, dst]),
             ctx=ctx, descriptors=count,
         )
         if src != "root" and dst != "root":
@@ -907,8 +913,8 @@ class DMXSystem:
         dst = self.accel_name(app_index, kernel_index + 1)
         threads = stage.cpu_threads
         with rctx.step(
-            f"motion{kernel_index}", "stage", errors=False, src=src, dst=dst,
-            **batch_attrs(count),
+            _MOTION_NAMES[kernel_index], "stage", errors=False,
+            src=src, dst=dst, **batch_attrs(count),
         ) as step:
             sctx = rctx.child(step.span)
             if mode == Mode.ALL_CPU:
@@ -1026,7 +1032,7 @@ class DMXSystem:
             else None
         )
         attempt = sctx.begin(
-            f"{site}-attempt", "attempt", deadline_s=deadline_s,
+            _ATTEMPT_NAMES[site], "attempt", deadline_s=deadline_s,
             **batch_attrs(count),
             **({"breaker_probe": True} if probe else {}),
         )
@@ -1200,7 +1206,7 @@ class DMXSystem:
                         )
                         for _, _, mctx in members:
                             with self._phase(
-                                phases, mctx, f"kernel{kernel_index}",
+                                phases, mctx, _KERNEL_NAMES[kernel_index],
                                 PHASE_KERNEL, actor="cpu", threads=threads,
                             ):
                                 yield from self.cpu.run_kernel(
@@ -1213,7 +1219,7 @@ class DMXSystem:
                         ]
                         for st, _, mctx in members:
                             with self._phase(
-                                phases, mctx, f"kernel{kernel_index}",
+                                phases, mctx, _KERNEL_NAMES[kernel_index],
                                 PHASE_KERNEL, actor=device.name,
                             ):
                                 yield from (

@@ -23,12 +23,17 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 from ..faults.injector import FaultInjector
 from ..faults.recovery import RetryPolicy, retry
 from ..sim import Simulator
+from ..telemetry.spans import SpanNames
 from .topology import Fabric
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
 
-__all__ = ["DMACosts", "DMAEngine"]
+__all__ = ["DMACosts", "DMAEngine", "ROUTE_NAMES"]
+
+#: ``"src->dst"`` for each ``(src, dst)``: the span name of every transfer
+#: on that route, and the actor of its retry notes.
+ROUTE_NAMES = SpanNames("{0[0]}->{0[1]}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +174,12 @@ class DMAEngine:
             raise ValueError(f"negative DMA size: {nbytes}")
         if descriptors < 1:
             raise ValueError(f"DMA needs descriptors >= 1: {descriptors}")
+        route = ROUTE_NAMES[src, dst]
         if descriptors == 1:
-            step = ctx.step(f"{src}->{dst}", "dma", self.name, bytes=nbytes)
+            step = ctx.step(route, "dma", self.name, bytes=nbytes)
         else:
             step = ctx.step(
-                f"{src}->{dst}", "dma", self.name, bytes=nbytes,
+                route, "dma", self.name, bytes=nbytes,
                 descriptors=descriptors,
             )
         with step:
@@ -193,7 +199,7 @@ class DMAEngine:
                     self.retry_policy or RetryPolicy(),
                     timeout_s=self.timeout_s,
                     on_attempt_failed=on_retry,
-                    what=f"{self.name}:{src}->{dst}",
+                    what=f"{self.name}:{route}",
                 )
             self.transfers_completed += 1
             self.bytes_transferred += nbytes

@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "batching": ("BatchingConfig", "BatchFormer", "FormingBatch"),
     "slo": (
         "DEFAULT_QUANTILES", "P2Quantile", "LatencyTracker", "TenantStats",
-        "QueueSample", "ServeResult",
+        "QueueSample", "QueueTimeline", "ServeResult",
     ),
     "sweep": (
         "SweepConfig", "SweepPoint", "SweepResult", "run_sweep",

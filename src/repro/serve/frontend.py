@@ -61,7 +61,7 @@ from ..resilience.brownout import SHED_MAX_PRIORITY, BrownoutConfig, \
 from ..sim import Event
 from .arrivals import ArrivalProcess
 from .batching import BatchFormer, BatchingConfig, FormingBatch
-from .slo import LatencyTracker, QueueSample, ServeResult, TenantStats
+from .slo import LatencyTracker, QueueTimeline, ServeResult, TenantStats
 
 __all__ = [
     "ShedPolicy",
@@ -794,7 +794,7 @@ class ServingFrontend:
 
     def _sampler_loop(self, period: float) -> Generator:
         # The occupancy timeline lives in the metrics registry;
-        # ``ServeResult.timeline`` is rebuilt from these gauges.
+        # ``ServeResult.timeline`` is a view over these gauges.
         registry = self.telemetry.metrics
         inflight_gauge = registry.gauge("inflight")
         queue_gauges = {
@@ -808,28 +808,16 @@ class ServingFrontend:
             inflight_gauge.sample(now, self._inflight)
             yield self.sim.timeout(period)
 
-    def _build_timeline(self) -> List[QueueSample]:
-        """Reconstruct the legacy per-sample timeline from the gauges."""
+    def _build_timeline(self) -> QueueTimeline:
+        """The per-sample timeline, as a view over the sampler's gauges."""
         if self.config.sample_period_s is None:
-            return []
+            return QueueTimeline((), (), {})
         registry = self.telemetry.metrics
-        per_tenant = {
-            name: registry.gauge("queue_depth", tenant=name).samples
+        inflight = registry.gauge("inflight")
+        return QueueTimeline(inflight.times, inflight.values, {
+            name: registry.gauge("queue_depth", tenant=name).values
             for name in self._queues
-        }
-        return [
-            QueueSample(
-                time=time,
-                queued={
-                    name: int(samples[i][1])
-                    for name, samples in per_tenant.items()
-                },
-                inflight=int(value),
-            )
-            for i, (time, value) in enumerate(
-                registry.gauge("inflight").samples
-            )
-        ]
+        })
 
     # -- the run -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ stays as a standalone estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.tracing import exact_percentile as _exact_percentile
 from ..telemetry.metrics import time_weighted_mean
@@ -36,6 +36,7 @@ __all__ = [
     "LatencyTracker",
     "TenantStats",
     "QueueSample",
+    "QueueTimeline",
     "ServeResult",
     "DEFAULT_QUANTILES",
 ]
@@ -260,6 +261,50 @@ class QueueSample:
         return sum(self.queued.values())
 
 
+class QueueTimeline(Sequence[QueueSample]):
+    """A serving run's occupancy samples, read from the sampler's gauges.
+
+    A read-only view over the ``inflight`` gauge's time and value
+    columns and each tenant's ``queue_depth`` value column: reading an
+    item builds its :class:`QueueSample`, and nothing else does.
+    """
+
+    __slots__ = ("times", "_inflight", "_queued")
+
+    def __init__(
+        self,
+        times: Sequence[float],
+        inflight: Sequence[float],
+        queued: Dict[str, Sequence[float]],
+    ) -> None:
+        self.times = times
+        self._inflight = inflight
+        self._queued = queued
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return QueueSample(
+            time=self.times[index],
+            queued={
+                name: int(depths[index])
+                for name, depths in self._queued.items()
+            },
+            inflight=int(self._inflight[index]),
+        )
+
+    def totals(self) -> List[int]:
+        """Each sample's :attr:`QueueSample.total_queued`."""
+        if not self._queued:
+            return [0] * len(self.times)
+        return [
+            sum(map(int, depths)) for depths in zip(*self._queued.values())
+        ]
+
+
 @dataclass
 class ServeResult:
     """Everything one serving run produced.
@@ -270,7 +315,7 @@ class ServeResult:
 
     tenants: Dict[str, TenantStats]
     latency: LatencyTracker
-    timeline: List[QueueSample]
+    timeline: QueueTimeline
     elapsed: float
     slo_s: Optional[float] = None
     #: Per-request service records from the fronted system (arrival order).
@@ -343,9 +388,8 @@ class ServeResult:
         return (self.completed - self.failed - self.violations) / self.elapsed
 
     def max_queue_depth(self) -> int:
-        if not self.timeline:
-            return 0
-        return max(s.total_queued for s in self.timeline)
+        totals = self.timeline.totals()
+        return max(totals) if totals else 0
 
     def mean_queue_depth(self) -> float:
         """Time-weighted mean total queue depth over the run.
@@ -356,18 +400,21 @@ class ServeResult:
         don't bias the mean toward densely-sampled intervals. The old
         unweighted average remains as :meth:`mean_sampled_queue_depth`.
         """
-        if not self.timeline:
+        timeline = self.timeline
+        totals = timeline.totals()
+        if not totals:
             return 0.0
         return time_weighted_mean(
-            [(s.time, float(s.total_queued)) for s in self.timeline],
+            [(t, float(total)) for t, total in zip(timeline.times, totals)],
             end=self.elapsed,
         )
 
     def mean_sampled_queue_depth(self) -> float:
         """Unweighted mean over samples (biased under uneven spacing)."""
-        if not self.timeline:
+        totals = self.timeline.totals()
+        if not totals:
             return 0.0
-        return sum(s.total_queued for s in self.timeline) / len(self.timeline)
+        return sum(totals) / len(totals)
 
     def to_dict(self) -> Dict[str, object]:
         """Deterministic summary (stable key order, raw floats)."""

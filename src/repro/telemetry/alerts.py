@@ -29,6 +29,7 @@ so arming the engine cannot perturb the run it observes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rollup import RollupConfig, RunRollups, compute_rollups
@@ -251,34 +252,34 @@ def evaluate_alerts(
         return indexed["requests"], indexed["clients"], indexed["control"]
 
     events: List[AlertEvent] = []
-    for tenant in rollups.keys("tenant"):
-        windows = rollups.for_key("tenant", tenant)
-        completed = [int(x.stats.get("completed", 0)) for x in windows]
-        violations = [int(x.stats.get("violations", 0)) for x in windows]
+    for tenant, windows in rollups.by_key("tenant").items():
         # prefix sums: sliding-window totals in O(1) per window (integer
         # arithmetic, so identical to summing the slices)
-        cum_c, cum_v = [0], [0]
-        for c, v in zip(completed, violations):
-            cum_c.append(cum_c[-1] + c)
-            cum_v.append(cum_v[-1] + v)
+        cum_c = [0, *accumulate(
+            int(x.stats.get("completed", 0)) for x in windows
+        )]
+        cum_v = [0, *accumulate(
+            int(x.stats.get("violations", 0)) for x in windows
+        )]
         active = False
         calm = 0
         for i, cell in enumerate(windows):
             fast_lo = max(0, i - cfg.fast_windows + 1)
             fast_c = cum_c[i + 1] - cum_c[fast_lo]
             fast_v = cum_v[i + 1] - cum_v[fast_lo]
+            fast_burn = (fast_v / fast_c / cfg.budget) if fast_c else 0.0
             slow_lo = max(0, i - cfg.slow_windows + 1)
             slow_c = cum_c[i + 1] - cum_c[slow_lo]
+            # Quiet windows, the common case, stop here: no slow burn to
+            # price when the slow window is too thin or the fast one calm.
+            if not active and not (
+                slow_c >= cfg.min_count and fast_burn >= cfg.fast_burn
+            ):
+                continue
             slow_v = cum_v[i + 1] - cum_v[slow_lo]
-            fast_burn = (fast_v / fast_c / cfg.budget) if fast_c else 0.0
             slow_burn = (slow_v / slow_c / cfg.budget) if slow_c else 0.0
-            breaching = (
-                slow_c >= cfg.min_count
-                and fast_burn >= cfg.fast_burn
-                and slow_burn >= cfg.slow_burn
-            )
             if not active:
-                if not breaching:
+                if not slow_burn >= cfg.slow_burn:
                     continue
                 active, calm = True, 0
                 span_s = (i + 1 - slow_lo) * w

@@ -179,7 +179,7 @@ def artifact_lines(
             "kind": "gauge",
             "name": gauge.name,
             "labels": dict(gauge.labels),
-            "samples": [[t, v] for t, v in gauge.samples],
+            "samples": [[t, v] for t, v in zip(gauge.times, gauge.values)],
         })
     for hist in telemetry.metrics.histograms():
         yield _dumps({
@@ -318,6 +318,34 @@ def load_artifact(path: str) -> RunArtifact:
     """
     from .alerts import AlertEvent
 
+    # One object per repeated value, for this load only. A memo never
+    # mixes types: ``1``, ``1.0`` and ``True`` are equal keys, and so
+    # are ``0.0`` and ``-0.0``, so strings are memoized only as ``str``,
+    # ids only as ``int`` and times and values only as ``float`` above
+    # zero (no signed zero, no NaN). Plain dicts rather than
+    # ``sys.intern``, whose table is the whole process's (and never
+    # frees an entry on CPython 3.12), so nothing is kept once the load
+    # returns.
+    strs: Dict[str, str] = {}
+    ids: Dict[int, int] = {}
+    reals: Dict[float, float] = {}
+
+    def text(value: Any) -> Any:
+        return strs.setdefault(value, value) if type(value) is str else value
+
+    def ident(value: Any) -> Any:
+        return ids.setdefault(value, value) if type(value) is int else value
+
+    def real(value: Any) -> Any:
+        if type(value) is float and value > 0.0:
+            return reals.setdefault(value, value)
+        return value
+
+    def bag(attrs: Any) -> Any:
+        if type(attrs) is not dict or not attrs:
+            return attrs
+        return {strs.setdefault(k, k): text(v) for k, v in attrs.items()}
+
     artifact: Optional[RunArtifact] = None
     rollup_rows: List[RollupWindow] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -343,15 +371,15 @@ def load_artifact(path: str) -> RunArtifact:
                 continue
             if kind == "span":
                 artifact.spans.append(Span(
-                    row["id"], row["parent"], row["req"], row["name"],
-                    row["cat"], row["actor"], row["phase"], row["start"],
-                    row["end"], row["attrs"],
+                    row["id"], ident(row["parent"]), ident(row["req"]),
+                    text(row["name"]), text(row["cat"]), text(row["actor"]),
+                    text(row["phase"]), real(row["start"]), real(row["end"]),
+                    bag(row["attrs"]),
                 ))
             elif kind == "instant":
                 artifact.instants.append(Instant(
-                    time=row["time"], name=row["name"], category=row["cat"],
-                    actor=row["actor"], request_id=row["req"],
-                    attrs=row["attrs"],
+                    real(row["time"]), text(row["name"]), text(row["cat"]),
+                    text(row["actor"]), ident(row["req"]), bag(row["attrs"]),
                 ))
             elif kind == "counter":
                 artifact.counters[
@@ -359,7 +387,7 @@ def load_artifact(path: str) -> RunArtifact:
                 ] = row["value"]
             elif kind == "gauge":
                 artifact.gauges[(row["name"], _label_key(row["labels"]))] = [
-                    (t, v) for t, v in row["samples"]
+                    (real(t), real(v)) for t, v in row["samples"]
                 ]
             elif kind == "histogram":
                 hist = Histogram(
@@ -374,7 +402,12 @@ def load_artifact(path: str) -> RunArtifact:
                     k: v for k, v in row.items() if k != "kind"
                 }
             elif kind == "rollup":
-                rollup_rows.append(RollupWindow.from_row(row))
+                rollup_rows.append(RollupWindow.from_row({
+                    **row,
+                    "scope": text(row["scope"]), "key": text(row["key"]),
+                    "start": real(row["start"]), "end": real(row["end"]),
+                    "stats": bag(row["stats"]),
+                }))
             elif kind == "alert":
                 artifact.alerts.append(AlertEvent.from_row(row))
             elif kind == "meta":

@@ -19,6 +19,7 @@ produce byte-identical metric dumps.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -81,34 +82,49 @@ class Counter:
 
 
 class Gauge:
-    """A sampled time series on the simulation clock."""
+    """A sampled time series on the simulation clock.
 
-    __slots__ = ("name", "labels", "samples")
+    Samples are kept as two columns: :attr:`times`, the sim-clock times
+    as they were given, and :attr:`values`, an ``array('d')`` of the
+    values (each one a ``float`` already, so the array holds it
+    exactly). A run samples its gauges thousands of times, and a pair
+    of columns holds no tuple and no float object per value.
+    """
+
+    __slots__ = ("name", "labels", "times", "values")
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...]):
         self.name = name
         self.labels = labels
-        self.samples: List[Tuple[float, float]] = []
+        self.times: List[float] = []
+        self.values = array("d")
 
     def sample(self, time: float, value: float) -> None:
         value = float(value)
         if math.isnan(value):
             raise ValueError(f"gauge {self.name}: sample value is NaN")
-        if not time >= (self.samples[-1][0] if self.samples else -math.inf):
+        times = self.times
+        if not time >= (times[-1] if times else -math.inf):
             raise ValueError(
                 f"gauge {self.name}: sample time moved backwards or is NaN"
             )
-        self.samples.append((time, value))
+        times.append(time)
+        self.values.append(value)
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """``(time, value)`` pairs, built on each read."""
+        return list(zip(self.times, self.values))
 
     def last(self) -> float:
-        if not self.samples:
+        if not self.values:
             raise ValueError(f"gauge {self.name}: no samples")
-        return self.samples[-1][1]
+        return self.values[-1]
 
     def max(self) -> float:
-        if not self.samples:
+        if not self.values:
             raise ValueError(f"gauge {self.name}: no samples")
-        return max(v for _, v in self.samples)
+        return max(self.values)
 
     def time_weighted_mean(self, end: Optional[float] = None) -> float:
         return time_weighted_mean(self.samples, end=end)

@@ -33,7 +33,10 @@ from sim-time quantities — equal-seed runs roll up byte-identically.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.tracing import exact_percentile
@@ -54,9 +57,11 @@ _SITE_PHASES = frozenset(
     ("kernel", "restructuring", "movement", "control", "recovery")
 )
 
-#: Scopes in the order their windows are emitted: ``(scope, key,
-#: window)`` order, so the pass needs no final sort.
-_SCOPES = ("backend", "site", "tenant")
+#: One gauge's labels, sample times and sample values.
+_Series = Tuple[Tuple[Tuple[str, str], ...], Sequence[float], Sequence[float]]
+
+#: The ``(times, values)`` of a key with no gauge.
+_NO_SERIES: Tuple[Sequence[float], Sequence[float]] = ((), ())
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,18 @@ class RunRollups:
             key=lambda w: w.window,
         )
 
+    def by_key(self, scope: str) -> Dict[str, List[RollupWindow]]:
+        """Every key of a scope, sorted, with its windows in ascending
+        window order: :meth:`keys` and :meth:`for_key` in one pass."""
+        groups: Dict[str, List[RollupWindow]] = defaultdict(list)
+        for w in self.windows:
+            if w.scope == scope:
+                groups[w.key].append(w)
+        return {
+            key: sorted(groups[key], key=attrgetter("window"))
+            for key in sorted(groups)
+        }
+
     def series(
         self, scope: str, key: str, stat: str
     ) -> List[Tuple[float, float]]:
@@ -154,19 +171,18 @@ class RunRollups:
 # -- source access (Telemetry or RunArtifact, duck-typed) ----------------------
 
 
-def _gauge_series(
-    source, name: str
-) -> List[Tuple[Tuple[Tuple[str, str], ...], List[Tuple[float, float]]]]:
-    """Every ``(labels, samples)`` of gauge ``name`` in the source."""
+def _gauge_series(source, name: str) -> List[_Series]:
+    """Every ``(labels, times, values)`` of gauge ``name`` in the source:
+    a live gauge's own columns, or a loaded artifact's samples split."""
     metrics = getattr(source, "metrics", None)
     if metrics is not None:  # a live Telemetry
         return [
-            (g.labels, list(g.samples))
+            (g.labels, g.times, g.values)
             for g in metrics.gauges()
             if g.name == name
         ]
     return [  # a loaded RunArtifact
-        (key[1], list(samples))
+        (key[1], [t for t, _ in samples], [v for _, v in samples])
         for key, samples in source.gauges.items()
         if key[0] == name
     ]
@@ -218,51 +234,60 @@ def _window_bounds(w: float, n_windows: int) -> List[float]:
 
 
 def _carry_windows(
-    samples: Sequence[Tuple[float, float]], w: float, n_windows: int
+    times: Sequence[float], values: Sequence[float], bounds: Sequence[float]
 ) -> List[Optional[Tuple[float, float]]]:
-    """:func:`_carry_window` for every window of the run, in one pass.
+    """:func:`_carry_window` for every window of the run (window ``i`` is
+    ``[bounds[i], bounds[i + 1])``), in one pass over a gauge's time and
+    value columns.
 
-    Time-sorted samples are consumed by an advancing cursor instead of
-    rescanned per window, and each sample is read once: the value a
-    window ends on is the value carried into the next. The whole run
-    costs O(samples + windows) rather than O(samples x windows). The
-    per-window arithmetic is the exact operation sequence of
-    :func:`_carry_window` — equal floats, byte-identical rollup rows.
+    Each time-sorted sample is read once, and the value a window ends on
+    is the value carried into the next, so the whole run costs
+    O(samples + windows) rather than O(samples x windows). A sample
+    before the first window only sets the carried value; one past the
+    last window is never reached. The per-window arithmetic is the exact
+    operation sequence of :func:`_carry_window` — equal floats,
+    byte-identical rollup rows.
     """
+    n_windows = len(bounds) - 1
     out: List[Optional[Tuple[float, float]]] = [None] * n_windows
-    if not samples:
-        return out
-    bounds = _window_bounds(w, n_windows)
-    n = len(samples)
-    idx = 0
-    prev: Optional[float] = None
-    for i in range(n_windows):
-        start = bounds[i]
-        end = bounds[i + 1]
-        while idx < n and samples[idx][0] < start:
-            prev = samples[idx][1]
-            idx += 1
-        if prev is None:
-            if idx >= n or samples[idx][0] >= end:
-                continue
-            first = samples[idx][1]
-        else:
-            first = prev
-        total = 0.0
-        peak = first
-        cursor, value = start, first
-        while idx < n:
-            t, v = samples[idx]
-            if not t < end:
-                break
-            total += value * (t - cursor)
-            cursor, value = t, v
-            if v > peak:
-                peak = v
-            idx += 1
+    i = 0
+    cursor = start = bounds[0]
+    end = bounds[1]
+    # The value in force at ``cursor``; None until a sample is seen.
+    value: Optional[float] = None
+    total = 0.0
+    peak = value
+    for t, v in zip(times, values):
+        if t < start:
+            value = peak = v
+            continue
+        while not t < end:
+            if value is not None:
+                total += value * (end - cursor)
+                out[i] = (total / (end - start), peak)
+            i += 1
+            if i == n_windows:
+                return out
+            cursor = start = bounds[i]
+            end = bounds[i + 1]
+            total = 0.0
+            peak = value
+        if value is None:
+            value = peak = v
+        total += value * (t - cursor)
+        cursor, value = t, v
+        if v > peak:
+            peak = v
+    while value is not None:
         total += value * (end - cursor)
         out[i] = (total / (end - start), peak)
-        prev = value
+        i += 1
+        if i == n_windows:
+            break
+        cursor = start = bounds[i]
+        end = bounds[i + 1]
+        total = 0.0
+        peak = value
     return out
 
 
@@ -276,7 +301,7 @@ def _span_overlap(span: Span, start: float, end: float) -> float:
 
 
 def _busy_windows(
-    spans_here: Sequence[Span], w: float, n_windows: int
+    spans_here: Sequence[Span], w: float, bounds: Sequence[float]
 ) -> Tuple[List[float], List[int]]:
     """Per-window ``(busy seconds, landed legs)`` in one pass over spans.
 
@@ -288,9 +313,9 @@ def _busy_windows(
     operand order, so the same floats — because a call per span per
     window was most of this pass's cost.
     """
+    n_windows = len(bounds) - 1
     busy = [0.0] * n_windows
     legs = [0] * n_windows
-    bounds = _window_bounds(w, n_windows)
     for span in spans_here:
         # Span times can be NumPy scalars; float() is exact and keeps
         # the arithmetic below on (much cheaper) Python floats.
@@ -312,6 +337,17 @@ def _busy_windows(
         if 0 <= land < n_windows:
             legs[land] += 1
     return busy, legs
+
+
+def _busy_cells(
+    spans_here: Sequence[Span], w: float, bounds: Sequence[float]
+) -> List[Dict[str, object]]:
+    """Each window's ``busy_s``, ``utilization`` and ``legs`` stats."""
+    busy, legs = _busy_windows(spans_here, w, bounds)
+    return [
+        {"busy_s": b, "utilization": b / w, "legs": n}
+        for b, n in zip(busy, legs)
+    ]
 
 
 def compute_rollups(
@@ -343,9 +379,9 @@ def compute_rollups(
     # scope groupings (the stream is the big input — rescanning it per
     # scope dominated large runs).
     horizon = 0.0
-    clients: Dict[str, List[Span]] = {}
-    site_spans: Dict[str, List[Span]] = {}
-    backend_spans: Dict[str, List[Span]] = {}
+    clients: Dict[str, List[Span]] = defaultdict(list)
+    site_spans: Dict[str, List[Span]] = defaultdict(list)
+    backend_spans: Dict[str, List[Span]] = defaultdict(list)
     for span in spans:
         end = span.end
         if end is None:
@@ -354,59 +390,124 @@ def compute_rollups(
             horizon = end
         category = span.category
         if category == "client":
-            tenant = str(span.attrs.get("tenant") or span.actor)
-            clients.setdefault(tenant, []).append(span)
+            clients[str(span.attrs.get("tenant") or span.actor)].append(span)
         elif span.phase in _SITE_PHASES and span.actor and \
                 category != "batch":
-            site_spans.setdefault(span.actor, []).append(span)
+            site_spans[span.actor].append(span)
         if category == "stage":
             backend = span.attrs.get("backend")
             if backend:
-                backend_spans.setdefault(str(backend), []).append(span)
+                backend_spans[str(backend)].append(span)
     for inst in instants:
         if inst.time > horizon:
             horizon = inst.time
     queue_gauges = _gauge_series(source, "queue_depth")
     health_gauges = _gauge_series(source, "health_score")
     planner_gauges = _gauge_series(source, "planner_queue_depth")
-    for _, samples in (*queue_gauges, *health_gauges, *planner_gauges):
-        if samples and samples[-1][0] > horizon:
-            horizon = samples[-1][0]
+    for _, times, _ in (*queue_gauges, *health_gauges, *planner_gauges):
+        if times and times[-1] > horizon:
+            horizon = times[-1]
     n_windows = int(horizon // w) + 1 if horizon > 0 else 1
 
     rollups = RunRollups(window_s=w, quantiles=cfg.quantiles, slo_s=slo_s)
-    by_scope: Dict[str, List[RollupWindow]] = {scope: [] for scope in _SCOPES}
     qlabels = [(q, f"p{round(q * 100)}_s") for q in cfg.quantiles]
-    edges = [(i * w, (i + 1) * w) for i in range(n_windows)]
+    bounds = _window_bounds(w, n_windows)
+    ends = bounds[1:]
+
+    def emit(scope: str, key: str, cells: List[Dict[str, object]]) -> None:
+        # Window i is [bounds[i], bounds[i + 1]). Scopes are emitted
+        # backend, site, tenant, with keys sorted within each, so the
+        # windows need no final (scope, key, window) sort.
+        rollups.windows.extend(map(
+            RollupWindow, repeat(scope), repeat(key), range(n_windows),
+            bounds, ends, cells,
+        ))
+
+    # -- backend scope (planner kinds) ---------------------------------------
+    backend_queue = {
+        _label(labels, "backend"): (times, values)
+        for labels, times, values in planner_gauges
+        if _label(labels, "backend") is not None
+    }
+    for backend in sorted({*backend_spans, *backend_queue}):
+        cells = _busy_cells(backend_spans.get(backend, ()), w, bounds)
+        depths = _carry_windows(
+            *backend_queue.get(backend, _NO_SERIES), bounds
+        )
+        for stats, depth in zip(cells, depths):
+            if depth is not None:
+                stats["queue_depth_mean"], stats["queue_depth_max"] = depth
+        emit("backend", backend, cells)
+
+    # -- site scope (executors: DRX units, cpu fallback, accelerators) -------
+    site_health = {
+        _label(labels, "target"): (times, values)
+        for labels, times, values in health_gauges
+        if _label(labels, "target") is not None
+    }
+    breaker_events: Dict[str, List[Tuple[float, str]]] = {}
+    for inst in instants:
+        if inst.category == "breaker" and inst.name.startswith("breaker_"):
+            state = str(
+                inst.attrs.get("state") or inst.name[len("breaker_"):]
+            )
+            if state != "reroute":
+                breaker_events.setdefault(inst.actor, []).append(
+                    (inst.time, state)
+                )
+    for site in sorted({*site_spans, *site_health, *breaker_events}):
+        cells = _busy_cells(site_spans.get(site, ()), w, bounds)
+        health = site_health.get(site)
+        if health is not None:
+            # The last health sample at or before each window's end.
+            htimes, hvalues = health
+            hidx, hlast = 0, None
+            for stats, end in zip(cells, ends):
+                while hidx < len(htimes) and htimes[hidx] <= end:
+                    hlast = hvalues[hidx]
+                    hidx += 1
+                if hlast is not None:
+                    stats["health"] = hlast
+        transitions = breaker_events.get(site)
+        if transitions:
+            # The breaker state after the last transition at or before
+            # each window's end.
+            tidx, state = 0, "closed"
+            for stats, end in zip(cells, ends):
+                while tidx < len(transitions) and transitions[tidx][0] <= end:
+                    state = transitions[tidx][1]
+                    tidx += 1
+                stats["breaker_state"] = state
+        emit("site", site, cells)
 
     # -- tenant scope --------------------------------------------------------
     tenant_queue = {
-        _label(labels, "tenant"): samples
-        for labels, samples in queue_gauges
+        _label(labels, "tenant"): (times, values)
+        for labels, times, values in queue_gauges
         if _label(labels, "tenant") is not None
     }
     sheds: Dict[str, List[float]] = {}
     for inst in instants:
         if inst.category == "admission" and inst.name in _SHED_NAMES:
             sheds.setdefault(inst.actor, []).append(inst.time)
-    tenants = sorted({*clients, *tenant_queue, *sheds})
-
-    emit = by_scope["tenant"].append
-    for tenant in tenants:
-        by_window: Dict[int, List[Span]] = {}
+    for tenant in sorted({*clients, *tenant_queue, *sheds}):
+        by_window: Dict[int, List[Span]] = defaultdict(list)
         for span in clients.get(tenant, ()):
-            by_window.setdefault(int(span.end // w), []).append(span)
+            by_window[int(span.end // w)].append(span)
         shed_by_window: Dict[int, int] = {}
         for t in sheds.get(tenant, ()):
             i = int(t // w)
             shed_by_window[i] = shed_by_window.get(i, 0) + 1
-        depths = _carry_windows(tenant_queue.get(tenant, ()), w, n_windows)
-        for i, (start, end) in enumerate(edges):
+        depths = _carry_windows(
+            *tenant_queue.get(tenant, _NO_SERIES), bounds
+        )
+        cells = []
+        for i, depth in enumerate(depths):
             members = by_window.get(i, ())
             failed = violations = 0
             latencies = []
             for s in members:
-                duration = s.duration
+                duration = s.end - s.start
                 latencies.append(duration)
                 if s.attrs.get("failed"):
                     failed += 1
@@ -425,81 +526,8 @@ def compute_rollups(
                 stats["max_s"] = latencies[-1]
                 for q, label in qlabels:
                     stats[label] = exact_percentile(latencies, q)
-            depth = depths[i]
             if depth is not None:
                 stats["queue_depth_mean"], stats["queue_depth_max"] = depth
-            emit(RollupWindow("tenant", tenant, i, start, end, stats))
-
-    # -- site scope (executors: DRX units, cpu fallback, accelerators) -------
-    site_health = {
-        _label(labels, "target"): samples
-        for labels, samples in health_gauges
-        if _label(labels, "target") is not None
-    }
-    breaker_events: Dict[str, List[Tuple[float, str]]] = {}
-    for inst in instants:
-        if inst.category == "breaker" and inst.name.startswith("breaker_"):
-            state = str(
-                inst.attrs.get("state") or inst.name[len("breaker_"):]
-            )
-            if state != "reroute":
-                breaker_events.setdefault(inst.actor, []).append(
-                    (inst.time, state)
-                )
-    sites = sorted({*site_spans, *site_health, *breaker_events})
-
-    emit = by_scope["site"].append
-    for site in sites:
-        health = site_health.get(site)
-        transitions = breaker_events.get(site, ())
-        busy, legs = _busy_windows(site_spans.get(site, ()), w, n_windows)
-        hidx, hlast = 0, None
-        tidx, state = 0, "closed"
-        for i, (start, end) in enumerate(edges):
-            stats = {
-                "busy_s": busy[i],
-                "utilization": busy[i] / w,
-                "legs": legs[i],
-            }
-            if health is not None:
-                while hidx < len(health) and health[hidx][0] <= end:
-                    hlast = health[hidx][1]
-                    hidx += 1
-                if hlast is not None:
-                    stats["health"] = hlast
-            if transitions:
-                while tidx < len(transitions) and transitions[tidx][0] <= end:
-                    state = transitions[tidx][1]
-                    tidx += 1
-                stats["breaker_state"] = state
-            emit(RollupWindow("site", site, i, start, end, stats))
-
-    # -- backend scope (planner kinds) ---------------------------------------
-    backend_queue = {
-        _label(labels, "backend"): samples
-        for labels, samples in planner_gauges
-        if _label(labels, "backend") is not None
-    }
-    backends = sorted({*backend_spans, *backend_queue})
-
-    emit = by_scope["backend"].append
-    for backend in backends:
-        busy, legs = _busy_windows(
-            backend_spans.get(backend, ()), w, n_windows
-        )
-        depths = _carry_windows(backend_queue.get(backend, ()), w, n_windows)
-        for i, (start, end) in enumerate(edges):
-            stats = {
-                "busy_s": busy[i],
-                "utilization": busy[i] / w,
-                "legs": legs[i],
-            }
-            depth = depths[i]
-            if depth is not None:
-                stats["queue_depth_mean"], stats["queue_depth_max"] = depth
-            emit(RollupWindow("backend", backend, i, start, end, stats))
-
-    # Keys are visited sorted and windows in order within each scope.
-    for scope in _SCOPES:
-        rollups.windows.extend(by_scope[scope])
+            cells.append(stats)
+        emit("tenant", tenant, cells)
     return rollups

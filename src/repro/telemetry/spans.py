@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 
 __all__ = [
     "Span", "Instant", "ActiveSpan", "SpanTracker", "ROOT_PARENT",
-    "batch_attrs",
+    "SpanNames", "batch_attrs",
 ]
 
 #: Parent id of a root span (no parent).
@@ -36,6 +36,20 @@ def batch_attrs(count: int) -> Dict[str, object]:
     """``batch=count`` span attributes for a ``count``-member coalesced
     operation, and none for a single one (``count == 1``)."""
     return _NO_BATCH if count == 1 else {"batch": count}
+
+
+class SpanNames(dict):
+    """``template.format(key)`` for each key: a span name built the first
+    time it is asked for and shared by every span after, rather than
+    formatted again for each one."""
+
+    def __init__(self, template: str) -> None:
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, key: object) -> str:
+        name = self[key] = self.template.format(key)
+        return name
 
 
 class Span:

@@ -35,7 +35,7 @@ SWEEP_GOLDEN_SHA256 = (
 )
 
 
-def golden_serve_dict():
+def golden_serve_result():
     """A serving run exercising WRR + brownout + resilience, no controller."""
     chains = build_benchmark_chains("sound-detection", 4)
     system = DMXSystem(
@@ -53,7 +53,7 @@ def golden_serve_dict():
         )
         for i, chain in enumerate(chains)
     ]
-    result = ServingFrontend(
+    return ServingFrontend(
         system,
         tenants,
         FrontendConfig(
@@ -64,7 +64,10 @@ def golden_serve_dict():
         ),
         seed=3,
     ).run()
-    return result.to_dict()
+
+
+def golden_serve_dict():
+    return golden_serve_result().to_dict()
 
 
 def golden_sweep_json():

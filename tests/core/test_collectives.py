@@ -125,3 +125,19 @@ def test_a_collective_records_every_operation_and_closes_every_span(
         "abandoned" in span.attrs or "truncated" in span.attrs
         for span in telemetry.spans
     )
+
+
+@pytest.mark.parametrize(
+    "mode", [Mode.MULTI_AXL, Mode.BUMP_IN_WIRE], ids=lambda m: m.value
+)
+@pytest.mark.parametrize("operation", ["broadcast", "allreduce"])
+def test_a_second_run_reports_its_own_latency(operation, mode):
+    # Each run reports the time from its own start, not the clock the
+    # system has accumulated: a second identical collective on the same
+    # system takes as long as the first.
+    system = CollectiveSystem(4, SystemConfig(mode=mode))
+    first = system.run(operation, 4 * MB)
+    second = system.run(operation, 4 * MB)
+    assert first.latency_s == PINNED_LATENCY_S[operation, mode, 4]
+    assert second.latency_s == pytest.approx(first.latency_s, rel=1e-9)
+    assert system.sim.now == pytest.approx(2 * first.latency_s, rel=1e-9)

@@ -269,6 +269,29 @@ def test_kill_revive_run_matches_golden(tmp_path):
     } == RECOVERY_GOLDEN_SHA256
 
 
+def test_golden_artifact_loads_each_repeated_value_once(tmp_path):
+    result = run_recovery_scenario(scenario(KILL_REVIVE, tmp_path))
+    with open(result.artifact_path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == RECOVERY_GOLDEN_SHA256["artifact"]
+    spans = load_artifact(result.artifact_path).spans
+
+    def one_object_per_value(values):
+        values = list(values)
+        first = {}
+        assert len(set(values)) < len(values)  # the values do repeat
+        return all(first.setdefault(value, value) is value for value in values)
+
+    assert one_object_per_value(s.name for s in spans)
+    assert one_object_per_value(s.actor for s in spans)
+    assert one_object_per_value(s.phase for s in spans)
+    assert one_object_per_value(key for s in spans for key in s.attrs)
+    assert one_object_per_value(s.request_id for s in spans)
+    assert one_object_per_value(
+        t for s in spans for t in (s.start, s.end) if t > 0.0
+    )
+
+
 def test_empty_crash_plan_arms_nothing():
     system = DMXSystem(
         chains(), SystemConfig(mode=Mode.STANDALONE),

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import LatencyTracker, P2Quantile, TenantStats
+from repro.faults import DomainCrash
+from repro.resilience import RecoveryScenarioConfig, run_recovery_scenario
+from repro.serve import (
+    LatencyTracker,
+    P2Quantile,
+    QueueSample,
+    QueueTimeline,
+    TenantStats,
+)
 from repro.sim.tracing import exact_percentile
+from repro.telemetry import time_weighted_mean
+
+from ..control.test_disarmed_identity import golden_serve_result
 
 
 def test_p2_exact_below_five_samples():
@@ -81,15 +92,15 @@ def test_tenant_stats_goodput_excludes_failures_and_violations():
 
 
 def _depth_result(samples, elapsed):
-    from repro.serve.slo import LatencyTracker, QueueSample, ServeResult
+    from repro.serve.slo import ServeResult
 
     return ServeResult(
         tenants={},
         latency=LatencyTracker(),
-        timeline=[
-            QueueSample(time=t, queued={"a": depth}, inflight=0)
-            for t, depth in samples
-        ],
+        timeline=QueueTimeline(
+            [t for t, _ in samples], [0.0] * len(samples),
+            {"a": [float(depth) for _, depth in samples]},
+        ),
         elapsed=elapsed,
     )
 
@@ -226,3 +237,70 @@ def test_tail_equals_the_sliding_window_it_replaced(stream, window, data, q):
                 sliced_tail(other_q, other_window, other_min)
             )
         assert tracker.tail(q, window, min_samples) == reference_tail()
+
+
+def stored_timeline(result):
+    """The timeline as the frontend stored it before it became a view:
+    one :class:`QueueSample` per ``inflight`` gauge sample."""
+    registry = result.telemetry.metrics
+    per_tenant = {
+        name: registry.gauge("queue_depth", tenant=name).samples
+        for name in result.tenants
+    }
+    return [
+        QueueSample(
+            time=time,
+            queued={
+                name: int(samples[i][1])
+                for name, samples in per_tenant.items()
+            },
+            inflight=int(value),
+        )
+        for i, (time, value) in enumerate(registry.gauge("inflight").samples)
+    ]
+
+
+def recovery_result():
+    """Four tenants through a DRX card's crash and revival."""
+    return run_recovery_scenario(RecoveryScenarioConfig(
+        offered_rps=560.0,
+        crashes=(DomainCrash("drx.s0", at_s=0.05, revive_at_s=0.08),),
+        n_tenants=4,
+        requests_per_tenant=40,
+        seed=0,
+    )).serve
+
+
+@pytest.mark.parametrize(
+    "make", [golden_serve_result, recovery_result],
+    ids=["serve-golden", "recovery"],
+)
+def test_timeline_view_equals_the_stored_list(make):
+    result = make()
+    stored = stored_timeline(result)
+    view = result.timeline
+    assert isinstance(view, QueueTimeline) and len(stored) > 10
+    assert len(view) == len(stored)
+    assert list(view) == stored
+    middle = len(stored) // 2
+    assert [view[0], view[middle], view[-1]] == [
+        stored[0], stored[middle], stored[-1]
+    ]
+    assert view[2:5] == stored[2:5]
+    with pytest.raises(IndexError):
+        view[len(stored)]
+    totals = [s.total_queued for s in stored]
+    depths = (
+        result.max_queue_depth(), result.mean_queue_depth(),
+        result.mean_sampled_queue_depth(),
+    )
+    want = (
+        max(totals),
+        time_weighted_mean(
+            [(s.time, float(s.total_queued)) for s in stored],
+            end=result.elapsed,
+        ),
+        sum(totals) / len(totals),
+    )
+    assert [(type(x), x) for x in depths] == [(type(x), x) for x in want]
+    assert max(totals) > 0

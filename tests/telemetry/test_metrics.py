@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histograms, time weighting."""
 
+import math
+from array import array
+
 import pytest
 
 from repro.telemetry import (
@@ -50,6 +53,26 @@ def test_gauge_ordering_and_aggregates():
     assert gauge.time_weighted_mean(end=4.0) == pytest.approx(2.5)
     with pytest.raises(ValueError, match="backwards"):
         gauge.sample(0.5, 1.0)
+
+
+def test_gauge_keeps_its_samples_as_two_columns():
+    gauge = Gauge("depth", ())
+    gauge.sample(0, 3)  # a time is kept as given, a value made a float
+    gauge.sample(0.5, -0.0)
+    gauge.sample(1.5, math.inf)
+    assert gauge.times == [0, 0.5, 1.5] and type(gauge.times[0]) is int
+    assert gauge.values == array("d", [3.0, -0.0, math.inf])
+    assert math.copysign(1.0, gauge.values[1]) == -1.0
+    assert gauge.samples == [(0, 3.0), (0.5, -0.0), (1.5, math.inf)]
+    assert (gauge.last(), gauge.max()) == (math.inf, math.inf)
+    before = (list(gauge.times), gauge.values.tolist())
+    with pytest.raises(ValueError, match="sample value is NaN"):
+        gauge.sample(2.0, math.nan)
+    with pytest.raises(ValueError, match="backwards or is NaN"):
+        gauge.sample(1.0, 1.0)
+    with pytest.raises(ValueError, match="backwards or is NaN"):
+        gauge.sample(math.nan, 1.0)
+    assert (gauge.times, gauge.values.tolist()) == before
 
 
 def test_gauge_empty_raises():

@@ -1,6 +1,7 @@
 """Windowed rollups: window edges, gauge carry, scopes, determinism."""
 
 import json
+from array import array
 
 import pytest
 
@@ -129,23 +130,29 @@ def test_gauge_carry_window_lvcf():
 
 
 def test_carry_windows_matches_per_window_reference():
-    # the streaming cursor variant must produce the exact floats of the
-    # per-window reference scan, window for window
-    from repro.telemetry.rollup import _carry_windows
+    # the streaming cursor variant, over a gauge's time and value
+    # columns, must produce the exact floats of the per-window
+    # reference scan over its samples, window for window
+    from repro.telemetry.rollup import _carry_windows, _window_bounds
+
+    def streamed(samples, n_windows):
+        return _carry_windows(
+            [t for t, _ in samples], array("d", [v for _, v in samples]),
+            _window_bounds(W, n_windows),
+        )
 
     samples = [
         (0.5e-3, 3.0), (2e-3, 4.0), (6e-3, 8.0), (13e-3, 1.0),
         (13.5e-3, 5.0), (31e-3, 2.0),
     ]
-    streamed = _carry_windows(samples, W, 5)
-    for i, got in enumerate(streamed):
+    for i, got in enumerate(streamed(samples, 5)):
         assert got == _carry_window(samples, i * W, (i + 1) * W)
     # a gauge starting mid-run: leading windows omitted, not zeroed
-    late = _carry_windows([(25e-3, 7.0)], W, 4)
+    late = streamed([(25e-3, 7.0)], 4)
     assert late[0] is None and late[1] is None
     assert late[2] == _carry_window([(25e-3, 7.0)], 2 * W, 3 * W)
     assert late[3] == _carry_window([(25e-3, 7.0)], 3 * W, 4 * W)
-    assert _carry_windows([], W, 3) == [None, None, None]
+    assert streamed([], 3) == [None, None, None]
 
 
 def test_queue_depth_from_tenant_gauge():

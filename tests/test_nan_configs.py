@@ -67,6 +67,8 @@ held), and NaN stage times, byte counts, thread counts, work-profile
 volumes, accelerator speedups, resource capacities, service times and
 CPU and DRX spec fields were all accepted; a NaN scale factor for a
 profile or a chain died converting NaN to an integer, naming no field.
+``CollectiveSystem(nan, ...)`` passed its ``< 2`` check and then died
+with a ``TypeError`` from ``range``.
 Every chain the calibrated table holds goes through these constructors.
 """
 
@@ -80,7 +82,14 @@ from repro.backends import PlannerConfig
 from repro.backends.dsa import DSAConfig
 from repro.backends.xdma import XDMAConfig
 from repro.control import ControllerConfig
-from repro.core import AppChain, KernelStage, Mode, MotionStage, SystemConfig
+from repro.core import (
+    AppChain,
+    CollectiveSystem,
+    KernelStage,
+    Mode,
+    MotionStage,
+    SystemConfig,
+)
 from repro.cpu import XEON_8260L
 from repro.drx.microarch import DRXConfig
 from repro.faults import (
@@ -112,7 +121,7 @@ from repro.serve import (
     SweepConfig,
     TenantSpec,
 )
-from repro.serve.slo import ServeResult, TenantStats
+from repro.serve.slo import QueueTimeline, ServeResult, TenantStats
 from repro.sim import Resource, Server, Simulator
 from repro.telemetry import AlertConfig, MetricsRegistry, RollupConfig
 
@@ -218,6 +227,10 @@ def _transfer(duration=1.0):
         next(job)
     finally:
         job.close()
+
+
+def _collectives(n_accelerators=4):
+    return CollectiveSystem(n_accelerators, SystemConfig(mode=Mode.MULTI_AXL))
 
 
 def _cache(**kw):
@@ -343,6 +356,7 @@ CHECKS = [
     (_device, "kernel_time_s"),
     (_resource, "capacity"),
     (_transfer, "duration"),
+    (_collectives, "n_accelerators"),
     (_cache, "size_bytes"),
     (_cache, "line_bytes"),
     (_cache, "latency_cycles"),
@@ -403,8 +417,8 @@ def test_what_if_slo_rejects_nan():
     stats = TenantStats(name="t")
     stats.latency.add(1e-3)
     result = ServeResult(
-        tenants={"t": stats}, latency=stats.latency, timeline=[],
-        elapsed=1.0,
+        tenants={"t": stats}, latency=stats.latency,
+        timeline=QueueTimeline((), (), {}), elapsed=1.0,
     )
     assert result.per_tenant_slo_violations(1e-6) == {"t": 1}
     with pytest.raises(ValueError, match="slo_s.*NaN"):
