@@ -23,9 +23,11 @@ Every backend answers the same three questions about one
   (:meth:`RestructureBackend.queue_s`), so a caller that prices the
   same leg repeatedly keeps the first half — :class:`PriceMemo` is that
   memo, shared by the planner and the controller's tier cost model;
-* **run it** — :meth:`RestructureBackend.execute` delegates to the
-  owning :class:`~repro.core.system.DMXSystem`'s motion helpers so
-  span/phase accounting stays identical to the non-planned paths.
+* **run it** — :meth:`RestructureBackend.execute` runs the leg's
+  timed steps, each a :class:`~repro.core.system.DMXSystem` phase step,
+  in the class that prices them. The steps several legs share are the
+  module functions :func:`leg_transfer` (priced by
+  :func:`transfer_estimate`) and :func:`overlapped`.
 
 Estimates are pure functions of the leg and the current DES state: no
 randomness, no clock advancement — a planner consultation costs zero
@@ -36,22 +38,27 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
 from ..core.chain import MotionStage
 from ..core.placement import Mode
+from ..core.system import PHASE_CONTROL, PHASE_MOVEMENT, PHASE_RESTRUCTURE
+from ..faults.recovery import shielded
+from ..interconnect.dma import ROUTE_NAMES
 from ..profiles import WorkProfile
+from ..sim import AllOf, PhaseAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.system import DMXSystem, PhaseAccumulator, _RequestState
+    from ..core.system import DMXSystem, _PhaseStep, _RequestState
     from ..drx.microarch import DRXDevice
+    from ..interconnect import DMAEngine
     from ..telemetry import SpanContext
 
 __all__ = [
     "BACKEND_DRX", "BACKEND_CPU", "BACKEND_DSA", "BACKEND_XDMA",
     "BACKEND_KINDS", "LegSpec", "CostEstimate", "UnloadedCost",
     "RestructureBackend", "DRXBackend", "CPUBackend", "PricedLeg",
-    "PriceMemo",
+    "PriceMemo", "leg_transfer", "transfer_estimate", "overlapped",
 ]
 
 BACKEND_DRX = "drx"
@@ -61,6 +68,90 @@ BACKEND_XDMA = "xdma"
 
 #: Every backend kind, in the planner's deterministic evaluation order.
 BACKEND_KINDS = (BACKEND_XDMA, BACKEND_DSA, BACKEND_DRX, BACKEND_CPU)
+
+# Transfers that stage through host memory (Multi-Axl and Integrated-DRX
+# paths) pay a DRAM store on the way in and a load on the way out, on
+# top of the PCIe crossing. Effective host DMA-staging bandwidth:
+HOST_STAGING_BYTES_PER_S = 25e9
+
+
+def leg_transfer(
+    system: "DMXSystem", src: str, dst: str, nbytes: int, count: int,
+    state: "_RequestState", ctx: "SpanContext",
+) -> Generator:
+    """One DMA moving ``count`` member payloads of ``nbytes`` each as
+    one chained submission. When an endpoint is host memory ('root')
+    the payload also pays a DRAM staging pass over the total — the
+    cost :func:`transfer_estimate` prices."""
+    nbytes *= count
+    dma = system.dma.transfer(
+        src, dst, nbytes,
+        on_retry=system._retry_cb(state, "dma", ROUTE_NAMES[src, dst]),
+        ctx=ctx, descriptors=count,
+    )
+    if src != "root" and dst != "root":
+        return dma
+    return _host_staged(dma, nbytes, ctx)
+
+
+def _host_staged(dma: Generator, nbytes: int, ctx: "SpanContext") -> Generator:
+    """``dma``, then its ``nbytes`` DRAM staging pass in host memory."""
+    yield from dma
+    with ctx.step(
+        "host-staging", "staging", "root", errors=False, bytes=nbytes
+    ):
+        yield ctx.telemetry.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
+
+
+def transfer_estimate(
+    dma: "DMAEngine", src: str, dst: str, nbytes: int
+) -> float:
+    """Contention-free estimate of one DMA leg, including the host
+    DRAM-staging pass when an endpoint is host memory. Pure — used
+    by the backends' prices, never by execution."""
+    est = dma.unloaded_latency(src, dst, nbytes)
+    if src == "root" or dst == "root":
+        est += nbytes / HOST_STAGING_BYTES_PER_S
+    return est
+
+
+def overlapped(
+    system: "DMXSystem", step: "_PhaseStep",
+    move: Callable[["SpanContext"], Generator],
+    work: Callable[["SpanContext"], Generator],
+) -> Generator:
+    """Run a leg's data movement and its restructuring side by side
+    (line-rate processing, no store-and-forward) as one phase
+    ``step`` (made, so opened, by the caller): ``move`` and ``work``
+    build the two operations under the step's span, and the joint
+    interval books to the step's phase. The switch-integrated DRX
+    and the XDMA backend share this leg shape."""
+    with step as pctx:
+        move_op, work_op = move(pctx), work(pctx)
+        if system.injector is not None:
+            # Shield the children: an injected fault must surface
+            # here (for fallback), not trip the engine's strict mode.
+            move_op, work_op = shielded(move_op), shielded(work_op)
+        procs = (system.sim.spawn(move_op), system.sim.spawn(work_op))
+        try:
+            yield AllOf(system.sim, procs)
+        except BaseException:
+            if system.domains is not None:
+                # A drained leg must not leave orphan children
+                # holding the dead domain's device slot past the
+                # crash instant: cancel them too (their ``finally``
+                # blocks release what they hold).
+                for proc in procs:
+                    if proc.is_alive:
+                        proc.interrupt("leg cancelled")
+            raise
+    # A child's fault surfaces only now, after the step booked the
+    # joint interval and closed its span.
+    if system.injector is not None:
+        for proc in procs:
+            ok, value = proc.value
+            if not ok:
+                raise value
 
 
 @dataclass(frozen=True)
@@ -210,8 +301,8 @@ class DRXBackend(RestructureBackend):
             restructure = timing.time_for_profile(leg.fused)
         chain_extra = (n - 1) * s.dma.costs.chained_descriptor_s
         notify = s.notifier.costs.interrupt_s
-        out_est = s.transfer_estimate(
-            leg.staging, leg.dst, n * leg.stage.output_bytes
+        out_est = transfer_estimate(
+            s.dma, leg.staging, leg.dst, n * leg.stage.output_bytes
         ) + chain_extra
         if leg.mode is Mode.PCIE_INTEGRATED:
             # Line-rate processing: ingest overlaps the restructuring.
@@ -220,8 +311,8 @@ class DRXBackend(RestructureBackend):
             )
             service = max(ingest, restructure) + notify + out_est
         else:
-            in_est = s.transfer_estimate(
-                leg.src, leg.staging, n * leg.stage.input_bytes
+            in_est = transfer_estimate(
+                s.dma, leg.src, leg.staging, n * leg.stage.input_bytes
             ) + chain_extra
             service = in_est + restructure + notify + out_est
         return UnloadedCost(
@@ -235,10 +326,66 @@ class DRXBackend(RestructureBackend):
         return depth * per_job_s * self.queue_weight
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        return self.system._drx_motion(
-            leg.mode, leg.src, leg.dst, leg.staging, leg.drx, leg.stage,
-            leg.fused, leg.count, phases, state, ctx,
-        )
+        """The DRX leg of one motion stage: ingest, restructure, notify,
+        deliver — each one chained submission for all ``leg.count``
+        member payloads. Under a :class:`~repro.faults.FaultPlan` this
+        runs as a child process racing the DRX deadline budget."""
+        s = self.system
+        src, staging, drx, stage = leg.src, leg.staging, leg.drx, leg.stage
+        fused, count = leg.fused, leg.count
+        if leg.mode is Mode.PCIE_INTEGRATED:
+            # Switch-integrated DRX processes data *as it streams through
+            # the switch* (line-rate processing, no store-and-forward):
+            # the inbound transfer and the restructuring overlap.
+            nbytes = count * stage.input_bytes
+            yield from overlapped(
+                s,
+                s._phase(
+                    phases, ctx, "restructure", PHASE_RESTRUCTURE,
+                    actor=drx.name, count=count, overlapped=True,
+                ),
+                lambda pctx: s.telemetry.wrap(
+                    s.fabric.transfer(src, staging, nbytes),
+                    "ingest", "ingest", actor=staging,
+                    parent=pctx.parent_id, request_id=pctx.request_id,
+                    bytes=nbytes,
+                ),
+                lambda pctx: s._guard(
+                    "drx", drx.restructure(fused, pctx, count), drx.name,
+                    state,
+                ),
+            )
+        else:
+            with s._phase(
+                phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
+            ) as cctx:
+                yield from leg_transfer(
+                    s, src, staging, stage.input_bytes, count, state, cctx
+                )
+            with s._phase(
+                phases, ctx, "restructure", PHASE_RESTRUCTURE,
+                actor=drx.name, count=count,
+            ) as cctx:
+                yield from s._guard(
+                    "drx", drx.restructure(fused, cctx, count), drx.name,
+                    state,
+                )
+        # Restructure-completion notification + P2P DMA to the consumer
+        # (Fig. 10 steps 8-9). A batch raises ONE interrupt; the driver
+        # reaps the remaining member completions inside that ISR.
+        with s._phase(
+            phases, ctx, "control", PHASE_CONTROL, count=count
+        ) as cctx:
+            yield from s.notifier.notify(
+                drx.name, on_retry=s._retry_cb(state, "notify", drx.name),
+                ctx=cctx, count=count,
+            )
+        with s._phase(
+            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from leg_transfer(
+                s, staging, leg.dst, stage.output_bytes, count, state, cctx
+            )
 
 
 class CPUBackend(RestructureBackend):
@@ -266,11 +413,11 @@ class CPUBackend(RestructureBackend):
             per_job = cpu.parallel_time(leg.stage.profile, threads)
         else:
             per_job = cpu.serial_time(leg.stage.profile)
-        in_est = s.transfer_estimate(
-            leg.src, "root", n * leg.stage.input_bytes
+        in_est = transfer_estimate(
+            s.dma, leg.src, "root", n * leg.stage.input_bytes
         )
-        out_est = s.transfer_estimate(
-            "root", leg.dst, n * leg.stage.output_bytes
+        out_est = transfer_estimate(
+            s.dma, "root", leg.dst, n * leg.stage.output_bytes
         )
         return UnloadedCost(
             service_s=in_est + n * per_job + out_est,
@@ -285,10 +432,49 @@ class CPUBackend(RestructureBackend):
         )
 
     def execute(self, leg, phases, state, ctx) -> Generator:
-        return self.system._multi_axl_motion(
+        return self.motion(
             leg.src, leg.dst, leg.stage, leg.threads, leg.count, phases,
             state, ctx,
         )
+
+    def motion(
+        self, src: str, dst: str, stage: MotionStage, threads: int,
+        count: int, phases: "PhaseAccumulator", state: "_RequestState",
+        ctx: "SpanContext",
+    ) -> Generator:
+        """Restructure on the host CPU, staging through host memory —
+        the Multi-Axl baseline path (which runs it with no leg built),
+        doubling as the degraded path for legs whose DRX budget ran
+        out."""
+        s = self.system
+        with s._phase(
+            phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from leg_transfer(
+                s, src, "root", stage.input_bytes, count, state, cctx
+            )
+        with s._phase(
+            phases, ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
+            count=count, threads=threads,
+        ):
+            yield from self.restructure(stage.profile, threads, count)
+        with s._phase(
+            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
+        ) as cctx:
+            yield from leg_transfer(
+                s, "root", dst, stage.output_bytes, count, state, cctx
+            )
+
+    def restructure(
+        self, profile: WorkProfile, threads: int, count: int
+    ) -> Generator:
+        """Back-to-back host restructuring of each member payload (the
+        CPU has no program-load overhead to amortize). All-CPU runs this
+        step alone as its whole motion stage: its data already lives in
+        host memory."""
+        cpu = self.system.cpu
+        for _ in range(count):
+            yield from cpu.restructure(profile, threads=threads)
 
 
 class PricedLeg:

@@ -28,7 +28,14 @@ from typing import TYPE_CHECKING, Generator
 from ..core.system import PHASE_CONTROL, PHASE_MOVEMENT, PHASE_RESTRUCTURE
 from ..profiles import WorkProfile
 from ..sim import ServerDevice, Simulator
-from .base import BACKEND_DSA, LegSpec, RestructureBackend, UnloadedCost
+from .base import (
+    BACKEND_DSA,
+    LegSpec,
+    RestructureBackend,
+    UnloadedCost,
+    leg_transfer,
+    transfer_estimate,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -138,11 +145,11 @@ class DSABackend(RestructureBackend):
         per_job = cfg.job_time(leg.fused)
         work = n * per_job
         host = cfg.submit_time(n) + cfg.poll_time(n)
-        in_est = s.transfer_estimate(
-            leg.src, "root", n * leg.stage.input_bytes
+        in_est = transfer_estimate(
+            s.dma, leg.src, "root", n * leg.stage.input_bytes
         )
-        out_est = s.transfer_estimate(
-            "root", leg.dst, n * leg.stage.output_bytes
+        out_est = transfer_estimate(
+            s.dma, "root", leg.dst, n * leg.stage.output_bytes
         )
         return UnloadedCost(
             service_s=in_est + host + work + out_est,
@@ -161,8 +168,8 @@ class DSABackend(RestructureBackend):
         with s._phase(
             phases, ctx, "movement-in", PHASE_MOVEMENT, count=n
         ) as cctx:
-            yield from s._leg_transfer(
-                leg.src, "root", leg.stage.input_bytes, n, state, cctx
+            yield from leg_transfer(
+                s, leg.src, "root", leg.stage.input_bytes, n, state, cctx
             )
         # ENQCMD portal submission from the issuing core.
         with s._phase(
@@ -184,6 +191,6 @@ class DSABackend(RestructureBackend):
         with s._phase(
             phases, ctx, "movement-out", PHASE_MOVEMENT, count=n
         ) as cctx:
-            yield from s._leg_transfer(
-                "root", leg.dst, leg.stage.output_bytes, n, state, cctx
+            yield from leg_transfer(
+                s, "root", leg.dst, leg.stage.output_bytes, n, state, cctx
             )

@@ -26,8 +26,15 @@ from typing import TYPE_CHECKING, Generator
 
 from ..core.chain import MotionStage
 from ..core.system import PHASE_CONTROL, PHASE_RESTRUCTURE
+from ..interconnect.dma import ROUTE_NAMES
 from ..sim import ServerDevice, Simulator
-from .base import BACKEND_XDMA, LegSpec, RestructureBackend, UnloadedCost
+from .base import (
+    BACKEND_XDMA,
+    LegSpec,
+    RestructureBackend,
+    UnloadedCost,
+    overlapped,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import SpanContext
@@ -151,7 +158,7 @@ class XDMABackend(RestructureBackend):
 
     def execute(self, leg, phases, state, ctx) -> Generator:
         s = self.system
-        n = leg.count
+        src, dst, n = leg.src, leg.dst, leg.count
         device = self.device
         # Descriptor programming on the host (control plane).
         with s._phase(
@@ -162,14 +169,15 @@ class XDMABackend(RestructureBackend):
         # The fused leg: the direct crossing and the in-flight transform
         # overlap — all of it books as restructuring, because there is no
         # separate movement hop to bill (the zero-hop story).
-        yield from s._overlapped(
+        yield from overlapped(
+            s,
             s._phase(
                 phases, ctx, "restructure", PHASE_RESTRUCTURE,
                 actor=device.name, count=n, overlapped=True, fused_dma=True,
             ),
             lambda pctx: s.dma.transfer(
-                leg.src, leg.dst, self._wire_bytes(leg),
-                on_retry=s._retry_cb(state, "dma", f"{leg.src}->{leg.dst}"),
+                src, dst, self._wire_bytes(leg),
+                on_retry=s._retry_cb(state, "dma", ROUTE_NAMES[src, dst]),
                 ctx=pctx, descriptors=n,
             ),
             lambda pctx: s._guard(

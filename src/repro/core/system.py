@@ -33,12 +33,10 @@ from ..faults import (
     retry,
     with_timeout,
 )
-from ..faults.recovery import shielded
 from ..interconnect import DMACosts, DMAEngine, Fabric, LinkConfig, PCIeGen
-from ..interconnect.dma import ROUTE_NAMES
 from ..resilience.control import ControlPlane, ResilienceConfig
 from ..runtime.driver import NotificationModel
-from ..sim import AllOf, PhaseAccumulator, Simulator, WaitTimeout
+from ..sim import PhaseAccumulator, Simulator, WaitTimeout
 from ..telemetry import SpanContext, SpanStep, Telemetry
 from ..telemetry.spans import SpanNames, batch_attrs
 from .chain import AppChain, KernelStage, MotionStage
@@ -91,11 +89,6 @@ _MUX_CONFIG = LinkConfig(
 
 # Applications sharing one large standalone DRX card.
 STANDALONE_APPS_PER_CARD = 2
-
-# Transfers that stage through host memory (Multi-Axl and Integrated-DRX
-# paths) pay a DRAM store on the way in and a load on the way out, on
-# top of the PCIe crossing. Effective host DMA-staging bandwidth:
-HOST_STAGING_BYTES_PER_S = 25e9
 
 # When True (default), the DRX compiler fuses restructuring-op chains
 # through the on-chip scratchpads so only the stage's real input/output
@@ -453,7 +446,7 @@ class DMXSystem:
         self._crossings: Dict[tuple, int] = {}
         self._build_topology()
         # The leg routers (lazy import: repro.backends pulls repro.core
-        # back in for chain/placement types).
+        # back in for chain/placement types and the phase names).
         from ..backends.planner import FixedRanking, LegPlanner
 
         self.planner: Optional[LegPlanner] = (
@@ -615,88 +608,6 @@ class DMXSystem:
             site, op, actor=actor, request_id=state.request_id
         )
 
-    def _leg_transfer(
-        self,
-        src: str,
-        dst: str,
-        nbytes: int,
-        count: int,
-        state: _RequestState,
-        ctx: SpanContext,
-    ) -> Generator:
-        """One DMA moving ``count`` member payloads of ``nbytes`` each as
-        one chained submission. When an endpoint is host memory ('root')
-        the payload also pays a DRAM staging pass over the total — the
-        cost :meth:`transfer_estimate` prices."""
-        nbytes *= count
-        dma = self.dma.transfer(
-            src, dst, nbytes,
-            on_retry=self._retry_cb(state, "dma", ROUTE_NAMES[src, dst]),
-            ctx=ctx, descriptors=count,
-        )
-        if src != "root" and dst != "root":
-            return dma
-        return self._host_staged(dma, nbytes, ctx)
-
-    def _host_staged(
-        self, dma: Generator, nbytes: int, ctx: SpanContext
-    ) -> Generator:
-        """``dma``, then its ``nbytes`` DRAM staging pass in host memory."""
-        yield from dma
-        with ctx.step(
-            "host-staging", "staging", "root", errors=False, bytes=nbytes
-        ):
-            yield self.sim.timeout(nbytes / HOST_STAGING_BYTES_PER_S)
-
-    def transfer_estimate(self, src: str, dst: str, nbytes: int) -> float:
-        """Contention-free estimate of one DMA leg, including the host
-        DRAM-staging pass when an endpoint is host memory. Pure — used
-        by the backend planner's cost models, never by execution."""
-        est = self.dma.unloaded_latency(src, dst, nbytes)
-        if src == "root" or dst == "root":
-            est += nbytes / HOST_STAGING_BYTES_PER_S
-        return est
-
-    def _cpu_restructure(
-        self, profile, threads: int, count: int
-    ) -> Generator:
-        """Back-to-back host restructuring of each member payload (the
-        CPU has no program-load overhead to amortize)."""
-        for _ in range(count):
-            yield from self.cpu.restructure(profile, threads=threads)
-
-    def _multi_axl_motion(
-        self,
-        src: str,
-        dst: str,
-        stage: MotionStage,
-        threads: int,
-        count: int,
-        phases: PhaseAccumulator,
-        state: _RequestState,
-        ctx: SpanContext,
-    ) -> Generator:
-        """Restructure on the host CPU, staging through host memory —
-        the Multi-Axl baseline path, doubling as the degraded path for
-        requests whose DRX budget ran out."""
-        with self._phase(
-            phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
-        ) as cctx:
-            yield from self._leg_transfer(
-                src, "root", stage.input_bytes, count, state, cctx
-            )
-        with self._phase(
-            phases, ctx, "cpu-restructure", PHASE_RESTRUCTURE, actor="cpu",
-            count=count, threads=threads,
-        ):
-            yield from self._cpu_restructure(stage.profile, threads, count)
-        with self._phase(
-            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
-        ) as cctx:
-            yield from self._leg_transfer(
-                "root", dst, stage.output_bytes, count, state, cctx
-            )
-
     def _drx_placement(self, mode: Mode, src: str, app_index: int):
         """The DRX unit serving ``src`` and its staging point."""
         if mode == Mode.INTEGRATED:
@@ -784,116 +695,6 @@ class DMXSystem:
         self._standalone_drx_of[app_index] = card
         return old
 
-    def _overlapped(
-        self,
-        step: _PhaseStep,
-        move: Callable[[SpanContext], Generator],
-        work: Callable[[SpanContext], Generator],
-    ) -> Generator:
-        """Run a leg's data movement and its restructuring side by side
-        (line-rate processing, no store-and-forward) as one phase
-        ``step`` (made, so opened, by the caller): ``move`` and ``work``
-        build the two operations under the step's span, and the joint
-        interval books to the step's phase. The switch-integrated DRX
-        and the XDMA backend share this leg shape."""
-        with step as pctx:
-            move_op, work_op = move(pctx), work(pctx)
-            if self.injector is not None:
-                # Shield the children: an injected fault must surface
-                # here (for fallback), not trip the engine's strict mode.
-                move_op, work_op = shielded(move_op), shielded(work_op)
-            procs = (self.sim.spawn(move_op), self.sim.spawn(work_op))
-            try:
-                yield AllOf(self.sim, procs)
-            except BaseException:
-                if self.domains is not None:
-                    # A drained leg must not leave orphan children
-                    # holding the dead domain's device slot past the
-                    # crash instant: cancel them too (their ``finally``
-                    # blocks release what they hold).
-                    for proc in procs:
-                        if proc.is_alive:
-                            proc.interrupt("leg cancelled")
-                raise
-        # A child's fault surfaces only now, after the step booked the
-        # joint interval and closed its span.
-        if self.injector is not None:
-            for proc in procs:
-                ok, value = proc.value
-                if not ok:
-                    raise value
-
-    def _drx_motion(
-        self,
-        mode: Mode,
-        src: str,
-        dst: str,
-        staging: str,
-        drx: DRXDevice,
-        stage: MotionStage,
-        fused,
-        count: int,
-        phases: PhaseAccumulator,
-        state: _RequestState,
-        ctx: SpanContext,
-    ) -> Generator:
-        """The DRX leg of one motion stage: ingest, restructure, notify,
-        deliver — each one chained submission for all ``count`` member
-        payloads. Under a :class:`FaultPlan` this runs as a child process
-        racing the DRX deadline budget."""
-        if mode == Mode.PCIE_INTEGRATED:
-            # Switch-integrated DRX processes data *as it streams through
-            # the switch* (line-rate processing, no store-and-forward):
-            # the inbound transfer and the restructuring overlap.
-            nbytes = count * stage.input_bytes
-            yield from self._overlapped(
-                self._phase(
-                    phases, ctx, "restructure", PHASE_RESTRUCTURE,
-                    actor=drx.name, count=count, overlapped=True,
-                ),
-                lambda pctx: self.telemetry.wrap(
-                    self.fabric.transfer(src, staging, nbytes),
-                    "ingest", "ingest", actor=staging,
-                    parent=pctx.parent_id, request_id=pctx.request_id,
-                    bytes=nbytes,
-                ),
-                lambda pctx: self._guard(
-                    "drx", drx.restructure(fused, pctx, count), drx.name,
-                    state,
-                ),
-            )
-        else:
-            with self._phase(
-                phases, ctx, "movement-in", PHASE_MOVEMENT, count=count
-            ) as cctx:
-                yield from self._leg_transfer(
-                    src, staging, stage.input_bytes, count, state, cctx
-                )
-            with self._phase(
-                phases, ctx, "restructure", PHASE_RESTRUCTURE,
-                actor=drx.name, count=count,
-            ) as cctx:
-                yield from self._guard(
-                    "drx", drx.restructure(fused, cctx, count), drx.name,
-                    state,
-                )
-        # Restructure-completion notification + P2P DMA to the consumer
-        # (Fig. 10 steps 8-9). A batch raises ONE interrupt; the driver
-        # reaps the remaining member completions inside that ISR.
-        with self._phase(
-            phases, ctx, "control", PHASE_CONTROL, count=count
-        ) as cctx:
-            yield from self.notifier.notify(
-                drx.name, on_retry=self._retry_cb(state, "notify", drx.name),
-                ctx=cctx, count=count,
-            )
-        with self._phase(
-            phases, ctx, "movement-out", PHASE_MOVEMENT, count=count
-        ) as cctx:
-            yield from self._leg_transfer(
-                staging, dst, stage.output_bytes, count, state, cctx
-            )
-
     def _motion(
         self,
         app_index: int,
@@ -923,7 +724,7 @@ class DMXSystem:
                     phases, sctx, "cpu-restructure", PHASE_RESTRUCTURE,
                     actor="cpu", count=count, threads=threads,
                 ):
-                    yield from self._cpu_restructure(
+                    yield from self.router.cpu.restructure(
                         stage.profile, threads, count
                     )
                 return
@@ -941,7 +742,7 @@ class DMXSystem:
                 )
 
             if mode == Mode.MULTI_AXL:
-                yield from self._multi_axl_motion(
+                yield from self.router.cpu.motion(
                     src, dst, stage, threads, count, phases, state, sctx
                 )
                 return

@@ -58,10 +58,10 @@ class HostCPU:
         parallel_overhead: float = 0.05,
         spawn_overhead_s: float = 5e-5,
     ):
-        if parallel_overhead < 0:
-            raise ValueError("negative parallel_overhead")
-        if spawn_overhead_s < 0:
-            raise ValueError("negative spawn_overhead_s")
+        for name, value in (("parallel_overhead", parallel_overhead),
+                            ("spawn_overhead_s", spawn_overhead_s)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
         self.sim = sim
         self.spec = spec
         self.cores = Resource(sim, capacity=spec.cores, name="cpu-cores")

@@ -18,7 +18,7 @@ energy. This model mirrors that accounting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict
 
 __all__ = ["EnergyParams", "EnergyBreakdown", "EnergyModel"]
@@ -38,10 +38,9 @@ class EnergyParams:
     switch_static_w: float = 7.0  # PEX-class switch package
 
     def __post_init__(self) -> None:
-        for name in ("cpu_idle_w", "cpu_core_active_w", "accelerator_active_w",
-                     "drx_active_w", "pcie_pj_per_byte", "switch_static_w"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in (field.name for field in fields(self)):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative (not NaN)")
 
 
 @dataclass(frozen=True)

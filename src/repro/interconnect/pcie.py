@@ -65,8 +65,8 @@ class LinkConfig:
             raise ValueError(
                 f"protocol_efficiency must be in (0, 1], got {self.protocol_efficiency}"
             )
-        if self.propagation_latency_s < 0:
-            raise ValueError("negative propagation latency")
+        if not self.propagation_latency_s >= 0:
+            raise ValueError("propagation_latency_s must be >= 0 (not NaN)")
 
     @property
     def bandwidth_bytes_per_s(self) -> float:

@@ -84,6 +84,8 @@ class Fabric:
         upstream_config: Optional[LinkConfig] = None,
         switch_latency_s: float = SWITCH_PORT_LATENCY_S,
     ):
+        if not switch_latency_s >= 0:
+            raise ValueError("switch_latency_s must be non-negative (not NaN)")
         self.sim = sim
         self.link_config = link_config or LinkConfig()
         # The upstream port of a switch uses a single x8 link (Sec. VII-B).

@@ -74,17 +74,14 @@ class AlertConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.budget <= 1.0:
             raise ValueError("budget must be in (0, 1]")
-        if self.fast_windows < 1 or self.slow_windows < self.fast_windows:
-            raise ValueError(
-                "need 1 <= fast_windows <= slow_windows"
-            )
+        for name in ("fast_windows", "min_count", "clear_after"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1 (not NaN)")
+        if not self.slow_windows >= self.fast_windows:
+            raise ValueError("slow_windows must be >= fast_windows (not NaN)")
         for name in ("fast_burn", "slow_burn"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive (not NaN)")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        if self.clear_after < 1:
-            raise ValueError("clear_after must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,15 @@ def test_params_validation():
         EnergyParams(cpu_idle_w=-1.0)
 
 
+@pytest.mark.parametrize("field", ["accelerator_idle_w", "drx_static_w"])
+def test_idle_and_static_power_must_be_non_negative(field):
+    """Both once went unchecked: a negative idle floor priced idle
+    accelerators at negative joules."""
+    with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+        EnergyParams(**{field: -4.0})
+    EnergyParams(**{field: 0.0})  # no floor at all is allowed
+
+
 def test_breakdown_components_positive_and_sum():
     breakdown = evaluate()
     parts = breakdown.as_dict()

@@ -152,6 +152,12 @@ def test_switch_latency_charged_per_hop():
     assert cross - same == pytest.approx(2 * link_prop + SWITCH_PORT_LATENCY_S)
 
 
+def test_negative_switch_latency_rejected():
+    with pytest.raises(ValueError, match="switch_latency_s must be non-neg"):
+        Fabric(Simulator(), switch_latency_s=-1e-6)
+    assert Fabric(Simulator(), switch_latency_s=0.0).switch_latency_s == 0.0
+
+
 def test_concurrent_transfers_queue_on_the_link():
     """Two transfers over one link: the second waits for the first."""
     sim = Simulator()

@@ -13,6 +13,7 @@ hold these bytes across whole runs; this file holds them per site.
 
 import pytest
 
+from repro.backends.base import leg_transfer
 from repro.backends.dsa import DSAConfig, DSADevice
 from repro.backends.xdma import XDMAConfig, XDMADevice
 from repro.core import DMXSystem, Mode, SystemConfig
@@ -78,8 +79,9 @@ def _device(make, job):
 
 def _host_staging(count):
     system, ctx = _system_world(Mode.MULTI_AXL)
-    op = system._leg_transfer(
-        system.accel_name(0, 0), "root", MB, count, _RequestState(0), ctx
+    op = leg_transfer(
+        system, system.accel_name(0, 0), "root", MB, count,
+        _RequestState(0), ctx,
     )
     return system.sim, system.telemetry, op, None
 

@@ -362,10 +362,11 @@ RESUMES = {
 
 #: The deepest ``yield from`` chain any of those resumes passes through,
 #: the process's own generator included: ``submit_batch``, ``_request``,
-#: ``_motion``, the leg (``_guarded_leg`` and ``_drx_motion``, or
-#: ``_multi_axl_motion`` and ``_host_staged``), then the DMA engine's
-#: ``transfer`` and ``_attempt`` and the fabric's ``transfer``. Span
-#: steps and phase steps are context managers and add no frame.
+#: ``_motion``, the leg (``_guarded_leg`` and ``DRXBackend.execute``, or
+#: ``CPUBackend.motion`` and the host-staged wrapper ``leg_transfer``
+#: returns), then the DMA engine's ``transfer`` and ``_attempt`` and the
+#: fabric's ``transfer``. Span steps and phase steps are context
+#: managers and add no frame.
 MAX_RESUME_DEPTH = 8
 
 

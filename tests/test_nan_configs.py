@@ -70,6 +70,17 @@ profile or a chain died converting NaN to an integer, naming no field.
 ``CollectiveSystem(nan, ...)`` passed its ``< 2`` check and then died
 with a ``TypeError`` from ``range``.
 Every chain the calibrated table holds goes through these constructors.
+
+So do the system's own parts. ``EnergyParams`` took NaN in all eight
+fields (``drx_static_w=nan`` made the DRX energy NaN) and never
+checked ``accelerator_idle_w`` or ``drx_static_w`` at all, so idle
+accelerators could cost negative joules. A NaN ``AlertConfig.min_count``
+never fired and a NaN ``clear_after`` never cleared, like a NaN alert
+window. ``LinkConfig(propagation_latency_s=nan)`` priced every bid
+over the link at NaN and then killed the first transfer with an engine
+error that named no field; ``Fabric`` did not check
+``switch_latency_s``; and ``HostCPU(parallel_overhead=nan)`` or
+``spawn_overhead_s=nan`` made every parallel restructuring time NaN.
 """
 
 import dataclasses
@@ -90,8 +101,9 @@ from repro.core import (
     MotionStage,
     SystemConfig,
 )
-from repro.cpu import XEON_8260L
+from repro.cpu import XEON_8260L, HostCPU
 from repro.drx.microarch import DRXConfig
+from repro.energy import EnergyParams
 from repro.faults import (
     CrashPlan,
     DomainCrash,
@@ -108,7 +120,7 @@ from repro.resilience import (
     TokenBucketConfig,
 )
 from repro.resilience.brownout import BrownoutConfig, BrownoutController
-from repro.interconnect import DMACosts
+from repro.interconnect import DMACosts, Fabric, LinkConfig
 from repro.runtime.driver import NotificationCosts
 from repro.serve import (
     BatchingConfig,
@@ -233,6 +245,14 @@ def _collectives(n_accelerators=4):
     return CollectiveSystem(n_accelerators, SystemConfig(mode=Mode.MULTI_AXL))
 
 
+def _fabric(**kw):
+    return Fabric(Simulator(), **kw)
+
+
+def _host_cpu(**kw):
+    return HostCPU(Simulator(), **kw)
+
+
 def _cache(**kw):
     return dataclasses.replace(XEON_8260L.l1d, **kw)
 
@@ -280,6 +300,10 @@ CHECKS = [
     (PlannerConfig, "queue_weight"),
     (AlertConfig, "fast_burn"),
     (AlertConfig, "slow_burn"),
+    (AlertConfig, "fast_windows"),
+    (AlertConfig, "slow_windows"),
+    (AlertConfig, "min_count"),
+    (AlertConfig, "clear_after"),
     (RollupConfig, "window_s"),
     (_token_bucket, "rate_per_s"),
     (_token_bucket, "burst"),
@@ -371,6 +395,18 @@ CHECKS = [
     (DRXConfig, "frequency_hz"),
     (DRXConfig, "dram_bandwidth"),
     (DRXConfig, "power_w"),
+    (EnergyParams, "cpu_idle_w"),
+    (EnergyParams, "cpu_core_active_w"),
+    (EnergyParams, "accelerator_active_w"),
+    (EnergyParams, "accelerator_idle_w"),
+    (EnergyParams, "drx_active_w"),
+    (EnergyParams, "drx_static_w"),
+    (EnergyParams, "pcie_pj_per_byte"),
+    (EnergyParams, "switch_static_w"),
+    (LinkConfig, "propagation_latency_s"),
+    (_fabric, "switch_latency_s"),
+    (_host_cpu, "parallel_overhead"),
+    (_host_cpu, "spawn_overhead_s"),
 ]
 
 
