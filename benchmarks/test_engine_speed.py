@@ -1,68 +1,60 @@
-"""Engine hot-path microbenchmark: reworked DES core vs the vendored
-pre-rework engine (``_legacy_sim``).
+"""Engine hot-path work pins: a serving-shaped workload's work and
+allocations, and the golden hashes of two fixed-seed results.
 
-Two modes:
+The workload — 640 clients contending on a 4-slot FIFO ``Resource`` and
+a 2-slot store-and-forward ``Server`` link, plus interrupt churn
+against a crowded wait list — exercises the paths the engine's rework
+made cheap: resource grants under a deep wait queue (held slots in an
+O(1)-membership dict), interrupt delivery to processes parked on a
+shared event (O(1) identity detach) and the per-event dispatch loop
+(single-slot callback fast path, ``__slots__`` events).
 
-* **Speed mode** (default, local runs): a serving-shaped synthetic
-  workload — many clients contending on a ``PriorityResource``, a
-  store-and-forward ``Server`` link, a producer/consumer ``Store``, and
-  interrupt churn against crowded wait lists — is run on both engines
-  and the reworked engine must process events at >= 2x the legacy rate.
-* **Check mode** (``ENGINE_SPEED_CHECK=1``, used by CI): no wall-clock
-  assertions (shared runners make timing meaningless); instead both
-  engines must do *identical work* — same processed-event count (pinned
-  to a constant so workload drift is caught), same final clock — and the
-  reworked engine must allocate no more memory than the legacy one.
+No wall-clock assertion: timing on a shared runner means nothing, and
+``python -m bench`` measures the wall time of whole runs. Instead the
+workload must process a pinned number of events, end at a pinned
+clock, and stay inside a pinned ``tracemalloc`` budget.
 
-The workload deliberately stresses the paths the rework changed:
-``PriorityResource`` grants under a deep wait queue (legacy: O(n) scan
-per grant; reworked: lazily-pruned heap), interrupt delivery to
-processes parked on shared events (legacy: O(n) ``callbacks.remove``;
-reworked: O(1) identity detach), and the per-event dispatch loop
-(legacy: a list allocation per event; reworked: single-slot fast path).
-
-Byte-identity pins: the rework must not change simulation *results*,
-only their cost. A fixed-seed serving sweep and a fixed system-level
-``RunResult`` are hashed against goldens recorded when the engine
-correctness fixes landed; any engine change that shifts event ordering
-or timing will break these.
+Byte-identity pins: an engine change must not change simulation
+*results*, only their cost. A fixed-seed serving sweep and a fixed
+system-level ``RunResult`` are hashed against goldens recorded when the
+engine correctness fixes landed; any engine change that shifts event
+ordering or timing will break these.
 """
 
 import hashlib
 import json
-import os
-import time
+import sys
 import tracemalloc
 
 import pytest
 
-import _legacy_sim as legacy
+from repro.sim import Interrupt, Resource, Server, Simulator
 
-import repro.sim.engine as _new_engine
-import repro.sim.resources as _new_resources
-
-CHECK_MODE = os.environ.get("ENGINE_SPEED_CHECK") == "1"
-
-# Workload shape: 640 clients x 25 iterations over a 4-slot priority
-# resource keeps ~600 requests queued (the legacy linear scan's worst
-# case), plus 40 rounds of 64 interrupted sleepers on a shared gate.
+# Workload shape: 640 clients x 25 iterations over a 4-slot resource
+# keeps ~600 requests queued, plus 40 rounds of 64 interrupted sleepers
+# on a shared gate.
 N_CLIENTS = 640
 ITERATIONS = 25
 CHURN_ROUNDS = 40
 CHURN_WAITERS = 64
 
-#: Processed-event count for the workload above. Identical on both
-#: engines by construction; pinned so a silent workload change (or an
-#: engine change that skips/duplicates events) fails loudly.
-EXPECTED_EVENTS = 89_084
-EXPECTED_FINAL_NOW = 4.166510
+#: Processed-event count and final clock of the workload above, pinned
+#: so a silent workload change (or an engine change that skips or
+#: duplicates events) fails loudly.
+EXPECTED_EVENTS = 73_082
+EXPECTED_FINAL_NOW = 4.16732
 
-#: Required wall-clock speedup of the reworked engine (speed mode).
-REQUIRED_SPEEDUP = 2.0
+#: ``tracemalloc`` peak budget for one run of the workload, in bytes:
+#: the peak of the first run in a fresh process (the highest; later
+#: runs peak ~7% lower) on the engine these pins were taken from, plus
+#: 5%. That peak was 657,160 bytes on CPython 3.11 (645,672 on 3.12 and
+#: 645,608 on 3.13) and 926,231 on 3.10, whose generator frames are
+#: separate, larger objects.
+PEAK_ALLOC_BUDGET = 690_018 if sys.version_info >= (3, 11) else 972_542
 
 # Golden result hashes, recorded after the engine correctness fixes
 # (stale-AllOf counting, lost-Timeout drag, interrupt detach) landed.
-# The hot-path rework must reproduce these byte-for-byte.
+# Engine changes must reproduce these byte-for-byte.
 SWEEP_GOLDEN_SHA256 = (
     "6bcfff1d02a48e441c6f0bca515a52de48b2d0c0f4a4780a6a1302d1f923a9f5"
 )
@@ -71,45 +63,25 @@ RUNRESULT_GOLDEN_SHA256 = (
 )
 
 
-class _NewEngine:
-    """Namespace adapter so both engines run the same workload code."""
-
-    Simulator = _new_engine.Simulator
-    Interrupt = _new_engine.Interrupt
-    PriorityResource = _new_resources.PriorityResource
-    Server = _new_resources.Server
-    Store = _new_resources.Store
-
-
-def run_workload(M):
-    """Run the serving-shaped workload on engine namespace ``M``.
-
-    Returns ``(events_processed, final_now)`` — identical across
-    engines when both are correct, which makes wall-clock comparisons
-    apples-to-apples and gives check mode its work measure.
-    """
-    sim = M.Simulator()
-    cores = M.PriorityResource(sim, capacity=4, name="cores")
-    link = M.Server(sim, capacity=2, name="link")
-    queue = M.Store(sim, name="cmds")
+def run_workload():
+    """Run the serving-shaped workload; returns ``(events_processed,
+    final_now)``."""
+    sim = Simulator()
+    cores = Resource(sim, capacity=4, name="cores")
+    link = Server(sim, capacity=2, name="link")
 
     def client(sim, i, n):
         for j in range(n):
-            req = cores.request(priority=(i + j) % 3)
+            req = cores.request()
             yield req
             yield sim.timeout(0.001 + (i % 7) * 1e-5)
             cores.release(req)
             yield from link.transfer(0.0005 + (j % 5) * 1e-5)
-            queue.put((i, j))
-
-    def consumer(sim, total):
-        for _ in range(total):
-            yield queue.get()
 
     def sleeper(sim, gate):
         try:
             yield gate
-        except M.Interrupt:
+        except Interrupt:
             pass
 
     def churn(sim, rounds):
@@ -128,86 +100,27 @@ def run_workload(M):
 
     for i in range(N_CLIENTS):
         sim.spawn(client(sim, i, ITERATIONS))
-    sim.spawn(consumer(sim, N_CLIENTS * ITERATIONS))
     sim.spawn(churn(sim, CHURN_ROUNDS))
     sim.run()
     return sim.events_processed, sim.now
 
 
-def _best_of(fn, rounds=3):
-    best = None
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
-
-
-# -- work identity (runs in both modes) ----------------------------------
-
-
-def test_both_engines_do_identical_work():
-    legacy_work = run_workload(legacy)
-    new_work = run_workload(_NewEngine)
-    assert legacy_work == new_work
-    events, now = new_work
+def test_workload_does_the_pinned_work():
+    events, now = run_workload()
     assert events == EXPECTED_EVENTS
     assert now == pytest.approx(EXPECTED_FINAL_NOW, abs=1e-9)
 
 
-# -- speed mode ----------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    CHECK_MODE, reason="wall-clock asserts disabled under ENGINE_SPEED_CHECK"
-)
-def test_reworked_engine_is_at_least_2x_faster():
-    legacy_best, legacy_work = _best_of(lambda: run_workload(legacy))
-    new_best, new_work = _best_of(lambda: run_workload(_NewEngine))
-    assert legacy_work == new_work  # same work, or the timing is a lie
-    speedup = legacy_best / new_best
-    legacy_rate = legacy_work[0] / legacy_best
-    new_rate = new_work[0] / new_best
-    print(
-        f"\nlegacy: {legacy_best:.3f}s ({legacy_rate / 1e3:.0f}k ev/s)  "
-        f"new: {new_best:.3f}s ({new_rate / 1e3:.0f}k ev/s)  "
-        f"speedup: {speedup:.2f}x"
-    )
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"reworked engine only {speedup:.2f}x faster "
-        f"(required {REQUIRED_SPEEDUP}x)"
-    )
-
-
-# -- check mode (CI) -----------------------------------------------------
-
-
-@pytest.mark.skipif(
-    not CHECK_MODE, reason="allocation check runs under ENGINE_SPEED_CHECK=1"
-)
-def test_reworked_engine_allocates_no_more_than_legacy():
-    def peak_alloc(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
-
-    legacy_peak = peak_alloc(lambda: run_workload(legacy))
-    new_peak = peak_alloc(lambda: run_workload(_NewEngine))
-    print(
-        f"\npeak allocations — legacy: {legacy_peak / 1e6:.1f} MB  "
-        f"new: {new_peak / 1e6:.1f} MB"
-    )
-    # __slots__ events and the single-callback fast path should only
-    # ever shrink the footprint; a small tolerance absorbs interpreter
-    # noise without letting a real regression through.
-    assert new_peak <= legacy_peak * 1.05
+def test_workload_allocates_within_budget():
+    tracemalloc.start()
+    try:
+        run_workload()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"\npeak allocations: {peak / 1e6:.3f} MB "
+          f"(budget {PEAK_ALLOC_BUDGET / 1e6:.3f} MB)")
+    assert peak <= PEAK_ALLOC_BUDGET
 
 
 # -- byte-identity goldens (runs in both modes) --------------------------

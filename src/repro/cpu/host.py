@@ -38,9 +38,10 @@ class HostCPU:
     spec:
         Static CPU description (defaults to the testbed Xeon).
     max_threads:
-        Cap on per-job restructuring parallelism. The paper observes MKL
-        spawning 130–140 ephemeral threads over 16 cores; per job the
-        useful parallelism is bounded by the core count.
+        Cap on per-job restructuring parallelism: a whole number >= 1,
+        or None for every core. The paper observes MKL spawning 130–140
+        ephemeral threads over 16 cores; per job the useful parallelism
+        is bounded by the core count.
     parallel_overhead:
         Per-extra-thread efficiency loss (synchronization, bandwidth
         sharing): ``chunk_time = serial/p * (1 + overhead*(p-1))``.
@@ -58,6 +59,13 @@ class HostCPU:
         parallel_overhead: float = 0.05,
         spawn_overhead_s: float = 5e-5,
     ):
+        if max_threads is not None and not (
+            isinstance(max_threads, int) and max_threads >= 1
+        ):
+            raise ValueError(
+                f"max_threads must be None or a whole number >= 1 "
+                f"(not NaN), got {max_threads!r}"
+            )
         for name, value in (("parallel_overhead", parallel_overhead),
                             ("spawn_overhead_s", spawn_overhead_s)):
             if not value >= 0:
@@ -66,7 +74,7 @@ class HostCPU:
         self.spec = spec
         self.cores = Resource(sim, capacity=spec.cores, name="cpu-cores")
         self.topdown = TopDownModel(spec)
-        self.max_threads = max_threads or spec.cores
+        self.max_threads = spec.cores if max_threads is None else max_threads
         self.parallel_overhead = parallel_overhead
         self.spawn_overhead_s = spawn_overhead_s
         self.restructure_jobs = 0

@@ -7,12 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
         "Simulator", "Timeout", "WaitTimeout",
     ),
-    "resources": (
-        "PriorityResource", "Request", "Resource", "Server", "ServerDevice",
-        "Store",
-    ),
-    "tracing": (
-        "PhaseAccumulator", "exact_percentile", "geometric_mean",
-        "summarize_latencies",
-    ),
+    "resources": ("Request", "Resource", "Server", "ServerDevice"),
+    "tracing": ("PhaseAccumulator", "exact_percentile", "geometric_mean"),
 })

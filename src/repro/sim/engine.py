@@ -57,9 +57,8 @@ class SimulationError(RuntimeError):
 class WaitTimeout(Exception):
     """A timeout-raced wait exceeded its deadline.
 
-    Raised by the timeout-race helpers (:meth:`~repro.sim.resources.Store.get_or_timeout`,
-    :func:`repro.faults.with_timeout`) so callers can distinguish a missed
-    deadline from a failed operation.
+    Raised by :func:`repro.faults.with_timeout`, so callers can tell a
+    missed deadline from a failed operation.
     """
 
 
@@ -470,13 +469,7 @@ class Simulator:
         """Start a new process from ``generator`` at the current time."""
         return Process(self, generator, name=name)
 
-    # Alias mirroring SimPy naming, some callers read better with it.
-    process = spawn
-
     # -- scheduling core ----------------------------------------------------
-
-    def _queue_event(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._heap, (self.now + delay, next(self._seq), event))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` after ``delay``; returns the underlying event."""
@@ -507,20 +500,6 @@ class Simulator:
                 event._cbs = None
                 for callback in cbs:
                     callback(event)
-
-    def step(self) -> None:
-        """Process exactly one live event (skipping canceled entries)."""
-        heap = self._heap
-        while True:
-            if not heap:
-                raise SimulationError("step() on an empty event queue")
-            when, _tie, event = heappop(heap)
-            if not event._defunct:
-                break
-        if when < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = when
-        self._fire(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time reaches ``until``.

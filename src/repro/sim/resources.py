@@ -1,14 +1,12 @@
 """Shared resources for the DES engine.
 
-Three resource flavours cover everything the DMX model needs:
+Two resource flavours cover everything the DMX model needs:
 
 * :class:`Resource` — a counted resource with a FIFO wait queue (CPU cores,
   DRX units, DMA engines).
 * :class:`Server` — a capacity-1 (or N) resource where each job occupies it
   for a caller-computed service time; used for PCIe links, memory channels,
   and anything whose contention is "one transfer at a time".
-* :class:`Store` — an unbounded FIFO of items with blocking ``get`` (command
-  queues, interrupt queues).
 
 :class:`ServerDevice` is the one occupancy a restructuring device runs
 its jobs through (a DRX unit, a DSA engine pool, an XDMA channel pool):
@@ -20,24 +18,18 @@ conditions freely.
 
 Hot-path notes (DESIGN.md §12): held slots live in an insertion-ordered
 dict so membership/release are O(1) (the old list made every ``release``
-an O(n) scan); :class:`PriorityResource` selects its next grantee from a
-lazily-pruned heap instead of scanning the whole queue; and
-:meth:`Store.get_or_timeout` cancels the losing :class:`Timeout` so a
-generous unfired deadline never drags out final ``sim.now``.
+an O(n) scan), and a request carries nothing but its event state.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Deque, Dict, Generator, List, Optional
+from heapq import heappush
+from typing import Deque, Dict, Generator
 
-from .engine import AnyOf, Event, SimulationError, Simulator, Timeout, WaitTimeout
+from .engine import Event, SimulationError, Simulator
 
-__all__ = [
-    "Request", "Resource", "Server", "ServerDevice", "Store",
-    "PriorityResource",
-]
+__all__ = ["Request", "Resource", "Server", "ServerDevice"]
 
 
 class Request(Event):
@@ -50,12 +42,12 @@ class Request(Event):
     refcounting instead of waiting for the cyclic collector.
     """
 
-    __slots__ = ("resource", "priority", "_requested_at", "_queued")
+    __slots__ = ()
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, sim: Simulator):
         # Inlined Event.__init__, as in Timeout: one request per slot
         # acquisition on every link, DRX unit and DMA engine.
-        self.sim = resource.sim
+        self.sim = sim
         self._value = None
         self._exception = None
         self._triggered = False
@@ -63,14 +55,10 @@ class Request(Event):
         self._defunct = False
         self._cb0 = None
         self._cbs = None
-        self.resource = resource
-        self.priority = priority
-        self._requested_at: Optional[float] = None
-        self._queued = False
 
 
 class Resource:
-    """A counted resource with FIFO (or priority) granting.
+    """A counted resource with FIFO granting.
 
     Parameters
     ----------
@@ -93,13 +81,7 @@ class Resource:
         # Insertion-ordered; used as an O(1)-membership set.
         self._users: Dict[Request, None] = {}
         self._queue: Deque[Request] = deque()
-        # Statistics for utilization reporting. ``total_wait_time`` covers
-        # granted requests only; canceled requests are tracked separately
-        # so cancellations don't skew the wait-per-grant figures.
-        self.total_wait_time = 0.0
-        self.granted_count = 0
-        self.canceled_count = 0
-        self.canceled_wait_time = 0.0
+        # Slots held x time up to ``_last_change``, for utilization.
         self._busy_time = 0.0
         self._last_change = 0.0
 
@@ -117,60 +99,56 @@ class Resource:
         """Integrated (slots-held x time), for utilization accounting."""
         return self._busy_time + self.in_use * (self.sim.now - self._last_change)
 
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_time += len(self._users) * (now - self._last_change)
-        self._last_change = now
-
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Ask for a slot; the returned event triggers when granted."""
-        req = Request(self, priority)
         sim = self.sim
-        now = sim.now
-        req._requested_at = now
+        req = Request(sim)
         users = self._users
-        if len(users) < self.capacity and self.queue_length == 0:
-            # Uncontended fast path: grant inline (zero wait, the event
-            # is fresh so the triggered check of ``succeed`` is moot).
+        if len(users) < self.capacity and not self._queue:
+            # Uncontended fast path: grant inline (the event is fresh,
+            # so the triggered check of ``succeed`` is moot).
+            now = sim.now
             self._busy_time += len(users) * (now - self._last_change)
             self._last_change = now
             users[req] = None
-            self.granted_count += 1
             req._triggered = True
             req._value = req
             heappush(sim._heap, (now, next(sim._seq), req))
         else:
-            self._enqueue(req)
+            self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
+        """Return a previously granted slot, granting the oldest waiters
+        the slots that are now free."""
         users = self._users
         if request not in users:
             raise SimulationError(
                 f"release of a request not holding {self.name or 'resource'}"
             )
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         self._busy_time += len(users) * (now - self._last_change)
         self._last_change = now
         del users[request]
         request._value = None  # break the granted self-reference
-        self._grant_waiters()
+        queue = self._queue
+        while queue and len(users) < self.capacity:
+            waiter = queue.popleft()
+            users[waiter] = None
+            waiter._triggered = True
+            waiter._value = waiter
+            heappush(sim._heap, (now, next(sim._seq), waiter))
 
     def cancel(self, request: Request) -> None:
         """Withdraw a request that has not been granted yet."""
-        if not request._queued:
-            # ``from None`` keeps the contract of the pre-rework
-            # implementation (which suppressed an internal ValueError).
+        try:
+            self._queue.remove(request)
+        except ValueError:
             raise SimulationError(
                 f"cancel of a request that is not queued on "
                 f"{self.name or 'resource'}"
             ) from None
-        self._remove_queued(request)
-        self.canceled_count += 1
-        if request._requested_at is not None:
-            self.canceled_wait_time += self.sim.now - request._requested_at
-            request._requested_at = None
 
     def relinquish(self, request: Request) -> None:
         """Release a granted request, or cancel a still-queued one.
@@ -182,42 +160,6 @@ class Resource:
             self.release(request)
         else:
             self.cancel(request)
-
-    def _grant(self, request: Request) -> None:
-        sim = self.sim
-        now = sim.now
-        self._busy_time += len(self._users) * (now - self._last_change)
-        self._last_change = now
-        self._users[request] = None
-        self.granted_count += 1
-        self.total_wait_time += now - request._requested_at
-        request._triggered = True
-        request._value = request
-        heappush(sim._heap, (now, next(sim._seq), request))
-
-    # -- wait-queue strategy (overridden by PriorityResource) ----------------
-
-    def _enqueue(self, request: Request) -> None:
-        request._queued = True
-        self._queue.append(request)
-
-    def _select_next(self) -> Request:
-        request = self._queue.popleft()
-        request._queued = False
-        return request
-
-    def _remove_queued(self, request: Request) -> None:
-        self._queue.remove(request)
-        request._queued = False
-
-    def _grant_waiters(self) -> None:
-        queue = self._queue
-        users = self._users
-        capacity = self.capacity
-        while queue and len(users) < capacity:
-            request = queue.popleft()
-            request._queued = False
-            self._grant(request)
 
     def acquire(self) -> Generator:
         """Process helper: ``req = yield from res.acquire()``."""
@@ -239,53 +181,6 @@ class Resource:
             yield self.sim.timeout(duration)
         finally:
             self.relinquish(req)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` that grants the lowest-priority-number first.
-
-    Ties break FIFO. Useful for modeling interrupt handling preempting
-    batch restructuring work on CPU cores.
-
-    The wait queue is a ``(priority, seq, request)`` heap with lazy
-    pruning: cancellation just clears the request's queued flag, and
-    :meth:`_select_next` discards dead entries as they surface — O(log n)
-    per grant instead of the old O(n) scan of the whole queue.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity=capacity, name=name)
-        self._pheap: List = []
-        self._pseq = 0
-        self._plive = 0
-
-    @property
-    def queue_length(self) -> int:
-        return self._plive
-
-    def _enqueue(self, request: Request) -> None:
-        request._queued = True
-        heappush(self._pheap, (request.priority, self._pseq, request))
-        self._pseq += 1
-        self._plive += 1
-
-    def _select_next(self) -> Request:
-        heap = self._pheap
-        while True:
-            request = heappop(heap)[2]
-            if request._queued:
-                request._queued = False
-                self._plive -= 1
-                return request
-
-    def _remove_queued(self, request: Request) -> None:
-        # Lazy deletion: the heap entry stays until it surfaces.
-        request._queued = False
-        self._plive -= 1
-
-    def _grant_waiters(self) -> None:
-        while self._plive and len(self._users) < self.capacity:
-            self._grant(self._select_next())
 
 
 class Server:
@@ -396,72 +291,3 @@ class ServerDevice:
             step.end_attrs = {"queued_s": elapsed - duration}
         return elapsed
 
-
-class Store:
-    """Unbounded FIFO with blocking ``get`` for producer/consumer processes."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self.put_count = 0
-        self.canceled_getters = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add an item; wakes the oldest waiting getter, if any."""
-        self.put_count += 1
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event triggering with the next item (immediately if available)."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a waiting getter (e.g. the loser of an ``AnyOf`` race).
-
-        An abandoned getter left in the queue silently swallows the next
-        :meth:`put`, starving whichever consumer actually needed the item —
-        every timeout race over :meth:`get` must cancel the losing event.
-        Returns True when the getter was still waiting.
-        """
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            return False
-        self.canceled_getters += 1
-        return True
-
-    def get_or_timeout(self, timeout_s: float) -> Generator:
-        """Process helper: next item, or :class:`WaitTimeout` after ``timeout_s``.
-
-        Whichever side loses the race is canceled: a timed-out getter
-        cannot swallow an item a later consumer needed, and a beaten
-        :class:`Timeout` cannot drag the end of the simulation (and every
-        utilization denominator) out to its unfired deadline.
-        """
-        get = self.get()
-        deadline = Timeout(self.sim, timeout_s)
-        yield AnyOf(self.sim, [get, deadline])
-        if get.triggered:
-            deadline.cancel()
-            return get.value
-        self.cancel(get)
-        raise WaitTimeout(
-            f"get on {self.name or 'store'} exceeded {timeout_s} s"
-        )
-
-    def peek_all(self) -> List[Any]:
-        """Snapshot of queued items (does not consume)."""
-        return list(self._items)

@@ -12,11 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List
 
-__all__ = [
-    "PhaseAccumulator",
-    "exact_percentile",
-    "summarize_latencies",
-]
+__all__ = ["PhaseAccumulator", "exact_percentile", "geometric_mean"]
 
 
 class PhaseAccumulator:
@@ -53,9 +49,10 @@ class PhaseAccumulator:
 def exact_percentile(ordered: List[float], q: float) -> float:
     """Linear-interpolated percentile of a pre-sorted sample.
 
-    The single quantile implementation shared by the batch summaries
-    here and the serving-side :class:`~repro.serve.slo.LatencyTracker`,
-    so both report identical values for identical samples.
+    The single quantile implementation shared by the telemetry rollups
+    and diffs and the serving-side
+    :class:`~repro.serve.slo.LatencyTracker`, so all report identical
+    values for identical samples.
     """
     n = len(ordered)
     if n == 0:
@@ -71,23 +68,6 @@ def exact_percentile(ordered: List[float], q: float) -> float:
     return ordered[low] * (1 - frac) + ordered[high] * frac
 
 
-def summarize_latencies(latencies: List[float]) -> Dict[str, float]:
-    """Mean / p50 / p95 / p99 / min / max summary of a latency sample."""
-    if not latencies:
-        raise ValueError("no latencies to summarize")
-    ordered = sorted(latencies)
-    n = len(ordered)
-    return {
-        "mean": sum(ordered) / n,
-        "p50": exact_percentile(ordered, 0.50),
-        "p95": exact_percentile(ordered, 0.95),
-        "p99": exact_percentile(ordered, 0.99),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "count": float(n),
-    }
-
-
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean; the paper reports geomeans across benchmarks."""
     values = list(values)
@@ -97,5 +77,3 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
-
-__all__.append("geometric_mean")

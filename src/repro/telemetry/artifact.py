@@ -370,11 +370,44 @@ def load_artifact(path: str) -> RunArtifact:
                     )
                 continue
             if kind == "span":
+                # Most rows are spans: ``ident``, ``text``, ``real`` and
+                # ``bag`` inlined, reading the keys in the same order,
+                # so a row missing one raises the same ``KeyError``.
+                span_id = row["id"]
+                parent = row["parent"]
+                if type(parent) is int:
+                    parent = ids.setdefault(parent, parent)
+                req = row["req"]
+                if type(req) is int:
+                    req = ids.setdefault(req, req)
+                name = row["name"]
+                if type(name) is str:
+                    name = strs.setdefault(name, name)
+                cat = row["cat"]
+                if type(cat) is str:
+                    cat = strs.setdefault(cat, cat)
+                actor = row["actor"]
+                if type(actor) is str:
+                    actor = strs.setdefault(actor, actor)
+                phase = row["phase"]
+                if type(phase) is str:
+                    phase = strs.setdefault(phase, phase)
+                start = row["start"]
+                if type(start) is float and start > 0.0:
+                    start = reals.setdefault(start, start)
+                end = row["end"]
+                if type(end) is float and end > 0.0:
+                    end = reals.setdefault(end, end)
+                attrs = row["attrs"]
+                if type(attrs) is dict and attrs:
+                    attrs = {
+                        strs.setdefault(k, k):
+                            strs.setdefault(v, v) if type(v) is str else v
+                        for k, v in attrs.items()
+                    }
                 artifact.spans.append(Span(
-                    row["id"], ident(row["parent"]), ident(row["req"]),
-                    text(row["name"]), text(row["cat"]), text(row["actor"]),
-                    text(row["phase"]), real(row["start"]), real(row["end"]),
-                    bag(row["attrs"]),
+                    span_id, parent, req, name, cat, actor, phase, start,
+                    end, attrs,
                 ))
             elif kind == "instant":
                 artifact.instants.append(Instant(

@@ -63,8 +63,11 @@ def _template(name: str) -> AppChain:
 
 def build_benchmark_chains(name: str, n_instances: int) -> List[AppChain]:
     """``n_instances`` uniquely-named copies of one benchmark's chain."""
-    if n_instances <= 0:
-        raise ValueError("n_instances must be positive")
+    if not (isinstance(n_instances, int) and n_instances >= 1):
+        raise ValueError(
+            f"n_instances must be a whole number >= 1 (not NaN), "
+            f"got {n_instances!r}"
+        )
     template = _template(name)
     base = template.name.rsplit("-", 1)[0]
     return [

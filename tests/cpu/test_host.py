@@ -44,6 +44,22 @@ def test_parallel_time_clamps_to_max_threads():
     assert cpu.parallel_time(p, 100) == pytest.approx(cpu.parallel_time(p, 4))
 
 
+@pytest.mark.parametrize("max_threads", [0, -3, 2.5, float("inf")])
+def test_max_threads_must_be_a_whole_number_of_at_least_one(max_threads):
+    # 0 once meant every core, -3 serialized every job, and 2.5 priced
+    # a 2.5-thread job and then died in ``range`` inside ``restructure``.
+    with pytest.raises(ValueError, match="max_threads"):
+        HostCPU(Simulator(), max_threads=max_threads)
+
+
+def test_max_threads_none_means_every_core():
+    p = profile()
+    every_core = HostCPU(Simulator(), max_threads=None)
+    assert every_core.max_threads == XEON_8260L.cores
+    capped = HostCPU(Simulator(), max_threads=XEON_8260L.cores)
+    assert every_core.parallel_time(p, 100) == capped.parallel_time(p, 100)
+
+
 def test_restructure_single_job_latency_matches_parallel_time():
     sim = Simulator()
     cpu = HostCPU(sim)

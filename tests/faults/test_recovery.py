@@ -81,6 +81,36 @@ def test_with_timeout_deadline_releases_held_resources():
     assert res.in_use == 0 and res.queue_length == 0
 
 
+def test_with_timeout_deadline_withdraws_queued_request():
+    # The op loses its race while still queued behind a holder, so it
+    # must withdraw: were its request granted at the holder's release,
+    # its dead process would keep the slot and the live waiter queued
+    # after it would starve.
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    done = []
+
+    def holder(sim):
+        yield from res.use(2.0)
+
+    def impatient(sim):
+        try:
+            yield from with_timeout(sim, res.use(1.0), 1.0)
+        except WaitTimeout:
+            done.append(("timeout", sim.now))
+
+    def patient(sim):
+        yield from res.use(1.0)
+        done.append(("patient", sim.now))
+
+    sim.spawn(holder(sim))
+    sim.spawn(impatient(sim))
+    sim.spawn(patient(sim))
+    sim.run()
+    assert done == [("timeout", 1.0), ("patient", 3.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+
+
 def test_with_timeout_propagates_op_exception():
     sim = Simulator()
 

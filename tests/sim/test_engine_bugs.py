@@ -1,15 +1,13 @@
-"""Regression tests for the latent engine bugs fixed in the PR-6 rework.
-
-Each test fails on the pre-rework engine (vendored verbatim in
-``benchmarks/_legacy_sim.py``):
+"""Regression tests for latent bugs of the original engine, each fixed
+when the engine's hot path was reworked:
 
 * ``AllOf`` over a list whose *first* component was already processed
   triggered before the remaining components were even counted, because
   ``_Condition.__init__`` incremented ``_pending`` one event at a time
   while registering callbacks.
-* A ``Timeout`` that lost a race (``Store.get_or_timeout``,
-  ``with_timeout``) stayed in the heap, so ``Simulator.run()`` drained
-  through it and dragged final ``sim.now`` — and every
+* A ``Timeout`` that lost a race (the deadline of
+  ``faults.with_timeout``) stayed in the heap, so ``Simulator.run()``
+  drained through it and dragged final ``sim.now`` — and every
   ``Server.utilization()`` denominator — out to the timeout deadline.
 * ``Process.interrupt`` detached from the waited-on event with an O(n)
   ``callbacks.remove`` that silently did nothing when the callback was
@@ -23,12 +21,12 @@ Each test fails on the pre-rework engine (vendored verbatim in
 
 import pytest
 
+from repro.faults import with_timeout
 from repro.sim import (
     AllOf,
     Interrupt,
     Server,
     Simulator,
-    Store,
     Timeout,
     WaitTimeout,
 )
@@ -80,20 +78,32 @@ def test_allof_processed_failed_component_fails_condition():
 # -- bug 2: a lost Timeout drags final sim.now --------------------------------
 
 
-def test_lost_store_timeout_does_not_drag_final_now():
-    sim = Simulator()
-    store = Store(sim, name="cmds")
-    got = []
+def _fired_at_one_second(sim, value=None):
+    """An event that a producer process fires with ``value`` at 1 s."""
+    event = sim.event()
 
     def producer(sim):
         yield sim.timeout(1.0)
-        store.put("item")
-
-    def consumer(sim):
-        item = yield from store.get_or_timeout(1000.0)
-        got.append((sim.now, item))
+        event.succeed(value)
 
     sim.spawn(producer(sim))
+    return event
+
+
+def _wait_for(event):
+    """An op that ends when ``event`` fires, returning its value."""
+    return (yield event)
+
+
+def test_lost_timeout_does_not_drag_final_now():
+    sim = Simulator()
+    ready = _fired_at_one_second(sim, "item")
+    got = []
+
+    def consumer(sim):
+        item = yield from with_timeout(sim, _wait_for(ready), 1000.0)
+        got.append((sim.now, item))
+
     sim.spawn(consumer(sim))
     sim.run()
     assert got == [(1.0, "item")]
@@ -105,17 +115,12 @@ def test_lost_store_timeout_does_not_drag_final_now():
 def test_lost_timeout_does_not_deflate_server_utilization():
     sim = Simulator()
     server = Server(sim, name="link")
-    store = Store(sim)
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        store.put("go")
+    go = _fired_at_one_second(sim)
 
     def worker(sim):
-        yield from store.get_or_timeout(999.0)
+        yield from with_timeout(sim, _wait_for(go), 999.0)
         yield from server.transfer(1.0)
 
-    sim.spawn(producer(sim))
     sim.spawn(worker(sim))
     sim.run()
     assert sim.now == pytest.approx(2.0)
@@ -137,8 +142,6 @@ def test_canceled_timeout_is_skipped_without_firing():
 
 
 def test_with_timeout_winner_cancels_deadline():
-    from repro.faults import with_timeout
-
     sim = Simulator()
     result = []
 
@@ -157,8 +160,6 @@ def test_with_timeout_winner_cancels_deadline():
 
 
 def test_with_timeout_deadline_still_fires_when_op_is_slow():
-    from repro.faults import with_timeout
-
     sim = Simulator()
     caught = []
 

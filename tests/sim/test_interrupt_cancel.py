@@ -1,9 +1,12 @@
 """Interrupt/cancel semantics: the engine paths fault recovery leans on.
 
 Covers the bugs the fault-injection layer exposed: releasing a request
-the process never held, Store getters leaking across timeout races,
-cancel() accounting, and shared exception instances mutating across
-waiters.
+the process never held, a withdrawn request that later takes a slot,
+and shared exception instances mutating across waiters. The deadline
+race itself (:func:`repro.faults.with_timeout`: the losing op is
+interrupted and withdraws its request, the losing deadline is
+cancelled) is pinned in ``tests/faults/test_recovery.py`` and
+``test_engine_bugs.py``.
 """
 
 import pytest
@@ -16,8 +19,6 @@ from repro.sim import (
     Server,
     SimulationError,
     Simulator,
-    Store,
-    WaitTimeout,
 )
 
 
@@ -45,9 +46,11 @@ def test_interrupting_queued_user_withdraws_instead_of_crashing():
     sim.run()
     assert ("interrupted", 2.0) in done
     assert ("holder", 10.0) in done
+    # The withdrawn request was never granted: had the holder's release
+    # at 10 s granted it, its dead process would hold the slot forever.
     assert res.in_use == 0
     assert res.queue_length == 0
-    assert res.canceled_count == 1
+    assert res.request().triggered  # the next request is granted at once
 
 
 def test_interrupting_queued_user_does_not_starve_later_waiters():
@@ -129,10 +132,10 @@ def test_interrupt_before_first_resume():
     assert victim.triggered and not victim.ok
 
 
-# -- Resource.cancel accounting ----------------------------------------------
+# -- Resource.cancel ---------------------------------------------------------
 
 
-def test_cancel_of_ungranted_request_updates_cancel_accounting():
+def test_cancel_of_ungranted_request_withdraws_it():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     held = res.request()
@@ -142,15 +145,17 @@ def test_cancel_of_ungranted_request_updates_cancel_accounting():
     def canceler(sim):
         yield sim.timeout(4.0)
         res.cancel(waiting)
+        yield sim.timeout(1.0)
+        res.release(held)
 
     sim.spawn(canceler(sim))
     sim.run()
-    assert res.canceled_count == 1
-    assert res.canceled_wait_time == pytest.approx(4.0)
-    # Granted-request wait statistics are untouched by the cancellation.
-    assert res.total_wait_time == 0.0
-    assert res.granted_count == 1
-    assert waiting._requested_at is None
+    # The release at 5 s granted nothing: the withdrawn request left
+    # the queue and was never granted.
+    assert not waiting.triggered
+    assert res.queue_length == 0
+    assert res.in_use == 0
+    assert res.request().triggered  # the next request is granted at once
 
 
 def test_cancel_of_non_queued_request_raises_clean_error():
@@ -170,71 +175,11 @@ def test_relinquish_covers_both_granted_and_queued():
     granted = res.request()
     queued = res.request()
     res.relinquish(queued)
-    assert res.canceled_count == 1
+    assert res.queue_length == 0
     res.relinquish(granted)
     assert res.in_use == 0
-
-
-# -- Store.get cancellation ---------------------------------------------------
-
-
-def test_abandoned_getter_would_swallow_item_without_cancel():
-    sim = Simulator()
-    store = Store(sim)
-    abandoned = store.get()
-    assert store.cancel(abandoned) is True
-    store.put("x")
-    # The canceled getter no longer steals the item.
-    assert len(store) == 1
-    assert store.cancel(abandoned) is False
-    assert store.canceled_getters == 1
-
-
-def test_get_or_timeout_returns_item_in_time():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        store.put("payload")
-
-    def consumer(sim):
-        item = yield from store.get_or_timeout(5.0)
-        got.append((item, sim.now))
-
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert got == [("payload", 1.0)]
-
-
-def test_get_or_timeout_expires_and_item_goes_to_live_consumer():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def impatient(sim):
-        try:
-            yield from store.get_or_timeout(1.0)
-        except WaitTimeout:
-            got.append(("timeout", sim.now))
-
-    def patient(sim):
-        item = yield from store.get_or_timeout(10.0)
-        got.append((item, sim.now))
-
-    def producer(sim):
-        yield sim.timeout(2.0)
-        store.put("late-item")
-
-    sim.spawn(impatient(sim))
-    sim.spawn(patient(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    # Without Store.cancel the timed-out getter would swallow the item
-    # and `patient` would starve.
-    assert got == [("timeout", 1.0), ("late-item", 2.0)]
+    assert not queued.triggered  # withdrawn, so the release granted nothing
+    assert res.request().triggered  # the next request is granted at once
 
 
 # -- per-waiter exception isolation ------------------------------------------

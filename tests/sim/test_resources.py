@@ -1,15 +1,8 @@
-"""Unit tests for DES resources: Resource, Server, Store, priorities."""
+"""Unit tests for DES resources: Resource and Server."""
 
 import pytest
 
-from repro.sim import (
-    PriorityResource,
-    Resource,
-    Server,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.sim import Resource, Server, SimulationError, Simulator
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -56,6 +49,28 @@ def test_resource_use_helper_holds_for_duration():
     assert done == [(1, 3.0), (2, 6.0)]
 
 
+def test_resource_busy_time_integrates_held_slots():
+    # Two slots: a holds 0-4, b 0-2, c queues until b's release and
+    # holds 2-4, then both idle until d holds 6-7. A read between
+    # grants and releases includes the slots held so far.
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    reads = []
+
+    def user(sim, arrive, hold):
+        yield sim.timeout(arrive)
+        yield from res.use(hold)
+
+    for arrive, hold in ((0.0, 4.0), (0.0, 2.0), (0.0, 2.0), (6.0, 1.0)):
+        sim.spawn(user(sim, arrive, hold))
+    for at in (1.0, 3.0, 5.0):
+        sim.schedule(at, lambda: reads.append(res.busy_time()))
+    sim.run()
+    assert reads == pytest.approx([2.0, 6.0, 8.0])
+    assert sim.now == 7.0
+    assert res.busy_time() == pytest.approx(9.0)
+
+
 def test_release_unheld_request_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -80,31 +95,6 @@ def test_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_priority_resource_prefers_lowest_priority_number():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    grants = []
-
-    def holder(sim):
-        req = res.request()
-        yield req
-        yield sim.timeout(5.0)
-        res.release(req)
-
-    def waiter(sim, tag, priority, arrive):
-        yield sim.timeout(arrive)
-        req = res.request(priority=priority)
-        yield req
-        grants.append(tag)
-        res.release(req)
-
-    sim.spawn(holder(sim))
-    sim.spawn(waiter(sim, "low", 10, 1.0))
-    sim.spawn(waiter(sim, "high", 0, 2.0))
-    sim.run()
-    assert grants == ["high", "low"]
 
 
 def test_server_serializes_transfers():
@@ -164,75 +154,3 @@ def test_server_rejects_negative_duration():
     sim.spawn(mover(sim))
     with pytest.raises(ValueError):
         sim.run()
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = []
-
-    def getter(sim):
-        item = yield store.get()
-        got.append(item)
-
-    sim.spawn(getter(sim))
-    sim.run()
-    assert got == ["x"]
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def putter(sim):
-        yield sim.timeout(3.0)
-        store.put("late")
-
-    sim.spawn(getter(sim))
-    sim.spawn(putter(sim))
-    sim.run()
-    assert got == [(3.0, "late")]
-
-
-def test_store_fifo_ordering_across_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim, tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.spawn(getter(sim, "g1"))
-    sim.spawn(getter(sim, "g2"))
-
-    def putter(sim):
-        yield sim.timeout(1.0)
-        store.put("first")
-        store.put("second")
-
-    sim.spawn(putter(sim))
-    sim.run()
-    assert got == [("g1", "first"), ("g2", "second")]
-
-
-def test_resource_wait_time_statistics():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def user(sim):
-        yield from res.use(2.0)
-
-    sim.spawn(user(sim))
-    sim.spawn(user(sim))
-    sim.run()
-    # Second user waited 2.0; first waited 0.
-    assert res.total_wait_time == pytest.approx(2.0)
-    assert res.granted_count == 2

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    PhaseAccumulator,
-    geometric_mean,
-    summarize_latencies,
-)
+from repro.sim import PhaseAccumulator, geometric_mean
 
 
 def test_phase_accumulator_fractions():
@@ -38,21 +34,6 @@ def test_empty_fractions():
     assert PhaseAccumulator(["a"]).fractions() == {}
 
 
-def test_summarize_latencies():
-    summary = summarize_latencies([1.0, 2.0, 3.0, 4.0])
-    assert summary["mean"] == pytest.approx(2.5)
-    assert summary["p50"] == pytest.approx(2.5)
-    assert summary["min"] == 1.0 and summary["max"] == 4.0
-    assert summary["count"] == 4
-    with pytest.raises(ValueError):
-        summarize_latencies([])
-
-
-def test_summarize_single_sample():
-    summary = summarize_latencies([7.0])
-    assert summary["p99"] == 7.0
-
-
 def test_geometric_mean():
     assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
     assert geometric_mean([5.0]) == pytest.approx(5.0)
@@ -62,13 +43,6 @@ def test_geometric_mean():
         geometric_mean([1.0, 0.0])
 
 
-def test_summarize_latencies_includes_p95():
-    latencies = [float(i) for i in range(1, 101)]
-    summary = summarize_latencies(latencies)
-    assert summary["p95"] == pytest.approx(95.05)
-    assert summary["p99"] == pytest.approx(99.01)
-
-
 def test_exact_percentile_shared_helper():
     from repro.sim import exact_percentile
 
@@ -76,6 +50,14 @@ def test_exact_percentile_shared_helper():
     assert exact_percentile([5.0], 0.99) == 5.0
     with pytest.raises(ValueError):
         exact_percentile([], 0.5)
+
+
+def test_exact_percentile_interpolates_between_ranks():
+    from repro.sim import exact_percentile
+
+    ordered = [float(i) for i in range(1, 101)]
+    assert exact_percentile(ordered, 0.95) == pytest.approx(95.05)
+    assert exact_percentile(ordered, 0.99) == pytest.approx(99.01)
 
 
 def test_exact_percentile_matches_serving_tracker():
@@ -90,4 +72,3 @@ def test_exact_percentile_matches_serving_tracker():
         tracker.add(x)
     for q in (0.5, 0.95, 0.99):
         assert tracker.percentile(q) == exact_percentile(sorted(samples), q)
-

@@ -1,10 +1,10 @@
 """Work counts on the serving hot path: computed only when read, and
 only once when it cannot change.
 
-Wall-clock asserts stay off shared CI runners (see the engine-speed
-job), so these pin *counts* on one tiny ``batched`` scenario (16 KB RPC
-legs through batch formation and the all-backend planner) and one tiny
-``knee`` scenario (MB legs on the single-request path):
+Wall-clock asserts mean nothing on shared CI runners, so these pin
+*counts* on one tiny ``batched`` scenario (16 KB RPC legs through batch
+formation and the all-backend planner) and one tiny ``knee`` scenario
+(MB legs on the single-request path):
 
 * a tracker answers percentiles exactly from its samples and feeds no
   P² estimator, so a run makes no ``P2Quantile.add`` call;

@@ -81,6 +81,11 @@ over the link at NaN and then killed the first transfer with an engine
 error that named no field; ``Fabric`` did not check
 ``switch_latency_s``; and ``HostCPU(parallel_overhead=nan)`` or
 ``spawn_overhead_s=nan`` made every parallel restructuring time NaN.
+
+Two counts as well: ``HostCPU(max_threads=nan)`` was kept and then
+ignored, so every parallel restructuring job was priced uncapped, and
+``build_benchmark_chains(name, nan)`` died in ``range()`` with a
+``TypeError`` that named no field.
 """
 
 import dataclasses
@@ -136,6 +141,7 @@ from repro.serve import (
 from repro.serve.slo import QueueTimeline, ServeResult, TenantStats
 from repro.sim import Resource, Server, Simulator
 from repro.telemetry import AlertConfig, MetricsRegistry, RollupConfig
+from repro.workloads import build_benchmark_chains
 
 NAN = math.nan
 
@@ -251,6 +257,10 @@ def _fabric(**kw):
 
 def _host_cpu(**kw):
     return HostCPU(Simulator(), **kw)
+
+
+def _benchmark_chains(n_instances=1):
+    return build_benchmark_chains("sound-detection", n_instances)
 
 
 def _cache(**kw):
@@ -407,6 +417,8 @@ CHECKS = [
     (_fabric, "switch_latency_s"),
     (_host_cpu, "parallel_overhead"),
     (_host_cpu, "spawn_overhead_s"),
+    (_host_cpu, "max_threads"),
+    (_benchmark_chains, "n_instances"),
 ]
 
 

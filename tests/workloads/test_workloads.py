@@ -74,6 +74,9 @@ def test_instances_share_stages_but_not_names():
 def test_instance_count_validation():
     with pytest.raises(ValueError):
         build_benchmark_chains("sound-detection", 0)
+    # 2.5 once died inside ``range()`` with a TypeError naming no field.
+    with pytest.raises(ValueError, match="n_instances"):
+        build_benchmark_chains("sound-detection", 2.5)
     with pytest.raises(KeyError):
         build_benchmark_chains("unknown-app", 1)
 
